@@ -40,7 +40,6 @@ from .feasibility import (
 )
 from .synthesis import (
     FeasibleRegion,
-    collect_constraint_polynomials,
     enumerate_runs,
     region_query,
     run_region,
@@ -95,7 +94,6 @@ __all__ = [
     "split_guard",
     "usup",
     "FeasibleRegion",
-    "collect_constraint_polynomials",
     "enumerate_runs",
     "region_query",
     "run_region",

@@ -4,7 +4,7 @@ Subcommands: parse, transform, check, oracle, feasible, runs, run-region,
 decompose, synth, analyze2, scan-run, selftest.  Exit codes: 0 success,
 2 usage or parse error, 3 empty region (synth), 4 internal invariant
 violation or selftest failure.  Output is byte-stable for fixed inputs
-and seed; PTASYNTH_THREADS enables parallel grid sweeps.
+and seed.
 """
 
 from __future__ import annotations

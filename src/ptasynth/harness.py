@@ -353,10 +353,12 @@ def suite_sign_invariance(seed: int, n_models: int, samples_per_cell=100) -> Sui
         if region.method == "cad1":
             # the sign set is the projected pool, recomputed the way the
             # pipeline builds it
-            from .synthesis import _cad1_pool, collect_constraint_polynomials, _reset_constants
+            from .synthesis import (
+                _atom_pool, _clock_polynomials, _reset_constants, threshold_pool)
             from .decomposition import project_clock
-            pool = project_clock(_cad1_pool(
-                collect_constraint_polynomials(pta, psi), _reset_constants(pta),
+            pool = project_clock(_clock_polynomials(
+                threshold_pool(_atom_pool(pta, psi), _reset_constants(pta),
+                               pta.time_domain == TIME_NAT),
                 pta.params[0]))
             for cv in region.cells:
                 base = signs_at_1d(pool, cv.cell.sample)
@@ -396,11 +398,6 @@ def suite_sign_invariance(seed: int, n_models: int, samples_per_cell=100) -> Sui
 
 def _vec_sign(vec, point) -> int:
     v = vec[-1] + sum(c * x for c, x in zip(vec, point))
-    return (v > 0) - (v < 0)
-
-
-def _expr_sign(e: Expression, gamma) -> int:
-    v = e.evaluate(gamma)
     return (v > 0) - (v < 0)
 
 

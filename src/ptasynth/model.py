@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from .constraints import AtomicConstraint, ConstraintError, SimpleConstraint
 from .expressions import Expression
@@ -116,12 +116,6 @@ class Pta:
         for a in self.atoms():
             if a.is_parametric():
                 hits.update(a.clocks())
-        return tuple(c for c in self.clocks if c in hits)
-
-    def constrained_clocks(self) -> Tuple[str, ...]:
-        hits = set()
-        for a in self.atoms():
-            hits.update(a.clocks())
         return tuple(c for c in self.clocks if c in hits)
 
     def max_reset(self) -> int:
@@ -314,7 +308,3 @@ def thresholds(pta: Pta, psi: SystemProperty) -> Tuple[int, int]:
     """The pair (S0, S1) = (2K*max(maxC, maxV)+1, 4*S0) with K = edge count."""
     s0 = 2 * len(pta.edges) * max(max_c(pta), max_v(psi)) + 1
     return s0, 4 * s0
-
-
-def zero_valuation(pta: Pta) -> Dict[str, Fraction]:
-    return {c: Fraction(0) for c in pta.clocks}

@@ -101,17 +101,6 @@ def poly_primitive(f: IntPoly) -> IntPoly:
     return poly_neg(out) if out[-1] < 0 else out
 
 
-def poly_divexact_int(f: IntPoly, k: int) -> IntPoly:
-    assert k != 0
-    out = []
-    for c in f:
-        q, r = divmod(c, k)
-        if r:
-            raise PolynomialError("inexact integer division in polynomial")
-        out.append(q)
-    return poly_trim(out)
-
-
 def poly_divexact(f: IntPoly, g: IntPoly) -> IntPoly:
     """Exact division f / g in Z[t]; raises if the division has a remainder."""
     if poly_is_zero(g):
@@ -379,9 +368,6 @@ class AlgebraicNumber:
         mirrored = poly_trim([c * (-1) ** i for i, c in enumerate(self.poly)])
         return AlgebraicNumber(mirrored, -self.hi, -self.lo)
 
-    def approx(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def __repr__(self):
         if self.is_rational():
             return "AlgebraicNumber(%s)" % self.lo
@@ -508,10 +494,6 @@ class AlgValue:
 
     def ceil_value(self) -> int:
         return -(-self).floor_value()
-
-    def approx(self) -> Fraction:
-        lo_v, hi_v = interval_eval(self.g, self.root.lo, self.root.hi)
-        return (lo_v + hi_v) / 2
 
     def __repr__(self):
         return "AlgValue(%s @ %r)" % (list(self.g), self.root)

@@ -102,14 +102,6 @@ def cmp(a, b) -> int:
     return 0
 
 
-def scalar_min(a, b):
-    return a if cmp(a, b) <= 0 else b
-
-
-def scalar_max(a, b):
-    return a if cmp(a, b) >= 0 else b
-
-
 def scalar_floor(v) -> int:
     if hasattr(v, "floor_value"):
         return v.floor_value()
@@ -120,10 +112,6 @@ def scalar_ceil(v) -> int:
     if hasattr(v, "ceil_value"):
         return v.ceil_value()
     return math.ceil(v)
-
-
-def frac(num, den=1) -> Fraction:
-    return Fraction(num, den)
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -22,7 +22,6 @@ Run-level realizability (the R(.) sets) ends on the last action firing.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -44,7 +43,6 @@ from .model import (
     TIME_DENSE,
     TIME_NAT,
     UnsupportedError,
-    eval_state_property,
     prop_atoms,
 )
 from .scalars import INF, cmp, is_finite, scalar_ceil
@@ -169,29 +167,33 @@ def _eval_compiled(check, values, diffs, pair_index, cap, dmax) -> bool:
     return c < 0 if strict else c <= 0
 
 
-def _compile_state_prop(phi, gamma, clock_index, loc_of):
+def _compile_state_prop(phi, atom_test, loc_of):
+    """Compile a state property into a test of a search state.
+
+    A search state is a tuple whose first entry is the location index;
+    ``atom_test(atom)`` returns the test of one atom on such a state, and
+    ``loc_of(name)`` the index of a location.  Each engine compiles the
+    property once per call and then only applies the result.
+    """
     if isinstance(phi, PropConst):
         value = phi.value
-        return lambda loc, values, diffs, ev: value
+        return lambda state: value
     if isinstance(phi, PropLoc):
         target = loc_of(phi.name)
-        return lambda loc, values, diffs, ev: loc == target
+        return lambda state: state[0] == target
     if isinstance(phi, PropAtom):
-        check = _compile_atom(phi.atom, gamma, clock_index)
-        return lambda loc, values, diffs, ev: ev(check, values, diffs)
+        return atom_test(phi.atom)
     if isinstance(phi, PropNot):
-        inner = _compile_state_prop(phi.inner, gamma, clock_index, loc_of)
-        return lambda loc, values, diffs, ev: not inner(loc, values, diffs, ev)
+        inner = _compile_state_prop(phi.inner, atom_test, loc_of)
+        return lambda state: not inner(state)
     if isinstance(phi, PropAnd):
-        left = _compile_state_prop(phi.left, gamma, clock_index, loc_of)
-        right = _compile_state_prop(phi.right, gamma, clock_index, loc_of)
-        return lambda loc, values, diffs, ev: (
-            left(loc, values, diffs, ev) and right(loc, values, diffs, ev))
+        left = _compile_state_prop(phi.left, atom_test, loc_of)
+        right = _compile_state_prop(phi.right, atom_test, loc_of)
+        return lambda state: left(state) and right(state)
     if isinstance(phi, PropOr):
-        left = _compile_state_prop(phi.left, gamma, clock_index, loc_of)
-        right = _compile_state_prop(phi.right, gamma, clock_index, loc_of)
-        return lambda loc, values, diffs, ev: (
-            left(loc, values, diffs, ev) or right(loc, values, diffs, ev))
+        left = _compile_state_prop(phi.left, atom_test, loc_of)
+        right = _compile_state_prop(phi.right, atom_test, loc_of)
+        return lambda state: left(state) or right(state)
     raise TypeError("not a state property: %r" % (phi,))
 
 
@@ -238,7 +240,12 @@ def reach_discrete(pta: Pta, gamma, phi, min_cap: int = 0) -> ReachabilityVerdic
         [(clock_index[c], int(b)) for c, b in sorted(e.updates.items()) if c in clock_index]
         for e in pta.edges
     ]
-    phi_fn = _compile_state_prop(phi, gamma, clock_index, lambda name: loc_index[name])
+
+    def atom_test(atom):
+        check = _compile_atom(atom, gamma, clock_index)
+        return lambda state: ev(check, state[1], state[2])
+
+    phi_fn = _compile_state_prop(phi, atom_test, loc_index.__getitem__)
 
     def inv_ok(loc, values, diffs):
         return all(ev(chk, values, diffs) for chk in invariants[loc])
@@ -259,7 +266,7 @@ def reach_discrete(pta: Pta, gamma, phi, min_cap: int = 0) -> ReachabilityVerdic
     parents: Dict[tuple, tuple] = {start: None}
     order = [start]
     head = 0
-    hit = start if phi_fn(start[0], zeros, zero_diffs, ev) else None
+    hit = start if phi_fn(start) else None
     while hit is None and head < len(order):
         loc, values, diffs = order[head]
         head += 1
@@ -288,7 +295,7 @@ def reach_discrete(pta: Pta, gamma, phi, min_cap: int = 0) -> ReachabilityVerdic
             if state in parents or not inv_ok(*state):
                 continue
             parents[state] = (order[head - 1], "edge", eidx)
-            if phi_fn(state[0], state[1], state[2], ev):
+            if phi_fn(state):
                 hit = state
                 break
             order.append(state)
@@ -298,7 +305,7 @@ def reach_discrete(pta: Pta, gamma, phi, min_cap: int = 0) -> ReachabilityVerdic
         state = (loc, new_values, diffs)
         if state not in parents and inv_ok(*state):
             parents[state] = (order[head - 1], "delay", None)
-            if phi_fn(state[0], state[1], state[2], ev):
+            if phi_fn(state):
                 hit = state
             else:
                 order.append(state)
@@ -412,14 +419,19 @@ def reach_dense_one_clock(pta: Pta, gamma, phi) -> ReachabilityVerdict:
 
     profiles = {}
 
+    def truth(atom):
+        key = id(atom)
+        if key not in profiles:
+            profiles[key] = _region_truth(_atom_region_profile(atom, gamma, clock), regions)
+        return profiles[key]
+
     def bitmap(sc: SimpleConstraint):
-        maps = []
-        for a in sc:
-            key = id(a)
-            if key not in profiles:
-                profiles[key] = _region_truth(_atom_region_profile(a, gamma, clock), regions)
-            maps.append(profiles[key])
+        maps = [truth(a) for a in sc]
         return [all(m[r] for m in maps) for r in range(len(regions))]
+
+    def atom_test(atom):
+        bits = truth(atom)
+        return lambda state: bits[state[1]]
 
     loc_index = {q: i for i, q in enumerate(pta.locations)}
     inv_maps = [bitmap(pta.invariants[q]) for q in pta.locations]
@@ -431,8 +443,7 @@ def reach_dense_one_clock(pta: Pta, gamma, phi) -> ReachabilityVerdict:
             reset_region[b] = next(
                 r for r, (k, a, _) in enumerate(regions) if k == "pt" and cmp(a, b) == 0)
 
-    def phi_holds(loc, region):
-        return _eval_prop_on_region(phi, loc, region, gamma, clock, pta, profiles, regions)
+    phi_holds = _compile_state_prop(phi, atom_test, loc_index.__getitem__)
 
     start = (loc_index[pta.initial], 0)
     if not inv_maps[start[0]][0]:
@@ -440,7 +451,7 @@ def reach_dense_one_clock(pta: Pta, gamma, phi) -> ReachabilityVerdict:
     parents = {start: None}
     order = [start]
     head = 0
-    hit = start if phi_holds(pta.initial, 0) else None
+    hit = start if phi_holds(start) else None
     while hit is None and head < len(order):
         loc, region = order[head]
         head += 1
@@ -454,7 +465,7 @@ def reach_dense_one_clock(pta: Pta, gamma, phi) -> ReachabilityVerdict:
             if state in parents or not inv_maps[state[0]][target_region]:
                 continue
             parents[state] = ((loc, region), "edge", eidx)
-            if phi_holds(e.target, target_region):
+            if phi_holds(state):
                 hit = state
                 break
             order.append(state)
@@ -464,7 +475,7 @@ def reach_dense_one_clock(pta: Pta, gamma, phi) -> ReachabilityVerdict:
             state = (loc, region + 1)
             if state not in parents and inv_maps[loc][region + 1]:
                 parents[state] = ((loc, region), "delay", None)
-                if phi_holds(pta.locations[loc], region + 1):
+                if phi_holds(state):
                     hit = state
                 else:
                     order.append(state)
@@ -521,33 +532,6 @@ class _SortKey:
         return cmp(self.value, other.value) < 0
 
 
-def _eval_prop_on_region(phi, loc_name, region, gamma, clock, pta, profiles, regions):
-    if isinstance(phi, PropConst):
-        return phi.value
-    if isinstance(phi, PropLoc):
-        return phi.name == loc_name
-    if isinstance(phi, PropAtom):
-        key = id(phi.atom)
-        if key not in profiles:
-            profiles[key] = _region_truth(
-                _atom_region_profile(phi.atom, gamma, clock), regions)
-        return profiles[key][region]
-    if isinstance(phi, PropNot):
-        return not _eval_prop_on_region(phi.inner, loc_name, region, gamma, clock, pta,
-                                        profiles, regions)
-    if isinstance(phi, PropAnd):
-        return (_eval_prop_on_region(phi.left, loc_name, region, gamma, clock, pta, profiles,
-                                     regions)
-                and _eval_prop_on_region(phi.right, loc_name, region, gamma, clock, pta,
-                                         profiles, regions))
-    if isinstance(phi, PropOr):
-        return (_eval_prop_on_region(phi.left, loc_name, region, gamma, clock, pta, profiles,
-                                     regions)
-                or _eval_prop_on_region(phi.right, loc_name, region, gamma, clock, pta,
-                                        profiles, regions))
-    raise TypeError("not a state property: %r" % (phi,))
-
-
 # -- property decisions ------------------------------------------------------
 
 @dataclass
@@ -581,20 +565,9 @@ def valuation_key(gamma) -> tuple:
 
 
 def grid_oracle(pta: Pta, psi: SystemProperty, grid: Sequence[Mapping[str, Fraction]],
-                time_domain: Optional[str] = None, threads: Optional[int] = None) -> dict:
+                time_domain: Optional[str] = None) -> dict:
     """Decide the property at every grid point; keyed by sorted valuation."""
-    if threads is None:
-        threads = int(os.environ.get("PTASYNTH_THREADS", "1"))
-    points = list(grid)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda g: decide(pta, g, psi, time_domain).satisfied, points))
-    else:
-        results = [decide(pta, g, psi, time_domain).satisfied for g in points]
-    return {valuation_key(g): r for g, r in zip(points, results)}
+    return {valuation_key(g): decide(pta, g, psi, time_domain).satisfied for g in grid}
 
 
 # -- run automata -------------------------------------------------------------

@@ -1,83 +1,58 @@
 """End-to-end computation of the feasible parameter region.
 
-Pipeline: collect the constraint polynomials of the model and property,
-decompose the parameter space so every decision-relevant sign is constant
-per cell (resultant projection and root isolation for one polynomial
-parameter; threshold-difference hyperplanes for the linear multi-parameter
-case), then decide the property at one exact sample per cell with the
-concrete semantics and read the region off the verdict-true cells.
+Pipeline: collect the threshold comparisons of the model and property
+(``threshold_pool``), decompose the parameter space so every one of them
+has a constant sign per cell (resultant projection and root isolation for
+one polynomial parameter; threshold-difference hyperplanes for the linear
+multi-parameter case), then decide the property at one exact sample per
+cell with the concrete semantics and read the region off the verdict-true
+cells.  ``synthesize`` and ``run_region`` share the pool, both
+decompositions and the per-cell decision loop; they differ only in what
+they decide at a valuation and in when they take the projection path.
 
 Scope: exactly one parametric clock, and no other constrained clocks
 (models with extra concretely constrained clocks are accepted by the
 checkers but not by synthesis, which matches the preprocessing this
 pipeline assumes).  Under integer parameter domains with nat time, cells
 are decided at an integer sample when one exists, since integer-point
-verdicts are the ones the decomposition keeps constant there.
+verdicts are the ones the decomposition keeps constant there; for that,
+both decompositions compare a strict bound ``x < t`` through its closed
+nat-time form ``x <= t - 1``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .constraints import AtomicConstraint
 from .decomposition import (
     Cell1D,
-    LinearCell,
-    REL_EQ,
-    REL_GE,
-    REL_GT,
     atom_to_bivar,
+    canonical_planes,
     cell1d_integer_point,
     decompose_1d,
     decompose_linear,
-    expr_to_unipoly,
     integer_point,
     project_clock,
 )
 from .expressions import Expression
 from .model import (
-    EXISTS_EVENTUALLY,
     PARAM_INT,
     PARAM_NAT,
-    PARAM_REAL,
     Pta,
     SyntacticRun,
     SystemProperty,
-    TIME_DENSE,
     TIME_NAT,
     UnsupportedError,
     prop_atoms,
 )
-from .polynomials import AlgebraicNumber
-from .scalars import INF, NEG_INF, cmp
 from .semantics import decide
 from .feasibility import feasible_with_reset
 from .transforms import encode_run_property, invariants_to_guards
 
 DEFAULT_INT_BOX = 64
-
-
-@dataclass(frozen=True)
-class ConstraintPolynomial:
-    """The polynomial ``clock_sign * clock - rhs`` of one normalized atom."""
-
-    clock: Optional[str]
-    clock_sign: int            # +1, -1, or 0 for clock-free atoms
-    rhs: Expression
-
-    def render(self) -> str:
-        negated = self.rhs.negated()
-        if self.clock_sign == 0:
-            return negated.render()
-        head = self.clock if self.clock_sign > 0 else "-%s" % self.clock
-        body = negated.render()
-        if body == "0":
-            return head
-        if body.startswith("-"):
-            return "%s - %s" % (head, body[1:])
-        return "%s + %s" % (head, body)
 
 
 @dataclass
@@ -109,38 +84,13 @@ class FeasibleRegion:
         return self.info["signs_index"]
 
 
-def collect_constraint_polynomials(pta: Pta, psi: Optional[SystemProperty]
-                                   ) -> List[ConstraintPolynomial]:
-    """One polynomial per distinct normalized atom of the model and property."""
-    atoms = list(pta.atoms())
-    if psi is not None:
-        atoms += list(prop_atoms(psi.phi))
-    seen = set()
-    out: List[ConstraintPolynomial] = []
-    for atom in atoms:
-        if atom.rhs.is_infinite():
-            continue
-        if atom.pos is not None and atom.neg is not None:
-            raise UnsupportedError("difference atoms are outside the one-clock pipeline")
-        if atom.pos is not None:
-            rec = ConstraintPolynomial(atom.pos, 1, atom.rhs)
-        elif atom.neg is not None:
-            rec = ConstraintPolynomial(atom.neg, -1, atom.rhs)
-        else:
-            rec = ConstraintPolynomial(None, 0, atom.rhs)
-        key = (rec.clock, rec.clock_sign, rec.rhs)
-        if key not in seen:
-            seen.add(key)
-            out.append(rec)
-    return out
+def _atom_pool(pta: Pta, psi: Optional[SystemProperty]) -> List[AtomicConstraint]:
+    return list(pta.atoms()) + (list(prop_atoms(psi.phi)) if psi is not None else [])
 
 
-def _synthesis_clock(pta: Pta, psi: Optional[SystemProperty]) -> Optional[str]:
-    atoms = list(pta.atoms())
-    if psi is not None:
-        atoms += list(prop_atoms(psi.phi))
+def _synthesis_clock(atom_pool: Sequence[AtomicConstraint]) -> Optional[str]:
     parametric, constrained = set(), set()
-    for a in atoms:
+    for a in atom_pool:
         constrained.update(a.clocks())
         if a.is_parametric():
             parametric.update(a.clocks())
@@ -159,34 +109,43 @@ def _synthesis_clock(pta: Pta, psi: Optional[SystemProperty]) -> Optional[str]:
     return next(iter(constrained)) if constrained else None
 
 
-def _needs_polynomial(pta: Pta, psi: Optional[SystemProperty]) -> bool:
-    exprs = list(pta.expressions())
-    if psi is not None:
-        exprs += [a.rhs for a in prop_atoms(psi.phi)]
-    return any(not e.is_linear() and not e.is_infinite() for e in exprs)
+def _nonlinear(atom_pool: Sequence[AtomicConstraint]) -> bool:
+    return any(not a.rhs.is_linear() and not a.rhs.is_infinite() for a in atom_pool)
 
 
-def _gamma_for(params: Sequence[str], values) -> dict:
-    return dict(zip(params, values))
+def _reset_constants(pta: Pta) -> List[int]:
+    out = []
+    for e in pta.edges:
+        out.extend(int(b) for b in e.updates.values())
+    return out
 
 
-# -- hyperplane pool for the linear path --------------------------------------
+# -- the comparisons a cell keeps constant ------------------------------------
 
-def _linear_hyperplanes(atom_pool: Sequence[AtomicConstraint], resets: Sequence[int],
-                        nat_time: bool) -> List[Expression]:
+def threshold_pool(atom_pool: Sequence[AtomicConstraint], resets: Sequence[int],
+                   nat_time: bool) -> Tuple[List[Expression], List[Expression], List[int]]:
+    """The comparisons whose sign must be constant in every cell.
+
+    Returns ``(free, thresholds, consts)``: the clock-free expressions,
+    compared with 0; the distinct clock thresholds (``x ~ t`` or
+    ``t ~ x``), compared with each other and with every constant; and the
+    constants, 0 and the reset values.  In nat time a strict bound
+    ``x < t`` is the closed bound ``x <= t - 1`` (and ``x > t`` is
+    ``x >= t + 1``), so its threshold is shifted by one.
+    """
+    free: List[Expression] = []
     thresholds: List[Expression] = []
     seen = set()
-    extras: List[Expression] = []
     for atom in atom_pool:
         if atom.rhs.is_infinite():
             continue
+        if atom.pos is not None and atom.neg is not None:
+            raise UnsupportedError("difference atoms are outside the one-clock pipeline")
         if atom.is_clock_free():
-            extras.append(atom.rhs)
+            free.append(atom.rhs)
             continue
         if atom.pos is not None:
-            thr = atom.rhs
-            if nat_time and atom.strict:
-                thr = thr.plus_const(-1)
+            thr = atom.rhs.plus_const(-1) if nat_time and atom.strict else atom.rhs
         else:
             thr = atom.rhs.negated()
             if nat_time and atom.strict:
@@ -194,8 +153,14 @@ def _linear_hyperplanes(atom_pool: Sequence[AtomicConstraint], resets: Sequence[
         if thr.canonical_key() not in seen:
             seen.add(thr.canonical_key())
             thresholds.append(thr)
-    consts = sorted({0, *(int(b) for b in resets)})
-    planes: List[Expression] = list(extras)
+    return free, thresholds, sorted({0, *(int(b) for b in resets)})
+
+
+def _linear_hyperplanes(pool) -> List[Expression]:
+    """The pool as hyperplanes: each clock-free expression, and every
+    threshold minus each constant and minus each later threshold."""
+    free, thresholds, consts = pool
+    planes: List[Expression] = list(free)
     for i, t in enumerate(thresholds):
         for c in consts:
             planes.append(t.plus_const(-c))
@@ -204,25 +169,68 @@ def _linear_hyperplanes(atom_pool: Sequence[AtomicConstraint], resets: Sequence[
     return planes
 
 
-def _cad1_pool(records: Sequence[ConstraintPolynomial], resets: Sequence[int],
-               param: str) -> list:
-    polys = []
-    clock_name = next((r.clock for r in records if r.clock is not None), "x")
-    for rec in records:
-        polys.append(atom_to_bivar(rec.clock_sign > 0, rec.clock_sign < 0, rec.rhs, param))
-    # the clock itself and one pin polynomial per reset constant, so the
-    # pairwise resultants include every threshold-vs-constant difference
-    polys.append(atom_to_bivar(True, False, Expression.constant(0), param))
-    for b in sorted(set(int(v) for v in resets)):
-        polys.append(atom_to_bivar(True, False, Expression.constant(b), param))
-    return polys
+def _clock_polynomials(pool, param: str) -> list:
+    """The pool as polynomials in Z[param][x] for ``project_clock``: each
+    clock-free expression, ``x - t`` for each threshold and ``x - c`` for
+    each constant, so the pairwise resultants are the differences the
+    hyperplanes of the linear path compare."""
+    free, thresholds, consts = pool
+    return ([atom_to_bivar(False, False, e, param) for e in free]
+            + [atom_to_bivar(True, False, t, param) for t in thresholds]
+            + [atom_to_bivar(True, False, Expression.constant(c), param) for c in consts])
 
 
-def _reset_constants(pta: Pta) -> List[int]:
+# -- one decision per cell ------------------------------------------------------
+
+def _integer_point_1d(cell: Cell1D, box) -> Optional[tuple]:
+    n = cell1d_integer_point(cell, minimum=box[0])
+    return None if n is None or n > box[1] else (n,)
+
+
+def _decide_cells(cells, params, decide_at, domain, pdomain, int_box,
+                  integer_of) -> List[CellVerdict]:
+    """Decide every cell at one valuation.
+
+    Under int/nat parameters each cell's least integer point in the box
+    (``integer_of(cell, (lo, hi))``) is recorded; in nat time the cell is
+    decided there when it has one, and at its exact sample otherwise.
+    """
+    box = (0 if pdomain == PARAM_NAT else -int_box, int_box)
+    integral = pdomain in (PARAM_INT, PARAM_NAT)
     out = []
-    for e in pta.edges:
-        out.extend(int(b) for b in e.updates.values())
+    for cell in cells:
+        integer = integer_of(cell, box) if integral else None
+        if domain == TIME_NAT and integer is not None:
+            values, decided = [Fraction(v) for v in integer], "integer-point"
+        else:
+            values = cell.sample if isinstance(cell.sample, tuple) else (cell.sample,)
+            decided = "sample"
+        gamma = dict(zip(params, values))
+        out.append(CellVerdict(cell, decide_at(gamma), gamma, decided, integer))
     return out
+
+
+def _region(params, atom_pool, resets, use_cad1, decide_at, psi, domain, pdomain,
+            int_box) -> FeasibleRegion:
+    """Decompose the parameter space over the threshold pool and decide
+    every cell: by projection and 1D root isolation when ``use_cad1``,
+    over the hyperplane arrangement otherwise."""
+    params = tuple(params)
+    pool = threshold_pool(atom_pool, resets, domain == TIME_NAT)
+    if use_cad1:
+        if len(params) != 1:
+            raise UnsupportedError(
+                "polynomial expressions are supported with exactly one parameter")
+        cells = decompose_1d(project_clock(_clock_polynomials(pool, params[0])))
+        verdicts = _decide_cells(cells, params, decide_at, domain, pdomain, int_box,
+                                 _integer_point_1d)
+        return FeasibleRegion(params, "cad1", verdicts, psi, domain, pdomain)
+    planes = _linear_hyperplanes(pool)
+    cells = decompose_linear(planes, params)
+    verdicts = _decide_cells(cells, params, decide_at, domain, pdomain, int_box,
+                             integer_point)
+    return FeasibleRegion(params, "linear", verdicts, psi, domain, pdomain,
+                          planes=tuple(canonical_planes(planes, params)))
 
 
 # -- the pipeline ---------------------------------------------------------------
@@ -239,69 +247,14 @@ def synthesize(pta: Pta, psi: SystemProperty, time_domain: Optional[str] = None,
     """
     domain = time_domain or pta.time_domain
     pdomain = param_domain or pta.param_domain
-    _synthesis_clock(pta, psi)
+    atom_pool = _atom_pool(pta, psi)
+    _synthesis_clock(atom_pool)
 
     def decide_at(gamma):
         return decide(pta, gamma, psi, domain).satisfied
 
-    if _needs_polynomial(pta, psi):
-        if len(pta.params) != 1:
-            raise UnsupportedError(
-                "polynomial expressions are supported with exactly one parameter")
-        return _synthesize_cad1(pta, psi, decide_at, domain, pdomain, int_box)
-    return _synthesize_linear(pta, psi, decide_at, domain, pdomain, int_box)
-
-
-def _integer_gamma_1d(cell: Cell1D, pdomain: str, int_box: int) -> Optional[int]:
-    minimum = 0 if pdomain == PARAM_NAT else -int_box
-    n = cell1d_integer_point(cell, minimum=minimum)
-    if n is None or n > int_box:
-        return None
-    return n
-
-
-def _synthesize_cad1(pta, psi, decide_at, domain, pdomain, int_box) -> FeasibleRegion:
-    param = pta.params[0]
-    records = collect_constraint_polynomials(pta, psi)
-    pool = _cad1_pool(records, _reset_constants(pta), param)
-    cells = decompose_1d(project_clock(pool))
-    integral = pdomain in (PARAM_INT, PARAM_NAT)
-    out = []
-    for cell in cells:
-        integer = _integer_gamma_1d(cell, pdomain, int_box) if integral else None
-        if integral and domain == TIME_NAT and integer is not None:
-            gamma = {param: Fraction(integer)}
-            decided = "integer-point"
-        else:
-            gamma = {param: cell.sample}
-            decided = "sample"
-        out.append(CellVerdict(cell, decide_at(gamma), gamma, decided,
-                               (integer,) if integer is not None else None))
-    return FeasibleRegion((param,), "cad1", out, psi, domain, pdomain,
-                          info={"projected": len(pool)})
-
-
-def _synthesize_linear(pta, psi, decide_at, domain, pdomain, int_box) -> FeasibleRegion:
-    params = pta.params
-    atom_pool = list(pta.atoms()) + (list(prop_atoms(psi.phi)) if psi else [])
-    planes = _linear_hyperplanes(atom_pool, _reset_constants(pta), domain == TIME_NAT)
-    cells = decompose_linear(planes, params)
-    box = (0 if pdomain == PARAM_NAT else -int_box, int_box)
-    integral = pdomain in (PARAM_INT, PARAM_NAT)
-    out = []
-    for cell in cells:
-        integer = (integer_point(cell, box) if params else ()) if integral else None
-        if integral and domain == TIME_NAT and integer is not None:
-            gamma = _gamma_for(params, [Fraction(v) for v in integer])
-            decided = "integer-point"
-        else:
-            gamma = _gamma_for(params, cell.sample)
-            decided = "sample"
-        out.append(CellVerdict(cell, decide_at(gamma), gamma, decided, integer))
-    from .decomposition import canonical_planes
-    return FeasibleRegion(params, "linear", out, psi, domain, pdomain,
-                          planes=tuple(canonical_planes(planes, params)),
-                          info={"hyperplanes": len(planes)})
+    return _region(pta.params, atom_pool, _reset_constants(pta), _nonlinear(atom_pool),
+                   decide_at, psi, domain, pdomain, int_box)
 
 
 def region_query(region: FeasibleRegion, gamma) -> bool:
@@ -379,51 +332,5 @@ def run_region(pta: Pta, tau: SyntacticRun, phi, time_domain: Optional[str] = No
     def decide_at(gamma):
         return any(feasible_with_reset(br, gamma, domain).feasible for br in branches)
 
-    nonlinear = any(not a.rhs.is_linear() and not a.rhs.is_infinite() for a in atom_pool)
-    if nonlinear or len(params) == 1:
-        if len(params) != 1:
-            raise UnsupportedError(
-                "polynomial expressions are supported with exactly one parameter")
-        param = params[0]
-        pool = []
-        for a in atom_pool:
-            if a.rhs.is_infinite():
-                continue
-            pool.append(atom_to_bivar(a.pos is not None, a.neg is not None, a.rhs, param))
-        pool.append(atom_to_bivar(True, False, Expression.constant(0), param))
-        for b in sorted(set(resets)):
-            pool.append(atom_to_bivar(True, False, Expression.constant(b), param))
-        cells = decompose_1d(project_clock(pool))
-        integral = pdomain in (PARAM_INT, PARAM_NAT)
-        out = []
-        for cell in cells:
-            integer = _integer_gamma_1d(cell, pdomain, int_box) if integral else None
-            if integral and domain == TIME_NAT and integer is not None:
-                gamma = {param: Fraction(integer)}
-                decided = "integer-point"
-            else:
-                gamma = {param: cell.sample}
-                decided = "sample"
-            out.append(CellVerdict(cell, decide_at(gamma), gamma, decided,
-                                   (integer,) if integer is not None else None))
-        return FeasibleRegion((param,), "cad1", out, None, domain, pdomain,
-                              info={"branches": len(branches)})
-
-    planes = _linear_hyperplanes(atom_pool, resets, domain == TIME_NAT)
-    cells = decompose_linear(planes, params)
-    box = (0 if pdomain == PARAM_NAT else -int_box, int_box)
-    integral = pdomain in (PARAM_INT, PARAM_NAT)
-    out = []
-    for cell in cells:
-        integer = (integer_point(cell, box) if params else ()) if integral else None
-        if integral and domain == TIME_NAT and integer is not None:
-            gamma = _gamma_for(params, [Fraction(v) for v in integer])
-            decided = "integer-point"
-        else:
-            gamma = _gamma_for(params, cell.sample)
-            decided = "sample"
-        out.append(CellVerdict(cell, decide_at(gamma), gamma, decided, integer))
-    from .decomposition import canonical_planes
-    return FeasibleRegion(params, "linear", out, None, domain, pdomain,
-                          planes=tuple(canonical_planes(planes, params)),
-                          info={"branches": len(branches)})
+    return _region(params, atom_pool, resets, _nonlinear(atom_pool) or len(params) == 1,
+                   decide_at, None, domain, pdomain, int_box)

@@ -401,27 +401,14 @@ def periodicity_probe(two_one: TwoOnePta, psi: SystemProperty,
 
     A constant-false tail reports (T1=S1, period=1) flagged as such; the
     underlying eventual-periodicity claim is unproven, so a miss is
-    reported as evidence, not an error.  The sweep honors
-    PTASYNTH_THREADS; results merge in parameter order either way.
+    reported as evidence, not an error.
     """
-    import os
-
     pta = two_one.pta
     param = two_one.param
     s0, s1 = thresholds(pta, psi)
     horizon = s1 + horizon_mult * s0
-    values = list(range(horizon + 1))
-    threads = int(os.environ.get("PTASYNTH_THREADS", "1"))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            verdicts = list(pool.map(
-                lambda v: decide(pta, {param: Fraction(v)}, psi, TIME_NAT).satisfied,
-                values))
-    else:
-        verdicts = [decide(pta, {param: Fraction(v)}, psi, TIME_NAT).satisfied
-                    for v in values]
+    verdicts = [decide(pta, {param: Fraction(v)}, psi, TIME_NAT).satisfied
+                for v in range(horizon + 1)]
     tail = verdicts[s1:]
     if not any(tail):
         return PeriodicityReport(s0, s1, horizon, verdicts, (s1, 1), True, None)

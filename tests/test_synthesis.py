@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from ptasynth.harness import int_grid, suite_synthesis_oracle
+from ptasynth.decomposition import canonical_planes, project_clock
+from ptasynth.harness import (
+    int_grid,
+    rand_pta_one_clock,
+    rand_state_property,
+    suite_synthesis_oracle,
+)
 from ptasynth.model import (
     PropConst,
     PropLoc,
@@ -14,11 +20,15 @@ from ptasynth.model import (
 from ptasynth.parser import parse_model, parse_property
 from ptasynth.semantics import decide, grid_oracle, valuation_key
 from ptasynth.synthesis import (
-    collect_constraint_polynomials,
+    _atom_pool,
+    _clock_polynomials,
+    _linear_hyperplanes,
+    _reset_constants,
     enumerate_runs,
     region_query,
     run_region,
     synthesize,
+    threshold_pool,
 )
 
 
@@ -26,19 +36,20 @@ def g(p):
     return {"p": Fraction(p)}
 
 
-def test_collect_constraint_polynomials(gate, gate_ef):
-    rendered = sorted(cp.render() for cp in collect_constraint_polynomials(gate, gate_ef))
-    assert rendered == ["-x + 2", "x - p"]
-    sq = parse_model("""
-clocks: x
-params: p
-loc q0 init inv: true
-edge q0 -> q0 : x <= p^2 ; a ;
-""")
-    out = collect_constraint_polynomials(sq, None)
-    assert [cp.render() for cp in out] == ["x - p^2"]
-    empty = parse_model("clocks: x\nparams: p\nloc q0 init inv: true\n")
-    assert collect_constraint_polynomials(empty, None) == []
+@pytest.mark.parametrize("time_domain", ["dense", "nat"])
+def test_cad1_projection_equals_linear_planes(time_domain):
+    # one threshold pool, two decompositions: for one linear parameter the
+    # projected cad1 polynomials are exactly the hyperplanes of the linear
+    # path, nat-time shift of strict bounds included
+    rng = random.Random(7)
+    for _ in range(25):
+        pta = rand_pta_one_clock(rng, 1, time_domain, "int" if time_domain == "nat" else "real")
+        psi = SystemProperty("EF", rand_state_property(rng, pta))
+        pool = threshold_pool(_atom_pool(pta, psi), _reset_constants(pta),
+                              time_domain == "nat")
+        projected = {(Fraction(f[1]), Fraction(f[0]))
+                     for f in project_clock(_clock_polynomials(pool, pta.params[0]))}
+        assert projected == set(canonical_planes(_linear_hyperplanes(pool), pta.params))
 
 
 def test_synthesize_gate_region(gate, gate_ef):
@@ -218,3 +229,41 @@ edge q1 -> q1 : x >= 3 ; b ;
 def test_synthesis_oracle_suite_reduced():
     report = suite_synthesis_oracle(8, 30)
     assert report.ok(), report.render()
+
+
+def test_synthesize_nat_time_polynomial_shifts_strict_bounds():
+    # 2p > x > p has an integer solution iff p >= 2; the projection must
+    # compare the strict bounds in their nat-time form x >= p + 1, x <= 2p - 1
+    pta = parse_model("""
+clocks: x
+params: p
+domain: time=nat param=int
+loc q0 init inv: true
+loc q1 inv: x <= p^2 + 50
+edge q0 -> q1 : x > p & x < 2*p ; a ;
+""")
+    psi = parse_property("EF q1", pta)
+    region = synthesize(pta, psi)
+    assert region.method == "cad1"
+    for p in range(-5, 21):
+        assert region_query(region, g(p)) == decide(pta, g(p), psi).satisfied, p
+    assert region_query(region, g(2)) is True
+
+
+def test_run_region_nat_time_one_param_shifts_strict_bounds():
+    pta = parse_model("""
+clocks: x
+params: p1
+domain: time=nat param=int
+loc q0 init inv: true
+loc q1 inv: x < -2*p1 - 4
+loc q2 inv: true
+edge q0 -> q2 : -x < -p1 - 1 ; a0 ;
+edge q1 -> q1 : -x <= -p1 + 1 ; a1 ;
+edge q2 -> q2 : -x <= -2*p1 + 2 ; a2 ; reset x:=1
+""")
+    psi = parse_property("EF (q1 || x < 2*p1 + 1)", pta)
+    region = run_region(pta, SyntacticRun(pta, (0,)), psi.phi)
+    assert region.method == "cad1"
+    # at p1 = 2 the run reaches q2 with x = 4 < 2*p1 + 1
+    assert region_query(region, {"p1": Fraction(2)}) is True
