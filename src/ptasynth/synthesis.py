@@ -22,7 +22,7 @@ nat-time form ``x <= t - 1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -48,6 +48,7 @@ from .model import (
     UnsupportedError,
     prop_atoms,
 )
+from .polynomials import AlgebraicNumber
 from .semantics import decide
 from .feasibility import feasible_with_reset
 from .transforms import encode_run_property, invariants_to_guards
@@ -182,8 +183,16 @@ def _clock_polynomials(pool, param: str) -> list:
 
 # -- one decision per cell ------------------------------------------------------
 
+def _detached(value):
+    """A copy of an algebraic value, which comparisons may refine without
+    touching the cells that share it; other scalars as they are."""
+    return AlgebraicNumber(value.poly, value.lo, value.hi) \
+        if isinstance(value, AlgebraicNumber) else value
+
+
 def _integer_point_1d(cell: Cell1D, box) -> Optional[tuple]:
-    n = cell1d_integer_point(cell, minimum=box[0])
+    n = cell1d_integer_point(replace(cell, lo=_detached(cell.lo), hi=_detached(cell.hi)),
+                             minimum=box[0])
     return None if n is None or n > box[1] else (n,)
 
 
@@ -194,6 +203,9 @@ def _decide_cells(cells, params, decide_at, domain, pdomain, int_box,
     Under int/nat parameters each cell's least integer point in the box
     (``integer_of(cell, (lo, hi))``) is recorded; in nat time the cell is
     decided there when it has one, and at its exact sample otherwise.
+    Both look at copies of algebraic values: comparisons refine a root's
+    interval in place, and the cell's endpoints share the root object, so
+    the reported intervals stay the ones the decomposition isolated.
     """
     box = (0 if pdomain == PARAM_NAT else -int_box, int_box)
     integral = pdomain in (PARAM_INT, PARAM_NAT)
@@ -204,6 +216,7 @@ def _decide_cells(cells, params, decide_at, domain, pdomain, int_box,
             values, decided = [Fraction(v) for v in integer], "integer-point"
         else:
             values = cell.sample if isinstance(cell.sample, tuple) else (cell.sample,)
+            values = [_detached(v) for v in values]
             decided = "sample"
         gamma = dict(zip(params, values))
         out.append(CellVerdict(cell, decide_at(gamma), gamma, decided, integer))

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from ptasynth.decomposition import canonical_planes, project_clock
+from ptasynth.decomposition import canonical_planes, decompose_1d, project_clock
 from ptasynth.harness import (
     int_grid,
     rand_pta_one_clock,
     rand_state_property,
     suite_synthesis_oracle,
 )
+from ptasynth.jsonio import region_to_json, scalar_to_json
 from ptasynth.model import (
     PropConst,
     PropLoc,
@@ -267,3 +268,43 @@ edge q2 -> q2 : -x <= -2*p1 + 2 ; a2 ; reset x:=1
     assert region.method == "cad1"
     # at p1 = 2 the run reaches q2 with x = 4 < 2*p1 + 1
     assert region_query(region, {"p1": Fraction(2)}) is True
+
+
+ROOTS_DENSE = """
+clocks: x
+params: p1
+loc q0 init inv: true
+loc q1 inv: true
+edge q1 -> q1 : -x <= -p1^3 + 3*p1^2 + p1 - 2 & x < p1^2 - 1 ; a0 ; reset x:=1
+edge q0 -> q0 : x <= p1^2 - p1 + 1 & -x <= -p1 ; a1 ;
+"""
+
+ROOTS_NAT = """
+clocks: x
+params: p1
+domain: time=nat param=int
+loc q0 init inv: true
+loc q1 inv: true
+loc q2 inv: x < -2*p1 - 4
+edge q2 -> q2 : x < -p1^2 + 2*p1 - 1 ; a0 ; reset x:=0
+edge q1 -> q1 : -x <= -p1 ; a1 ; reset x:=1
+edge q2 -> q1 : x <= p1^2 + 3*p1 + 2 & -x <= p1^2 + 3*p1 ; a2 ;
+edge q0 -> q2 : x <= p1 ; a3 ;
+"""
+
+
+@pytest.mark.parametrize("text, prop", [(ROOTS_DENSE, "EF (-x <= 3 && (q0 && q1))"),
+                                        (ROOTS_NAT, "EF q1")], ids=["dense", "nat"])
+def test_region_json_endpoints_are_the_isolated_intervals(text, prop):
+    # deciding a cell, and finding its integer point, compare at its roots;
+    # the printed endpoints must still be the intervals decompose_1d isolated
+    pta = parse_model(text)
+    psi = parse_property(prop, pta)
+    region = synthesize(pta, psi)
+    assert region.method == "cad1"
+    got = [c["endpoints"] for c in region_to_json(region)["cells"]]
+    pool = threshold_pool(_atom_pool(pta, psi), _reset_constants(pta),
+                          pta.time_domain == "nat")
+    fresh = decompose_1d(project_clock(_clock_polynomials(pool, "p1")))
+    assert got == [[scalar_to_json(c.lo), scalar_to_json(c.hi)] for c in fresh]
+    assert any(isinstance(end, dict) for pair in got for end in pair)
