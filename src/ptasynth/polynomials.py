@@ -327,23 +327,31 @@ class AlgebraicNumber:
             other.refine()
 
     def sign_of(self, g: IntPoly) -> int:
-        """Exact sign of g at this number."""
+        """Exact sign of g at this number.
+
+        An interval enclosure of g over the isolating interval that
+        excludes 0 decides the sign at once; only when it straddles 0 is
+        the gcd with the defining polynomial taken, to see whether g
+        vanishes at the root, before refining.
+        """
         if poly_is_zero(g):
             return 0
         if self.is_rational():
             v = poly_eval(g, self.lo)
             return (v > 0) - (v < 0)
-        common = poly_gcd(self.poly, g)
-        if poly_degree(common) >= 1:
-            chain = sturm_chain(common)
-            if sturm_root_count(chain, self.lo, self.hi) >= 1:
-                return 0
+        shared_checked = False
         while True:
             lo_v, hi_v = interval_eval(g, self.lo, self.hi)
             if lo_v > 0:
                 return 1
             if hi_v < 0:
                 return -1
+            if not shared_checked:
+                shared_checked = True
+                common = poly_gcd(self.poly, g)
+                if poly_degree(common) >= 1 and \
+                        sturm_root_count(sturm_chain(common), self.lo, self.hi) >= 1:
+                    return 0
             self.refine()
 
     def floor_value(self) -> int:

@@ -12,6 +12,12 @@ Three complete decision engines live here:
 * :func:`reach_dense_one_clock` — dense time, single constrained clock:
   reachability over the finitely many point/interval regions induced by
   the evaluated guard bounds.
+
+Both compile each exact bound once per call, so that the search itself
+compares small integers only: the discrete engine turns every bound into
+an integer bound on integer clock values (``floor``/``ceil``, exact for
+algebraic values), and the dense engine ranks the split values once and
+turns every atom into an int bitmap over the region list.
 * interval-propagation oracles over single runs, used as independent
   cross-checks by the test harness.
 
@@ -45,7 +51,7 @@ from .model import (
     UnsupportedError,
     prop_atoms,
 )
-from .scalars import INF, cmp, is_finite, scalar_ceil
+from .scalars import INF, cmp, scalar_ceil, scalar_floor
 from .transforms import GuardOnlyRun, negate_property
 
 
@@ -118,53 +124,48 @@ def replay_run(pta: Pta, gamma, xi: ConcreteRun, time_domain: Optional[str] = No
 
 # -- discrete (nat-time) reachability ---------------------------------------
 
-_UP, _LO, _DIAG, _FREE, _TRUE = 0, 1, 2, 3, 4
+_UP, _LO, _DIAG, _CONST = 0, 1, 2, 3
 
 
-def _compile_atom(atom: AtomicConstraint, gamma, clock_index):
+def _compile_atom(atom: AtomicConstraint, gamma, clock_index, pair_index):
+    """Compile one atom into a test on integer clock values.
+
+    Over integers ``v ~ b`` (``~`` being ``<`` or ``<=``) is ``v <= top``
+    with ``top`` the largest integer that satisfies it: ``floor(b)`` for
+    ``<=`` and ``ceil(b) - 1`` for ``<``, exact for algebraic ``b`` through
+    ``scalar_floor``/``scalar_ceil``.  So an upper bound becomes
+    ``(_UP, i, top)`` (``x_i <= top``), a lower bound ``-x <= b`` becomes
+    ``(_LO, i, -top)`` (``x_i >= -top``), a diagonal ``(_DIAG, k, s, top)``
+    (``s * d_k <= top`` for the ``k``-th stored pairwise difference taken
+    with sign ``s``), and a clock-free atom the constant ``(_CONST, 0 <= top)``.
+    Every ``|top|`` is at most M+1, so the capped clock values and clamped
+    differences of :func:`reach_discrete` compare exactly against it.
+    """
     bound = atom.rhs.evaluate(gamma)
     if bound is INF:
-        return (_TRUE,)
+        return (_CONST, True)
+    top = scalar_ceil(bound) - 1 if atom.strict else scalar_floor(bound)
     if atom.pos is not None and atom.neg is not None:
-        return (_DIAG, clock_index[atom.pos], clock_index[atom.neg], bound, atom.strict)
-    if atom.pos is not None:
-        return (_UP, clock_index[atom.pos], bound, atom.strict)
-    if atom.neg is not None:
-        return (_LO, clock_index[atom.neg], bound, atom.strict)
-    return (_FREE, bound, atom.strict)
-
-
-def _eval_compiled(check, values, diffs, pair_index, cap, dmax) -> bool:
-    kind = check[0]
-    if kind == _TRUE:
-        return True
-    if kind == _UP:
-        _, i, bound, strict = check
-        if values[i] >= cap:
-            return False
-        c = cmp(values[i], bound)
-        return c < 0 if strict else c <= 0
-    if kind == _LO:
-        _, i, bound, strict = check
-        if values[i] >= cap:
-            return True
-        c = cmp(-values[i], bound)
-        return c < 0 if strict else c <= 0
-    if kind == _DIAG:
-        _, i, j, bound, strict = check
+        i, j = clock_index[atom.pos], clock_index[atom.neg]
         if i < j:
-            d = diffs[pair_index[(i, j)]]
-        else:
-            d = -diffs[pair_index[(j, i)]]
-        if d >= dmax:
-            return False
-        if d <= -dmax:
-            return True
-        c = cmp(d, bound)
-        return c < 0 if strict else c <= 0
-    _, bound, strict = check
-    c = cmp(0, bound)
-    return c < 0 if strict else c <= 0
+            return (_DIAG, pair_index[(i, j)], 1, top)
+        return (_DIAG, pair_index[(j, i)], -1, top)
+    if atom.pos is not None:
+        return (_UP, clock_index[atom.pos], top)
+    if atom.neg is not None:
+        return (_LO, clock_index[atom.neg], -top)
+    return (_CONST, 0 <= top)
+
+
+def _eval_compiled(check, values, diffs) -> bool:
+    kind = check[0]
+    if kind == _UP:
+        return values[check[1]] <= check[2]
+    if kind == _LO:
+        return values[check[1]] >= check[2]
+    if kind == _DIAG:
+        return check[2] * diffs[check[1]] <= check[3]
+    return check[1]
 
 
 def _compile_state_prop(phi, atom_test, loc_of):
@@ -226,29 +227,35 @@ def reach_discrete(pta: Pta, gamma, phi, min_cap: int = 0) -> ReachabilityVerdic
 
     loc_index = {q: i for i, q in enumerate(pta.locations)}
 
-    def ev(check, values, diffs):
-        return _eval_compiled(check, values, diffs, pair_index, cap, dmax)
+    def compile_conj(sc: SimpleConstraint):
+        checks = [_compile_atom(a, gamma, clock_index, pair_index) for a in sc]
+        if (_CONST, False) in checks:
+            return lambda values, diffs: False
+        checks = [c for c in checks if c[0] != _CONST]
 
-    invariants = [
-        [_compile_atom(a, gamma, clock_index) for a in pta.invariants[q]]
-        for q in pta.locations
-    ]
-    guards = [[_compile_atom(a, gamma, clock_index) for a in e.guard] for e in pta.edges]
-    edge_src = [loc_index[e.source] for e in pta.edges]
-    edge_dst = [loc_index[e.target] for e in pta.edges]
-    edge_resets = [
-        [(clock_index[c], int(b)) for c, b in sorted(e.updates.items()) if c in clock_index]
-        for e in pta.edges
-    ]
+        def test(values, diffs):
+            for c in checks:
+                if not _eval_compiled(c, values, diffs):
+                    return False
+            return True
+        return test
+
+    invariants = [compile_conj(pta.invariants[q]) for q in pta.locations]
+    out_edges = [[] for _ in pta.locations]
+    for eidx, e in enumerate(pta.edges):
+        resets = [(clock_index[c], int(b)) for c, b in sorted(e.updates.items())
+                  if c in clock_index]
+        out_edges[loc_index[e.source]].append(
+            (eidx, compile_conj(e.guard), loc_index[e.target], resets))
 
     def atom_test(atom):
-        check = _compile_atom(atom, gamma, clock_index)
-        return lambda state: ev(check, state[1], state[2])
+        check = _compile_atom(atom, gamma, clock_index, pair_index)
+        return lambda state: _eval_compiled(check, state[1], state[2])
 
     phi_fn = _compile_state_prop(phi, atom_test, loc_index.__getitem__)
 
     def inv_ok(loc, values, diffs):
-        return all(ev(chk, values, diffs) for chk in invariants[loc])
+        return invariants[loc](values, diffs)
 
     def clamp(d):
         if d > dmax:
@@ -270,17 +277,15 @@ def reach_discrete(pta: Pta, gamma, phi, min_cap: int = 0) -> ReachabilityVerdic
     while hit is None and head < len(order):
         loc, values, diffs = order[head]
         head += 1
-        for eidx in range(len(pta.edges)):
-            if edge_src[eidx] != loc:
-                continue
-            if not all(ev(chk, values, diffs) for chk in guards[eidx]):
+        for eidx, guard, dst, resets in out_edges[loc]:
+            if not guard(values, diffs):
                 continue
             new_values = list(values)
-            for ci, b in edge_resets[eidx]:
+            for ci, b in resets:
                 new_values[ci] = b
             new_diffs = diffs
-            if pairs and edge_resets[eidx]:
-                reset_map = dict(edge_resets[eidx])
+            if pairs and resets:
+                reset_map = dict(resets)
                 nd = list(diffs)
                 for k, (i, j) in enumerate(pairs):
                     ri, rj = i in reset_map, j in reset_map
@@ -291,7 +296,7 @@ def reach_discrete(pta: Pta, gamma, phi, min_cap: int = 0) -> ReachabilityVerdic
                     elif rj:
                         nd[k] = clamp(values[i] - reset_map[j]) if values[i] < cap else dmax
                 new_diffs = tuple(nd)
-            state = (edge_dst[eidx], tuple(new_values), new_diffs)
+            state = (dst, tuple(new_values), new_diffs)
             if state in parents or not inv_ok(*state):
                 continue
             parents[state] = (order[head - 1], "edge", eidx)
@@ -346,41 +351,65 @@ def _single_constrained_clock(pta: Pta, phi) -> Optional[str]:
     return next(iter(hits)) if hits else None
 
 
-def _atom_region_profile(atom: AtomicConstraint, gamma, clock):
-    """Classify one atom as ('up'|'lo', threshold, strict) or a constant."""
-    bound = atom.rhs.evaluate(gamma)
-    if atom.is_clock_free():
+def clock_regions(atoms: Sequence[AtomicConstraint], gamma, clock: Optional[str],
+                  resets: Sequence[int]):
+    """Rank the split values of one clock and compile each atom to a bitmap.
+
+    The split values are 0, the reset constants and every clock atom's
+    threshold (``t`` of ``x ~ t`` and of ``t ~ x``).  They are sorted once
+    with ``cmp`` and equal neighbours merged, keeping the first occurrence;
+    the ranks at or above the rank of 0 are the points ``v0 = 0 < v1 <
+    ... < vk`` of the regions ``v0, (v0, v1), v1, ..., vk, (vk, inf)``, so
+    point ``i`` is region ``2i``.  An atom's bitmap (bit ``r`` is its truth
+    in region ``r``) follows from its threshold's rank alone: for ``x ~ t``
+    the regions before ``t`` are true, ``t`` itself is ``not strict`` and
+    the regions after it are false; ``t ~ x`` is the mirror image, and a
+    threshold below 0 gives a constant bitmap, as do clock-free atoms.
+
+    Returns ``(points, masks, reset_region)``: the point values, the bitmap
+    of each atom as an int in the order given, and the point region of
+    each reset constant.
+    """
+    values = [Fraction(0)] + [Fraction(b) for b in resets]
+    profiles = []                       # per atom: a bool, or (value index, strict, upper)
+    for atom in atoms:
+        bound = atom.rhs.evaluate(gamma)
         if bound is INF:
-            return True
-        c = cmp(0, bound)
-        return c < 0 if atom.strict else c <= 0
-    if bound is INF:
-        return True
-    if atom.pos == clock:
-        return ("up", bound, atom.strict)
-    return ("lo", -bound, atom.strict)
-
-
-def _region_truth(profile, regions):
-    """Bitmap of an atom profile over the ordered region list."""
-    if isinstance(profile, bool):
-        return [profile] * len(regions)
-    kind, t, strict = profile
-    out = []
-    for rkind, a, b in regions:
-        if kind == "up":
-            if rkind == "pt":
-                c = cmp(a, t)
-                out.append(c < 0 if strict else c <= 0)
-            else:
-                out.append(b is not INF and cmp(b, t) <= 0)
+            profiles.append(True)
+        elif atom.is_clock_free():
+            c = cmp(0, bound)
+            profiles.append(c < 0 if atom.strict else c <= 0)
         else:
-            if rkind == "pt":
-                c = cmp(a, t)
-                out.append(c > 0 if strict else c >= 0)
-            else:
-                out.append(cmp(a, t) >= 0)
-    return out
+            upper = atom.pos == clock
+            profiles.append((len(values), atom.strict, upper))
+            values.append(bound if upper else -bound)
+
+    order = sorted(range(len(values)), key=lambda i: _SortKey(values[i]))
+    rank = [0] * len(values)
+    reps = [order[0]]                   # first occurrence of each distinct value
+    for prev, i in zip(order, order[1:]):
+        if cmp(values[prev], values[i]) != 0:
+            reps.append(i)
+        rank[i] = len(reps) - 1
+    zero = rank[0]
+    points = [values[i] for i in reps[zero:]]
+    full = (1 << 2 * len(points)) - 1
+
+    masks = []
+    for prof in profiles:
+        if isinstance(prof, bool):
+            masks.append(full if prof else 0)
+            continue
+        index, strict, upper = prof
+        r = 2 * (rank[index] - zero)
+        if r < 0:
+            masks.append(0 if upper else full)
+            continue
+        at = 0 if strict else 1 << r
+        below = (1 << r) - 1
+        masks.append(below | at if upper else (full & ~below & ~(1 << r)) | at)
+    reset_region = {b: 2 * (rank[1 + k] - zero) for k, b in enumerate(resets)}
+    return points, masks, reset_region
 
 
 def reach_dense_one_clock(pta: Pta, gamma, phi) -> ReachabilityVerdict:
@@ -388,66 +417,41 @@ def reach_dense_one_clock(pta: Pta, gamma, phi) -> ReachabilityVerdict:
 
     The evaluated guard/invariant/property bounds (plus 0 and the reset
     constants) split the clock axis into points and open intervals on
-    which every atom has a fixed truth value; reachability runs over
-    (location, region) pairs.  Witness delays use interval midpoints and
-    are emitted only when every bound is rational.
+    which every atom has a fixed truth value (:func:`clock_regions` ranks
+    them once and compiles every atom to an int bitmap over the regions);
+    reachability runs over (location, region) pairs, testing bits only.
+    Witness delays use interval midpoints and are emitted only when every
+    bound is rational.
     """
     clock = _single_constrained_clock(pta, phi)
     atoms = list(pta.atoms()) + list(prop_atoms(phi))
+    resets = [e.updates[clock] for e in pta.edges if clock in e.updates]
+    points, masks, reset_region = clock_regions(atoms, gamma, clock, resets)
+    n_regions = 2 * len(points)
+    mask_of = {id(a): m for a, m in zip(atoms, masks)}
 
-    values = [Fraction(0)]
-    if clock is not None:
-        for e in pta.edges:
-            if clock in e.updates:
-                values.append(Fraction(e.updates[clock]))
-        for a in atoms:
-            prof = _atom_region_profile(a, gamma, clock)
-            if isinstance(prof, tuple):
-                values.append(prof[1])
-    keep = []
-    for v in values:
-        if cmp(v, 0) < 0:
-            continue
-        if not any(cmp(v, w) == 0 for w in keep):
-            keep.append(v)
-    keep.sort(key=_SortKey)
-    regions = []
-    for i, v in enumerate(keep):
-        regions.append(("pt", v, v))
-        nxt = keep[i + 1] if i + 1 < len(keep) else INF
-        regions.append(("iv", v, nxt))
-
-    profiles = {}
-
-    def truth(atom):
-        key = id(atom)
-        if key not in profiles:
-            profiles[key] = _region_truth(_atom_region_profile(atom, gamma, clock), regions)
-        return profiles[key]
-
-    def bitmap(sc: SimpleConstraint):
-        maps = [truth(a) for a in sc]
-        return [all(m[r] for m in maps) for r in range(len(regions))]
+    def bitmap(sc: SimpleConstraint) -> int:
+        out = (1 << n_regions) - 1
+        for a in sc:
+            out &= mask_of[id(a)]
+        return out
 
     def atom_test(atom):
-        bits = truth(atom)
-        return lambda state: bits[state[1]]
+        bits = mask_of[id(atom)]
+        return lambda state: (bits >> state[1]) & 1 == 1
 
     loc_index = {q: i for i, q in enumerate(pta.locations)}
     inv_maps = [bitmap(pta.invariants[q]) for q in pta.locations]
-    guard_maps = [bitmap(e.guard) for e in pta.edges]
-    reset_region = {}
-    for e in pta.edges:
-        if clock is not None and clock in e.updates:
-            b = Fraction(e.updates[clock])
-            reset_region[b] = next(
-                r for r, (k, a, _) in enumerate(regions) if k == "pt" and cmp(a, b) == 0)
+    out_edges = [[] for _ in pta.locations]
+    for eidx, e in enumerate(pta.edges):
+        out_edges[loc_index[e.source]].append(
+            (eidx, bitmap(e.guard), loc_index[e.target], reset_region.get(e.updates.get(clock))))
 
     phi_holds = _compile_state_prop(phi, atom_test, loc_index.__getitem__)
 
     start = (loc_index[pta.initial], 0)
-    if not inv_maps[start[0]][0]:
-        return ReachabilityVerdict(False, info={"regions": len(regions)})
+    if not inv_maps[start[0]] & 1:
+        return ReachabilityVerdict(False, info={"regions": n_regions})
     parents = {start: None}
     order = [start]
     head = 0
@@ -455,14 +459,12 @@ def reach_dense_one_clock(pta: Pta, gamma, phi) -> ReachabilityVerdict:
     while hit is None and head < len(order):
         loc, region = order[head]
         head += 1
-        for eidx, e in enumerate(pta.edges):
-            if loc_index[e.source] != loc or not guard_maps[eidx][region]:
+        for eidx, guard, dst, reset in out_edges[loc]:
+            if not (guard >> region) & 1:
                 continue
-            target_region = region
-            if clock is not None and clock in e.updates:
-                target_region = reset_region[Fraction(e.updates[clock])]
-            state = (loc_index[e.target], target_region)
-            if state in parents or not inv_maps[state[0]][target_region]:
+            target_region = region if reset is None else reset
+            state = (dst, target_region)
+            if state in parents or not (inv_maps[dst] >> target_region) & 1:
                 continue
             parents[state] = ((loc, region), "edge", eidx)
             if phi_holds(state):
@@ -471,19 +473,19 @@ def reach_dense_one_clock(pta: Pta, gamma, phi) -> ReachabilityVerdict:
             order.append(state)
         if hit is not None:
             break
-        if region + 1 < len(regions):
+        if region + 1 < n_regions:
             state = (loc, region + 1)
-            if state not in parents and inv_maps[loc][region + 1]:
+            if state not in parents and (inv_maps[loc] >> (region + 1)) & 1:
                 parents[state] = ((loc, region), "delay", None)
                 if phi_holds(state):
                     hit = state
                 else:
                     order.append(state)
 
-    info = {"regions": len(regions), "states": len(parents)}
+    info = {"regions": n_regions, "states": len(parents)}
     if hit is None:
         return ReachabilityVerdict(False, info=info)
-    if any(not isinstance(v, Fraction) for v in keep):
+    if any(not isinstance(v, Fraction) for v in points):
         return ReachabilityVerdict(True, None, info)
 
     moves = []
@@ -495,11 +497,12 @@ def reach_dense_one_clock(pta: Pta, gamma, phi) -> ReachabilityVerdict:
     moves.reverse()
 
     def representative(region, at_least):
-        rkind, a, b = regions[region]
-        if rkind == "pt":
+        a = points[region // 2]
+        if region % 2 == 0:
             return a
-        if b is INF:
+        if region // 2 + 1 == len(points):
             return max(a, at_least) + 1
+        b = points[region // 2 + 1]
         return (a + b) / 2 if at_least <= a else (at_least + b) / 2
 
     steps = []

@@ -22,6 +22,7 @@ nat-time form ``x <= t - 1``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -49,6 +50,7 @@ from .model import (
     prop_atoms,
 )
 from .polynomials import AlgebraicNumber
+from .scalars import cmp
 from .semantics import decide
 from .feasibility import feasible_with_reset
 from .transforms import encode_run_property, invariants_to_guards
@@ -273,29 +275,41 @@ def synthesize(pta: Pta, psi: SystemProperty, time_domain: Optional[str] = None,
 def region_query(region: FeasibleRegion, gamma) -> bool:
     """Locate the cell containing the valuation and return its verdict.
 
-    Linear regions index cells by the exact sign vector of the canonical
-    hyperplanes at the query point; 1D regions scan the ordered cells.
+    1D regions bisect the ordered roots: ``decompose_1d`` cells alternate
+    interval and point, so ``cells[2k+1]`` is the k-th root and the query
+    takes O(log n) exact comparisons.  Linear regions index cells by the
+    sign vector of the canonical hyperplanes at the query point; the
+    planes are cached in ``region.info`` as int vectors, and the point is
+    scaled by the lcm of its denominators, so every sign is that of an
+    int dot product.
     """
     if region.method == "cad1":
         value = Fraction(gamma[region.params[0]])
-        for cv in region.cells:
-            if cv.cell.contains(value):
-                return cv.verdict
-        raise AssertionError("decomposition does not cover the query point")
+        cells = region.cells
+        lo, hi = 0, len(cells) // 2
+        while lo < hi:
+            mid = (lo + hi) // 2
+            c = cmp(value, cells[2 * mid + 1].cell.lo)
+            if c == 0:
+                return cells[2 * mid + 1].verdict
+            if c < 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        return cells[2 * lo].verdict
+    if "int_planes" not in region.info:
+        region.info["int_planes"] = [tuple(int(c) for c in vec) for vec in region.planes]
     point = [Fraction(gamma[p]) for p in region.params]
-    if region.planes is not None:
-        signs = []
-        for vec in region.planes:
-            v = vec[-1] + sum(c * x for c, x in zip(vec, point))
-            signs.append((v > 0) - (v < 0))
-        try:
-            return region.signs_index()[tuple(signs)]
-        except KeyError:
-            raise AssertionError("decomposition does not cover the query point")
-    for cv in region.cells:
-        if cv.cell.contains(point):
-            return cv.verdict
-    raise AssertionError("decomposition does not cover the query point")
+    scale = math.lcm(*(x.denominator for x in point))
+    scaled = [x.numerator * (scale // x.denominator) for x in point] + [scale]
+    signs = []
+    for vec in region.info["int_planes"]:
+        v = sum(c * x for c, x in zip(vec, scaled))
+        signs.append((v > 0) - (v < 0))
+    try:
+        return region.signs_index()[tuple(signs)]
+    except KeyError:
+        raise AssertionError("decomposition does not cover the query point")
 
 
 def enumerate_runs(pta: Pta, max_len: int) -> List[SyntacticRun]:

@@ -10,10 +10,12 @@ from ptasynth.polynomials import (
     cauchy_root_bound,
     interval_eval,
     isolate_real_roots,
+    poly_add,
     poly_divexact,
     poly_eval,
     poly_gcd,
     poly_mul,
+    poly_scale,
     rational_roots,
     square_free_part,
     sturm_chain,
@@ -87,6 +89,28 @@ def test_algebraic_sign_of():
     assert root2.sign_of((0, 1)) == 1              # t > 0
     assert root2.sign_of((-3, 0, 1)) == -1         # t^2 - 3 < 0 at sqrt(2)
     assert root2.sign_of((-1, 0, 1)) == 1          # t^2 - 1 > 0
+
+
+@pytest.mark.parametrize("f", [(-2, 0, 1), (1, -3, 0, 1)], ids=["t^2-2", "t^3-3t+1"])
+def test_sign_of_is_zero_exactly_at_shared_roots(f):
+    # f is irreducible, so g vanishes at a root of f iff f divides g; the
+    # near-multiples of f have enclosures straddling 0 over the isolating
+    # interval, so they exercise the gcd test and refinement
+    multiples = [f, poly_mul(f, (1, 1)), poly_mul(f, (-5, 0, 3))]
+    others = [poly_add(f, (1,)), poly_add(poly_scale(f, 1000), (1,)),
+              poly_add(poly_scale(f, 1000), (-1,)), poly_mul(f, f)[:-1],
+              (0, 1), (-1, 1), (1, 1), (-3, 0, 1), (0, 0, 0, 1)]
+    for root in isolate_real_roots(f):
+        assert not root.is_rational()
+        fine = AlgebraicNumber(root.poly, root.lo, root.hi)
+        fine.refine_below(Fraction(1, 2 ** 80))
+        for g in multiples:
+            assert AlgebraicNumber(root.poly, root.lo, root.hi).sign_of(g) == 0
+        for g in others:
+            lo_v, hi_v = interval_eval(g, fine.lo, fine.hi)
+            assert lo_v > 0 or hi_v < 0
+            expected = 1 if lo_v > 0 else -1
+            assert AlgebraicNumber(root.poly, root.lo, root.hi).sign_of(g) == expected, g
 
 
 def test_algebraic_floor_ceil():

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from ptasynth.constraints import AtomicConstraint, SimpleConstraint
+from ptasynth.expressions import Expression
 from ptasynth.harness import int_grid, rand_pta_one_clock, suite_lu_monotonicity
-from ptasynth.model import ConcreteRun, PropLoc, SystemProperty, UnsupportedError
-from ptasynth.parser import parse_model, parse_property
+from ptasynth.model import ConcreteRun, Edge, PropLoc, Pta, SystemProperty, UnsupportedError
+from ptasynth.parser import parse_constraint, parse_model, parse_property
 from ptasynth.semantics import (
+    clock_regions,
     decide,
     grid_oracle,
     reach_dense_one_clock,
@@ -217,3 +220,83 @@ edge q0 -> q1 : x - y >= p ; go ;
 def test_lu_monotonicity_suite():
     report = suite_lu_monotonicity(6, 25)
     assert report.ok(), report.render()
+
+
+def rand_two_clock_acyclic(rng):
+    """Four locations, edges only forward (runs of at most three edges),
+    two clocks with resets to 0 or 1, bounds ``a*p + b`` with |a|, |b| <= 2:
+    upper, lower, diagonal in both directions and clock-free atoms, each
+    strict or not."""
+    locs = ("q0", "q1", "q2", "q3")
+    shapes = [("x", None), ("y", None), (None, "x"), (None, "y"),
+              ("x", "y"), ("y", "x"), (None, None)]
+
+    def atoms(n):
+        out = []
+        for _ in range(n):
+            pos, neg = rng.choice(shapes)
+            rhs = Expression.linear(rng.randint(-2, 2), {"p": rng.choice((-2, -1, 1, 2))})
+            out.append(AtomicConstraint(pos, neg, rng.random() < 0.5, rhs))
+        return SimpleConstraint(tuple(out))
+
+    invariants = {q: atoms(rng.randint(0, 1)) for q in locs}
+    edges = []
+    for i in range(4):
+        src = rng.randrange(3)
+        updates = {rng.choice(("x", "y")): rng.choice((0, 1))} if rng.random() < 0.5 else {}
+        edges.append(Edge(locs[src], atoms(rng.randint(1, 2)), "a%d" % i, updates,
+                          locs[rng.randrange(src + 1, 4)]))
+    return Pta(("x", "y"), ("p",), locs, "q0", invariants, tuple(edges), "nat", "real")
+
+
+def test_reach_discrete_matches_brute_force_on_rational_bounds():
+    # integer clock bounds compiled from non-integer, negative, strict and
+    # non-strict bounds, diagonals and clock-free atoms decide location
+    # reachability like the enumeration of every integer-delay run
+    rng = random.Random(2024)
+    reached = 0
+    for _ in range(60):
+        pta = rand_two_clock_acyclic(rng)
+        for p in (Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)):
+            gamma = g(p)
+            expected = brute_force_reachable(pta, gamma, max_delay=8)
+            if not pta.invariants["q0"].holds({"x": 0, "y": 0}, gamma):
+                expected = set()          # the enumeration starts in q0 regardless
+            for q in pta.locations:
+                v = reach_discrete(pta, gamma, PropLoc(q))
+                assert v.reachable == (q in expected), (pta.render(), p, q)
+                if v.reachable:
+                    reached += q != pta.initial
+                    assert replay_run(pta, gamma, v.witness, "nat")
+    assert reached > 50
+
+
+def region_point(points, r):
+    """A rational point of region ``r`` of :func:`clock_regions`."""
+    k = r // 2
+    if r % 2 == 0:
+        return points[k]
+    return points[k] + 1 if k + 1 == len(points) else (points[k] + points[k + 1]) / 2
+
+
+@pytest.mark.parametrize("p", [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1),
+                               Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(5)])
+def test_clock_region_bitmaps_match_holds(p):
+    # equal thresholds from different expressions, thresholds below 0,
+    # resets onto a threshold, and clock-free atoms
+    texts = ["x <= p", "x < 2*p - p", "x > p", "x >= p - 5", "x <= p - 4", "x < -3",
+             "x >= 1", "x > 1", "x <= 2*p - 1", "x = 2", "x >= p^2 - 2", "x < 3*p"]
+    atoms = [a for t in texts for a in parse_constraint(t, ("x",), ("p",))]
+    atoms += [AtomicConstraint(None, None, strict, Expression.linear(c, {"p": 1}))
+              for strict in (False, True) for c in (-1, 0, 1)]
+    gamma = {"p": p}
+    resets = [1, 2, 0]
+    points, masks, reset_region = clock_regions(atoms, gamma, "x", resets)
+    assert points[0] == 0 and all(a < b for a, b in zip(points, points[1:]))
+    for b in resets:
+        assert points[reset_region[b] // 2] == b and reset_region[b] % 2 == 0
+    for r in range(2 * len(points)):
+        omega = {"x": region_point(points, r)}
+        for atom, mask in zip(atoms, masks):
+            assert ((mask >> r) & 1 == 1) == SimpleConstraint.of(atom).holds(omega, gamma), \
+                (atom, r, omega)

@@ -308,3 +308,46 @@ def test_region_json_endpoints_are_the_isolated_intervals(text, prop):
     fresh = decompose_1d(project_clock(_clock_polynomials(pool, "p1")))
     assert got == [[scalar_to_json(c.lo), scalar_to_json(c.hi)] for c in fresh]
     assert any(isinstance(end, dict) for pair in got for end in pair)
+
+
+def scan_verdict(region, point):
+    """The verdict of the cell that contains the point, by scanning every cell."""
+    hits = [cv.verdict for cv in region.cells if cv.cell.contains(point)]
+    assert len(hits) == 1
+    return hits[0]
+
+
+@pytest.mark.parametrize("text, n_roots", [
+    ("edge q0 -> q1 : x >= p^2 - 1 & x <= 3*p - 3 ; a ;", 3),
+    ("edge q0 -> q1 : x >= 2 & x <= p^2 ; a ;\nedge q1 -> q1 : x < p^2 - p - 1 ; b ;", 8),
+    ("edge q0 -> q1 : x <= p^2 + 1 ; a ;", 0),
+], ids=["rational-roots", "irrational-roots", "no-roots"])
+def test_region_query_cad1_bisects_the_roots(text, n_roots):
+    # queries at every rational root, at a point between each pair of
+    # neighbouring roots and beyond both ends (the interval samples), far
+    # out, and between sqrt(2) and its neighbours
+    pta = parse_model("clocks: x\nparams: p\nloc q0 init inv: true\nloc q1 inv: true\n" + text)
+    for prop in ("EF q1", "AG q0"):
+        region = synthesize(pta, parse_property(prop, pta))
+        assert region.method == "cad1" and len(region.cells) == 2 * n_roots + 1
+        queries = {Fraction(-100), Fraction(100), Fraction(7, 5), Fraction(3, 2)}
+        queries.update(cv.cell.sample for cv in region.cells
+                       if isinstance(cv.cell.sample, Fraction))
+        for value in queries:
+            assert region_query(region, g(value)) == scan_verdict(region, value), value
+
+
+def test_region_query_linear_matches_cell_scan():
+    rng = random.Random(5)
+    points = [(Fraction(a, 2), Fraction(b, 3)) for a in range(-7, 16, 3) for b in range(-8, 25, 5)]
+    checked = 0
+    for _ in range(12):
+        pta = rand_pta_one_clock(rng, 2, "dense", "real", n_locs=3, n_edges=4)
+        psi = SystemProperty("EF", rand_state_property(rng, pta))
+        region = synthesize(pta, psi)
+        assert region.method == "linear"
+        for point in points:
+            gamma = dict(zip(region.params, point))
+            assert region_query(region, gamma) == scan_verdict(region, point), point
+            checked += 1
+    assert checked == 12 * len(points)
