@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 
 from .constraints import AtomicConstraint, SimpleConstraint
 from .model import ConcreteRun, TIME_DENSE, TIME_NAT, UnsupportedError
-from .scalars import INF, cmp, is_finite, scalar_ceil, scalar_floor
+from .scalars import INF, cmp, scalar_ceil, scalar_floor
 from .transforms import GuardOnlyRun, GuardStep
 
 

@@ -12,19 +12,18 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .constraints import AtomicConstraint, SimpleConstraint
-from .decomposition import random_point_in_cell1d, random_point_in_linear_cell, signs_at_1d
+from .decomposition import random_point_in_cell1d, signs_at_1d
 from .expressions import Expression
-from .feasibility import feasible_no_reset, feasible_with_reset, linf, split_guard, usup
+from .feasibility import feasible_with_reset, linf, split_guard, usup
 from .model import (
     EXISTS_EVENTUALLY,
     FORALL_ALWAYS,
     Edge,
     PropAnd,
     PropAtom,
-    PropConst,
     PropLoc,
     PropNot,
     PropOr,

@@ -9,7 +9,6 @@ subset of JSON Schema they use (type, properties, required, items, enum).
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from importlib import resources
 
 from .polynomials import AlgebraicNumber

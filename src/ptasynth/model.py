@@ -7,12 +7,11 @@ model's parameters when applied.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
 
-from .constraints import AtomicConstraint, ConstraintError, SimpleConstraint
+from .constraints import AtomicConstraint, SimpleConstraint
 from .expressions import Expression
 
 TIME_DENSE = "dense"
