@@ -12,14 +12,14 @@ Three complete decision engines live here:
 * :func:`reach_dense_one_clock` — dense time, single constrained clock:
   reachability over the finitely many point/interval regions induced by
   the evaluated guard bounds.
-
-Both compile each exact bound once per call, so that the search itself
-compares small integers only: the discrete engine turns every bound into
-an integer bound on integer clock values (``floor``/``ceil``, exact for
-algebraic values), and the dense engine ranks the split values once and
-turns every atom into an int bitmap over the region list.
 * interval-propagation oracles over single runs, used as independent
   cross-checks by the test harness.
+
+The first two compile each exact bound once per call, so that the search
+itself compares small integers only: the discrete engine turns every
+bound into an integer bound on integer clock values (``floor``/``ceil``,
+exact for algebraic values), and the dense engine ranks the split values
+once and turns every atom into an int bitmap over the region list.
 
 Satisfaction of an exists-eventually property is decided over all
 LTS-reachable states, including states reached partway through a delay.
