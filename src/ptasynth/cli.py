@@ -19,7 +19,6 @@ from .feasibility import feasible_with_reset
 from .model import (
     ConcreteRun,
     SyntacticRun,
-    SystemProperty,
     render_system_property,
     thresholds,
 )
@@ -27,7 +26,7 @@ from .parser import ParseError, parse_model, parse_property
 from .polynomials import PolynomialError
 from .scalars import format_fraction, parse_fraction
 from .semantics import decide, grid_oracle, linearize_guard_run, replay_run
-from .synthesis import enumerate_runs, region_query, run_region, synthesize
+from .synthesis import enumerate_runs, run_region, synthesize
 from .transforms import encode_run_property, invariants_to_guards
 from .twoclock import (
     TwoOneError,
@@ -35,7 +34,6 @@ from .twoclock import (
     find_oneP5_indices,
     find_oneP6_index,
     find_pigeonhole_pair,
-    no_reset_threshold_check,
     periodicity_probe,
     validate_two_one,
 )

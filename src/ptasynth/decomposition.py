@@ -29,9 +29,9 @@ from .polynomials import (
     bivar_trim,
     isolate_real_roots,
     poly_degree,
-    poly_eval,
     poly_is_zero,
     poly_primitive,
+    poly_sign_at,
     poly_trim,
     sylvester_resultant_x,
 )
@@ -803,8 +803,7 @@ def signs_at_1d(polys: Sequence[IntPoly], sample) -> Dict[IntPoly, int]:
         if isinstance(sample, AlgebraicNumber):
             out[f] = sample.sign_of(f)
         else:
-            v = poly_eval(f, Fraction(sample))
-            out[f] = (v > 0) - (v < 0)
+            out[f] = poly_sign_at(f, Fraction(sample))
     return out
 
 

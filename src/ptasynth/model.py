@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Tuple
 
 from .constraints import AtomicConstraint, SimpleConstraint
 from .expressions import Expression

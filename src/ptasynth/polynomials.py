@@ -7,6 +7,14 @@ irrational roots are carried around as :class:`AlgebraicNumber` values
 (square-free defining polynomial plus a shrinking isolating interval)
 that support exact comparison and sign evaluation.
 
+All arithmetic inside is on Python ints.  A sign at a rational n/d is the
+sign of the homogenised value d^deg f(n/d); an interval enclosure runs
+Horner's scheme on the interval ends scaled to a common denominator;
+Sturm chains and gcds are primitive pseudo-remainder sequences whose
+multipliers are positive, so every chain has the signs of the rational
+one.  Fractions appear only at the interfaces: isolating-interval ends,
+the enclosures :func:`interval_eval` returns and :func:`poly_eval`.
+
 Bivariate work is limited to what projection needs: polynomials in
 Z[p][x] as tuples of p-polynomials indexed by the x-degree, with
 resultants computed from the Sylvester matrix by fraction-free
@@ -17,7 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 IntPoly = Tuple[int, ...]
 
@@ -86,6 +94,25 @@ def poly_eval(f: IntPoly, x: Fraction) -> Fraction:
     return total
 
 
+def poly_sign_at(f: IntPoly, x) -> int:
+    """Sign of f at a rational x (a Fraction or an int)."""
+    return _sign_at(f, x.numerator, x.denominator)
+
+
+def _sign_at(f: IntPoly, n: int, d: int) -> int:
+    """Sign of f(n/d) for d > 0: the sign of sum c_i n^i d^(deg-i)."""
+    acc = 0
+    if d == 1:
+        for c in reversed(f):
+            acc = acc * n + c
+    else:
+        scale = 1
+        for c in reversed(f):
+            acc = acc * n + c * scale
+            scale *= d
+    return (acc > 0) - (acc < 0)
+
+
 def poly_content(f: IntPoly) -> int:
     g = 0
     for c in f:
@@ -124,44 +151,41 @@ def poly_divexact(f: IntPoly, g: IntPoly) -> IntPoly:
     return poly_trim(out)
 
 
-# Fraction-coefficient helpers for remainder sequences.
-
-def _fpoly(f: IntPoly) -> Tuple[Fraction, ...]:
-    return tuple(Fraction(c) for c in f)
-
-
-def _fpoly_trim(f) -> tuple:
-    f = list(f)
-    while f and f[-1] == 0:
-        f.pop()
-    return tuple(f)
+def _content_free(f: IntPoly) -> IntPoly:
+    """f divided by its (positive) content; the signs of f are kept."""
+    g = poly_content(f)
+    return f if g == 1 else tuple(c // g for c in f)
 
 
-def _fpoly_rem(f, g):
-    f = list(f)
-    while len(_fpoly_trim(f)) >= len(g):
-        f = list(_fpoly_trim(f))
-        shift = len(f) - len(g)
-        q = f[-1] / g[-1]
-        for i, c in enumerate(g):
-            f[shift + i] -= q * c
-        f = list(_fpoly_trim(f))
-        if not f:
-            break
-    return _fpoly_trim(f)
+def _prem(f: IntPoly, g: IntPoly) -> IntPoly:
+    """Remainder of |lead(g)|^k * f by g in Z[t], for some k >= 0.
+
+    The multiplier is positive, so the result is a positive multiple of
+    the remainder of f by g over the rationals.
+    """
+    m = len(g) - 1
+    lead = abs(g[-1])
+    flip = -1 if g[-1] < 0 else 1
+    r = list(f)
+    for top in range(len(r) - 1, m - 1, -1):
+        q = r[top] * flip
+        if not q:
+            continue
+        shift = top - m
+        for i in range(top):
+            r[i] *= lead
+        for i in range(m):
+            r[shift + i] -= q * g[i]
+        r[top] = 0
+    return poly_trim(r)
 
 
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Primitive gcd in Z[t] via a rational Euclid remainder sequence."""
-    a, b = _fpoly(f), _fpoly(g)
+    """Primitive gcd in Z[t] via a primitive pseudo-remainder sequence."""
+    a, b = _content_free(f), _content_free(g)
     while b:
-        a, b = b, _fpoly_rem(a, b)
-    if not a:
-        return ()
-    denom = 1
-    for c in a:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    return poly_primitive(tuple(int(c * denom) for c in a))
+        a, b = b, _content_free(_prem(a, b))
+    return poly_primitive(a)
 
 
 def square_free_part(f: IntPoly) -> IntPoly:
@@ -173,24 +197,26 @@ def square_free_part(f: IntPoly) -> IntPoly:
 
 # -- Sturm sequences and root isolation ---------------------------------------
 
-def sturm_chain(f: IntPoly) -> List[tuple]:
-    """Sturm chain of a square-free polynomial, over the rationals."""
-    chain = [_fpoly(f), _fpoly(poly_derivative(f))]
+def sturm_chain(f: IntPoly) -> List[IntPoly]:
+    """Sturm chain of a square-free polynomial, in Z[t].
+
+    Each member is a positive multiple of the member of the rational
+    chain f, f', -rem(f, f'), ..., so both have the same signs everywhere.
+    """
+    chain = [f, _content_free(poly_derivative(f))]
     while chain[-1]:
-        nxt = tuple(-c for c in _fpoly_rem(chain[-2], chain[-1]))
-        chain.append(_fpoly_trim(nxt))
+        chain.append(poly_neg(_content_free(_prem(chain[-2], chain[-1]))))
     chain.pop()
     return chain
 
 
 def _sign_variations_at(chain, x: Fraction) -> int:
+    n, d = x.numerator, x.denominator
     signs = []
     for poly in chain:
-        if not poly:
-            continue
-        s = poly_eval(tuple(poly), x)
+        s = _sign_at(poly, n, d)
         if s:
-            signs.append(1 if s > 0 else -1)
+            signs.append(s)
     count = 0
     for a, b in zip(signs, signs[1:]):
         if a != b:
@@ -222,9 +248,9 @@ def rational_roots(f: IntPoly) -> List[Fraction]:
         lead, const = abs(f[-1]), abs(f[0])
         for num in _divisors(const):
             for den in _divisors(lead):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if poly_eval(f, cand) == 0:
-                        roots.add(cand)
+                for n in (num, -num):
+                    if _sign_at(f, n, den) == 0:
+                        roots.add(Fraction(n, den))
     return sorted(roots)
 
 
@@ -273,11 +299,11 @@ class AlgebraicNumber:
         if self.is_rational():
             return
         mid = (self.lo + self.hi) / 2
-        v = poly_eval(self.poly, mid)
+        v = poly_sign_at(self.poly, mid)
         if v == 0:
             self.lo = self.hi = mid
             return
-        if (poly_eval(self.poly, self.lo) > 0) != (v > 0):
+        if (poly_sign_at(self.poly, self.lo) > 0) != (v > 0):
             self.hi = mid
         else:
             self.lo = mid
@@ -300,23 +326,30 @@ class AlgebraicNumber:
             return 1
         if q >= self.hi:
             return -1
-        v = poly_eval(self.poly, q)
+        v = poly_sign_at(self.poly, q)
         if v == 0:
             return 0
-        return -1 if (poly_eval(self.poly, self.lo) > 0) != (v > 0) else 1
+        return -1 if (poly_sign_at(self.poly, self.lo) > 0) != (v > 0) else 1
 
     def _compare_algebraic(self, other: "AlgebraicNumber") -> int:
+        """Refine both until the intervals are disjoint or share a common
+        root; the gcd and its chain are taken once the intervals overlap."""
         if self.is_rational():
             return -other.compare_scalar(self.lo)
         if other.is_rational():
             return self.compare_scalar(other.lo)
-        common = poly_gcd(self.poly, other.poly)
-        common_chain = sturm_chain(common) if poly_degree(common) >= 1 else None
+        common_chain = None
+        shared_checked = False
         while True:
             if self.hi <= other.lo:
                 return -1
             if self.lo >= other.hi:
                 return 1
+            if not shared_checked:
+                shared_checked = True
+                common = poly_gcd(self.poly, other.poly)
+                if poly_degree(common) >= 1:
+                    common_chain = sturm_chain(common)
             if common_chain is not None:
                 lo = max(self.lo, other.lo)
                 hi = min(self.hi, other.hi)
@@ -337,11 +370,10 @@ class AlgebraicNumber:
         if poly_is_zero(g):
             return 0
         if self.is_rational():
-            v = poly_eval(g, self.lo)
-            return (v > 0) - (v < 0)
+            return poly_sign_at(g, self.lo)
         shared_checked = False
         while True:
-            lo_v, hi_v = interval_eval(g, self.lo, self.hi)
+            lo_v, hi_v, _ = _interval_horner(g, self.lo, self.hi)
             if lo_v > 0:
                 return 1
             if hi_v < 0:
@@ -384,11 +416,31 @@ class AlgebraicNumber:
 
 def interval_eval(g: IntPoly, lo: Fraction, hi: Fraction) -> Tuple[Fraction, Fraction]:
     """Enclosure of g over [lo, hi] by interval Horner evaluation."""
-    a, b = Fraction(0), Fraction(0)
-    for c in reversed(g):
-        candidates = (a * lo, a * hi, b * lo, b * hi)
+    a, b, scale = _interval_horner(g, lo, hi)
+    return Fraction(a, scale), Fraction(b, scale)
+
+
+def _interval_horner(g: IntPoly, lo: Fraction, hi: Fraction) -> Tuple[int, int, int]:
+    """Interval Horner scheme on ints: returns (a, b, s) with s > 0 such
+    that [a/s, b/s] is the enclosure of g over [lo, hi].
+
+    With lo = L/D and hi = H/D, the bounds after step j are those of the
+    rational scheme times D^(j-1), so each step adds c * D^(j-1).
+    """
+    if not g:
+        return 0, 0, 1
+    den = lo.denominator * hi.denominator // math.gcd(lo.denominator, hi.denominator)
+    low = lo.numerator * (den // lo.denominator)
+    high = hi.numerator * (den // hi.denominator)
+    coeffs = reversed(g)
+    a = b = next(coeffs)
+    scale = 1
+    for c in coeffs:
+        scale *= den
+        candidates = (a * low, a * high, b * low, b * high)
+        c *= scale
         a, b = min(candidates) + c, max(candidates) + c
-    return a, b
+    return a, b, scale
 
 
 def isolate_real_roots(f: IntPoly) -> List[AlgebraicNumber]:
@@ -404,7 +456,9 @@ def isolate_real_roots(f: IntPoly) -> List[AlgebraicNumber]:
         return []
     rational = rational_roots(g)
     for r in rational:
-        g = poly_divexact_frac_root(g, r)
+        # g and the factor den*t - num are primitive, so (Gauss) the
+        # quotient is an integer polynomial
+        g = poly_primitive(poly_divexact(g, (-r.numerator, r.denominator)))
     roots = [AlgebraicNumber.from_rational(r) for r in rational]
     if poly_degree(g) >= 1:
         chain = sturm_chain(g)
@@ -424,26 +478,6 @@ def isolate_real_roots(f: IntPoly) -> List[AlgebraicNumber]:
             stack.append((lo, mid))
     roots.sort(key=_RootKey)
     return roots
-
-
-def poly_divexact_frac_root(f: IntPoly, root: Fraction) -> IntPoly:
-    """Divide out the factor (den*t - num) for a known rational root."""
-    factor = poly_trim((-root.numerator, root.denominator))
-    a = _fpoly(f)
-    g = _fpoly(factor)
-    out = [Fraction(0)] * (len(a) - len(g) + 1)
-    rem = list(a)
-    for shift in range(len(out) - 1, -1, -1):
-        q = rem[shift + len(g) - 1] / g[-1]
-        out[shift] = q
-        for i, c in enumerate(g):
-            rem[shift + i] -= q * c
-    if any(rem[: len(g) - 1]):
-        raise PolynomialError("claimed root does not divide the polynomial")
-    denom = 1
-    for c in out:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    return poly_primitive(tuple(int(c * denom) for c in out))
 
 
 class _RootKey:
@@ -489,11 +523,11 @@ class AlgValue:
         if self.root.is_rational():
             return math.floor(poly_eval(self.g, self.root.lo))
         while True:
-            lo_v, hi_v = interval_eval(self.g, self.root.lo, self.root.hi)
-            if math.floor(lo_v) == math.floor(hi_v):
-                return math.floor(lo_v)
-            if hi_v - lo_v < 1:
-                n = math.floor(hi_v)
+            lo_v, hi_v, scale = _interval_horner(self.g, self.root.lo, self.root.hi)
+            if lo_v // scale == hi_v // scale:
+                return lo_v // scale
+            if hi_v - lo_v < scale:
+                n = hi_v // scale
                 c = self.compare_scalar(n)
                 if c == 0:
                     return n
@@ -529,7 +563,10 @@ def bivar_derivative_x(f: BivarPoly) -> BivarPoly:
 
 def bivar_eval_p(f: BivarPoly, value: Fraction) -> Tuple[Fraction, ...]:
     """Collapse the parameter, leaving rational coefficients in x."""
-    return _fpoly_trim([poly_eval(c, value) for c in f])
+    out = [poly_eval(c, value) for c in f]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def sylvester_resultant_x(f: BivarPoly, g: BivarPoly) -> IntPoly:

@@ -10,7 +10,6 @@ import sys
 import time
 
 from ptasynth.harness import (
-    run_selftest,
     suite_feasibility_oracle,
     suite_invariant_folding,
     suite_lu_monotonicity,

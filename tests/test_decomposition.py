@@ -4,8 +4,6 @@ from fractions import Fraction
 import pytest
 
 from ptasynth.decomposition import (
-    Cell1D,
-    LinearCell,
     cell1d_integer_point,
     decompose_1d,
     decompose_linear,
@@ -15,13 +13,12 @@ from ptasynth.decomposition import (
     random_point_in_linear_cell,
     satisfies_system,
     signs_at,
-    signs_at_linear,
     slack_form,
 )
 from ptasynth.expressions import Expression
 from ptasynth.harness import suite_decomposition_props
 from ptasynth.model import UnsupportedError
-from ptasynth.polynomials import AlgebraicNumber, isolate_real_roots
+from ptasynth.polynomials import isolate_real_roots
 from ptasynth.scalars import INF, NEG_INF
 
 

@@ -9,7 +9,6 @@ from ptasynth.model import (
     SystemProperty,
     UnsupportedError,
     max_c,
-    max_v,
     thresholds,
 )
 from ptasynth.constraints import SimpleConstraint

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,11 +13,15 @@ from ptasynth.polynomials import (
     interval_eval,
     isolate_real_roots,
     poly_add,
+    poly_derivative,
     poly_divexact,
     poly_eval,
     poly_gcd,
     poly_mul,
+    poly_primitive,
     poly_scale,
+    poly_sign_at,
+    poly_trim,
     rational_roots,
     square_free_part,
     sturm_chain,
@@ -174,3 +180,129 @@ def test_cauchy_bound_contains_roots():
     f = (-6, 11, -6, 1)
     bound = cauchy_root_bound(f)
     assert all(abs(r) <= bound for r in rational_roots(f))
+
+
+# -- the integer kernels against rational reference implementations -------------
+
+def ref_sign(f, x):
+    v = Fraction(0)
+    for c in reversed(f):
+        v = v * x + c
+    return (v > 0) - (v < 0)
+
+
+def ref_interval_eval(g, lo, hi):
+    a, b = Fraction(0), Fraction(0)
+    for c in reversed(g):
+        candidates = (a * lo, a * hi, b * lo, b * hi)
+        a, b = min(candidates) + c, max(candidates) + c
+    return a, b
+
+
+def ref_rem(f, g):
+    f = list(f)
+    while len(f) >= len(g):
+        q = f[-1] / g[-1]
+        shift = len(f) - len(g)
+        for i, c in enumerate(g):
+            f[shift + i] -= q * c
+        while f and f[-1] == 0:
+            f.pop()
+    return tuple(f)
+
+
+def ref_gcd(f, g):
+    a, b = tuple(map(Fraction, f)), tuple(map(Fraction, g))
+    while b:
+        a, b = b, ref_rem(a, b)
+    denom = math.lcm(*(c.denominator for c in a))
+    return poly_primitive(tuple(int(c * denom) for c in a))
+
+
+def ref_sturm_chain(f):
+    chain = [tuple(map(Fraction, f)), tuple(map(Fraction, poly_derivative(f)))]
+    while chain[-1]:
+        chain.append(tuple(-c for c in ref_rem(chain[-2], chain[-1])))
+    chain.pop()
+    return chain
+
+
+def rand_poly(rng, max_degree=6, bound=9):
+    return poly_trim([rng.randint(-bound, bound) for _ in range(rng.randint(0, max_degree) + 1)])
+
+
+def rand_rational(rng):
+    # denominators that are not powers of two as well as dyadic ones
+    return Fraction(rng.randint(-60, 60), rng.choice([1, 2, 3, 5, 7, 8, 12, 64, 99]))
+
+
+def test_poly_sign_at_matches_rational_horner():
+    rng = random.Random(11)
+    for _ in range(600):
+        f, x = rand_poly(rng), rand_rational(rng)
+        assert poly_sign_at(f, x) == ref_sign(f, x), (f, x)
+    for f in [(), (0,)[:0], (5,), (-3,), (0, 1), (-1, 2)]:
+        for x in [Fraction(0), Fraction(1, 2), Fraction(-7, 3), 4]:
+            assert poly_sign_at(f, x) == ref_sign(f, Fraction(x))
+
+
+def test_interval_eval_equals_rational_interval_horner():
+    rng = random.Random(12)
+    cases = [((), Fraction(1), Fraction(2)), ((7,), Fraction(-1, 3), Fraction(2, 5)),
+             ((-4,), Fraction(0), Fraction(0)), ((1, -2, 3), Fraction(5, 7), Fraction(5, 7))]
+    for _ in range(600):
+        a, b = sorted([rand_rational(rng), rand_rational(rng)])
+        if rng.random() < 0.1:
+            b = a                                   # degenerate interval
+        cases.append((rand_poly(rng), a, b))
+    for g, lo, hi in cases:
+        got = interval_eval(g, lo, hi)
+        assert got == ref_interval_eval(g, lo, hi), (g, lo, hi)
+        assert all(isinstance(v, Fraction) for v in got)
+
+
+def test_poly_gcd_matches_rational_euclid():
+    rng = random.Random(13)
+    for _ in range(300):
+        common = rand_poly(rng, max_degree=3, bound=5)
+        f = poly_mul(rand_poly(rng, 3, 5), common)
+        g = poly_mul(rand_poly(rng, 3, 5), common)
+        got = poly_gcd(f, g)
+        assert got == ref_gcd(f, g), (f, g)
+        if got and len(common) >= 2:
+            poly_divexact(got, poly_primitive(common))   # the common factor divides the gcd
+    assert poly_gcd(poly_mul((-2, 0, 1), (-1, 1)), poly_mul((-2, 0, 1), (3, 1))) == (-2, 0, 1)
+    assert poly_gcd((), ()) == ()
+    assert poly_gcd((), (4, -6)) == (-2, 3)
+    assert poly_gcd((6,), (4, 2)) == (1,)
+
+
+def test_sturm_chain_has_the_rational_chain_signs():
+    rng = random.Random(14)
+    for _ in range(200):
+        f = rand_poly(rng)
+        if len(f) < 2:
+            continue
+        f = square_free_part(f)
+        chain, ref = sturm_chain(f), ref_sturm_chain(f)
+        assert len(chain) == len(ref)
+        for _ in range(5):
+            x = rand_rational(rng)
+            assert [poly_sign_at(p, x) for p in chain] == [ref_sign(p, x) for p in ref]
+        bound = Fraction(cauchy_root_bound(f))
+        assert sturm_root_count(chain, -bound, bound) == len(isolate_real_roots(f)), f
+
+
+def test_compare_equal_roots_of_different_polynomials():
+    # sqrt(2) as a root of (t^2-2)(t-1) and of (t^2-2)(t+3), with
+    # overlapping isolating intervals: only the shared factor decides
+    f = poly_mul((-2, 0, 1), (-1, 1))
+    g = poly_mul((-2, 0, 1), (3, 1))
+    a = AlgebraicNumber(f, Fraction(5, 4), Fraction(3, 2))
+    b = AlgebraicNumber(g, Fraction(4, 3), Fraction(2))
+    assert a.compare_scalar(b) == 0
+    assert b.compare_scalar(a) == 0
+    minus = AlgebraicNumber(g, Fraction(-2), Fraction(-4, 3))
+    assert a.compare_scalar(minus) == 1 and minus.compare_scalar(a) == -1
+    root3 = AlgebraicNumber((-3, 0, 1), Fraction(1), Fraction(2))
+    assert a.compare_scalar(root3) == -1 and root3.compare_scalar(b) == 1

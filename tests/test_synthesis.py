@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +11,7 @@ from ptasynth.harness import (
     rand_state_property,
     suite_synthesis_oracle,
 )
-from ptasynth.jsonio import region_to_json, scalar_to_json
+from ptasynth.jsonio import dumps, region_to_json, scalar_to_json
 from ptasynth.model import (
     PropConst,
     PropLoc,
@@ -19,7 +20,7 @@ from ptasynth.model import (
     UnsupportedError,
 )
 from ptasynth.parser import parse_model, parse_property
-from ptasynth.semantics import decide, grid_oracle, valuation_key
+from ptasynth.semantics import decide
 from ptasynth.synthesis import (
     _atom_pool,
     _clock_polynomials,
@@ -308,6 +309,18 @@ def test_region_json_endpoints_are_the_isolated_intervals(text, prop):
     fresh = decompose_1d(project_clock(_clock_polynomials(pool, "p1")))
     assert got == [[scalar_to_json(c.lo), scalar_to_json(c.hi)] for c in fresh]
     assert any(isinstance(end, dict) for pair in got for end in pair)
+
+
+@pytest.mark.parametrize("text, prop, golden", [
+    (ROOTS_DENSE, "EF (-x <= 3 && (q0 && q1))", "region_roots_dense.json"),
+    (ROOTS_NAT, "EF q1", "region_roots_nat.json")], ids=["dense", "nat"])
+def test_region_json_is_pinned(text, prop, golden):
+    # the exact region JSON, every isolating interval of every root
+    # included: a change in how roots are isolated or refined shows here
+    pta = parse_model(text)
+    region = synthesize(pta, parse_property(prop, pta))
+    expected = (Path(__file__).parent / "golden" / golden).read_text()
+    assert dumps(region_to_json(region)) == expected
 
 
 def scan_verdict(region, point):

@@ -1,8 +1,3 @@
-import random
-from fractions import Fraction
-
-import pytest
-
 from ptasynth.constraints import AtomicConstraint
 from ptasynth.expressions import Expression
 from ptasynth.harness import (
@@ -18,9 +13,8 @@ from ptasynth.model import (
     PropNot,
     PropOr,
     SyntacticRun,
-    UnsupportedError,
 )
-from ptasynth.parser import parse_constraint, parse_model, parse_property
+from ptasynth.parser import parse_model
 from ptasynth.transforms import (
     classify_lu,
     encode_property,

@@ -3,12 +3,11 @@ from fractions import Fraction
 import pytest
 
 from ptasynth.harness import shipped_two_one_models, suite_periodicity, suite_twoclock_finders
-from ptasynth.model import ConcreteRun, SyntacticRun, SystemProperty, PropLoc, thresholds
-from ptasynth.parser import parse_model, parse_property
+from ptasynth.model import ConcreteRun, SyntacticRun, SystemProperty, PropLoc
+from ptasynth.parser import parse_model
 from ptasynth.twoclock import (
     TwoOneError,
     find_oneP3_indices,
-    find_oneP5_indices,
     find_oneP6_index,
     find_pigeonhole_pair,
     no_reset_threshold_check,
