@@ -102,14 +102,10 @@ def poly_sign_at(f: IntPoly, x) -> int:
 def _sign_at(f: IntPoly, n: int, d: int) -> int:
     """Sign of f(n/d) for d > 0: the sign of sum c_i n^i d^(deg-i)."""
     acc = 0
-    if d == 1:
-        for c in reversed(f):
-            acc = acc * n + c
-    else:
-        scale = 1
-        for c in reversed(f):
-            acc = acc * n + c * scale
-            scale *= d
+    scale = 1
+    for c in reversed(f):
+        acc = acc * n + c * scale
+        scale *= d
     return (acc > 0) - (acc < 0)
 
 
@@ -120,12 +116,15 @@ def poly_content(f: IntPoly) -> int:
     return g or 1
 
 
-def poly_primitive(f: IntPoly) -> IntPoly:
-    if not f:
-        return f
+def _content_free(f: IntPoly) -> IntPoly:
+    """f divided by its (positive) content; the signs of f are kept."""
     g = poly_content(f)
-    out = tuple(c // g for c in f)
-    return poly_neg(out) if out[-1] < 0 else out
+    return f if g == 1 else tuple(c // g for c in f)
+
+
+def poly_primitive(f: IntPoly) -> IntPoly:
+    out = _content_free(f)
+    return poly_neg(out) if out and out[-1] < 0 else out
 
 
 def poly_divexact(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -149,12 +148,6 @@ def poly_divexact(f: IntPoly, g: IntPoly) -> IntPoly:
     if poly_trim(rem):
         raise PolynomialError("inexact polynomial division")
     return poly_trim(out)
-
-
-def _content_free(f: IntPoly) -> IntPoly:
-    """f divided by its (positive) content; the signs of f are kept."""
-    g = poly_content(f)
-    return f if g == 1 else tuple(c // g for c in f)
 
 
 def _prem(f: IntPoly, g: IntPoly) -> IntPoly:

@@ -241,7 +241,7 @@ def test_poly_sign_at_matches_rational_horner():
     for _ in range(600):
         f, x = rand_poly(rng), rand_rational(rng)
         assert poly_sign_at(f, x) == ref_sign(f, x), (f, x)
-    for f in [(), (0,)[:0], (5,), (-3,), (0, 1), (-1, 2)]:
+    for f in [(), (5,), (-3,), (0, 1), (-1, 2)]:
         for x in [Fraction(0), Fraction(1, 2), Fraction(-7, 3), 4]:
             assert poly_sign_at(f, x) == ref_sign(f, Fraction(x))
 
