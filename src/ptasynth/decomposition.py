@@ -5,8 +5,13 @@ variable is projected out (coefficients, a resultant against the clock
 derivative, pairwise resultants) and the real line splits at the roots of
 the projected polynomials into point and interval cells.  For up to three
 parameters with linear expressions, the realizable sign vectors over the
-hyperplanes are enumerated depth-first with exact Fourier-Motzkin
-feasibility pruning; strictness never goes through a numeric epsilon.
+hyperplanes are enumerated: up to two parameters by splitting exact
+polytopes, at three by a depth-first search with Fourier-Motzkin
+feasibility pruning.  Strictness never goes through a numeric epsilon.
+
+One Fourier-Motzkin core (``_fm_levels``, ``_fm_eliminate``,
+``_fm_bounds``) projects every exact linear system here: the cell
+samples, ``LinearCellSampler`` and the least integer point of a cell.
 
 Every cell carries an exact sample point: rational in open cells,
 algebraic only at irrational 1D point cells.
@@ -14,6 +19,7 @@ algebraic only at irrational 1D point cells.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -69,16 +75,7 @@ class LinearCell:
     params: Tuple[str, ...]
 
     def contains(self, point: Sequence[Fraction]) -> bool:
-        gamma = dict(zip(self.params, point))
-        for expr, rel in self.constraints:
-            v = expr.evaluate(gamma)
-            if rel == REL_EQ and v != 0:
-                return False
-            if rel == REL_GT and not v > 0:
-                return False
-            if rel == REL_GE and not v >= 0:
-                return False
-        return True
+        return satisfies_system(self.constraints, dict(zip(self.params, point)))
 
 
 # -- expression/polynomial conversions ----------------------------------------
@@ -226,8 +223,6 @@ def vector_to_expr(vec: Vector, params: Sequence[str]) -> Expression:
 
 def _canonical_hyperplane(vec: Vector) -> Optional[Vector]:
     """Primitive, sign-normalized form; None for the zero functional."""
-    import math
-
     coeffs = vec[:-1]
     if all(c == 0 for c in coeffs):
         return None
@@ -258,12 +253,12 @@ def _substitute(vec: Vector, var: int, solution: Vector) -> Vector:
 
 
 def _fm_prepare(constraints, nvars):
-    """Eliminate a system down to constants; None when infeasible.
+    """Project a system down to its lowest variable; None when infeasible.
 
     ``constraints`` are (vector, rel) with rel in {>, >=, =} meaning
     vec . (vars, 1) rel 0.  Equalities are eliminated by exact pivoting,
-    the rest variable by variable with Fourier-Motzkin; the per-variable
-    constraint levels are kept so samples can be drawn repeatedly.
+    the rest by ``_fm_levels``; the levels are kept so samples can be
+    drawn repeatedly.
     """
     solved: List[Tuple[int, Vector]] = []
     work = [(tuple(v), rel) for v, rel in constraints]
@@ -289,28 +284,66 @@ def _fm_prepare(constraints, nvars):
             changed = True
             break
 
+    levels = _fm_levels(work, nvars)
+    var, rows = levels[-1] if levels else (0, work)
+    if _fm_bounds(rows, var, {}) is None:
+        return None
+    return solved, levels
+
+
+def _fm_levels(work, nvars):
+    """Fourier-Motzkin elimination of ``>``/``>=`` rows, highest variable
+    first: ``(var, rows)`` for every variable still mentioned once the
+    higher ones are gone.  The lowest variable is never eliminated, so
+    feasibility is ``_fm_bounds`` of the last level."""
     levels = []
     for var in range(nvars - 1, -1, -1):
         if any(v[var] != 0 for v, _ in work):
-            levels.append((var, list(work)))
-            lowers = [(v, r) for v, r in work if v[var] > 0]
-            uppers = [(v, r) for v, r in work if v[var] < 0]
-            passthrough = [(v, r) for v, r in work if v[var] == 0]
-            for lv, lr in lowers:
-                for uv, ur in uppers:
-                    scale_l = tuple(c / lv[var] for c in lv)
-                    scale_u = tuple(c / -uv[var] for c in uv)
-                    combined = tuple(sl + su for sl, su in zip(scale_l, scale_u))
-                    rel = REL_GE if (lr == REL_GE and ur == REL_GE) else REL_GT
-                    passthrough.append((combined, rel))
-            work = passthrough
-    for vec, rel in work:
-        c = vec[-1]
-        if rel == REL_GT and not c > 0:
-            return None
-        if rel == REL_GE and not c >= 0:
-            return None
-    return solved, levels
+            levels.append((var, work))
+            if var:
+                work = _fm_eliminate(work, var)
+    return levels
+
+
+def _fm_eliminate(work, var):
+    """The rows without ``var`` plus every lower bound combined with every
+    upper bound; strict when either side is."""
+    lowers = [(v, r) for v, r in work if v[var] > 0]
+    uppers = [(v, r) for v, r in work if v[var] < 0]
+    out = [(v, r) for v, r in work if v[var] == 0]
+    for lv, lr in lowers:
+        scale_l = tuple(c / lv[var] for c in lv)
+        for uv, ur in uppers:
+            scale_u = tuple(c / -uv[var] for c in uv)
+            out.append((tuple(sl + su for sl, su in zip(scale_l, scale_u)),
+                        REL_GE if (lr == REL_GE and ur == REL_GE) else REL_GT))
+    return out
+
+
+def _fm_bounds(rows, var, values):
+    """Bounds ``(lo, lo_strict, hi, hi_strict)`` on ``var`` with the
+    variables in ``values`` fixed (None for a missing side); None when a
+    row without ``var`` fails or the interval is empty."""
+    lo, lo_strict = None, False
+    hi, hi_strict = None, False
+    for vec, rel in rows:
+        coeff = vec[var]
+        rest = vec[-1] + sum(vec[i] * x for i, x in values.items())
+        if coeff == 0:
+            if rest < 0 or (rest == 0 and rel == REL_GT):
+                return None
+            continue
+        bound = -rest / coeff
+        if coeff > 0:
+            if lo is None or bound > lo or (bound == lo and rel == REL_GT):
+                lo, lo_strict = bound, rel == REL_GT
+        else:
+            if hi is None or bound < hi or (bound == hi and rel == REL_GT):
+                hi, hi_strict = bound, rel == REL_GT
+    if lo is not None and hi is not None and (
+            lo > hi or (lo == hi and (lo_strict or hi_strict))):
+        return None
+    return lo, lo_strict, hi, hi_strict
 
 
 def _fm_draw(prepared, nvars, choose=None):
@@ -318,36 +351,11 @@ def _fm_draw(prepared, nvars, choose=None):
     solved, levels = prepared
     picker = choose or _pick_interior
     values: Dict[int, Fraction] = {}
-    for var, constraints_at in reversed(levels):
-        lo, lo_strict = None, False
-        hi, hi_strict = None, False
-        for vec, rel in constraints_at:
-            coeff = vec[var]
-            if coeff == 0:
-                continue
-            rest = vec[-1] + sum(vec[i] * values.get(i, Fraction(0))
-                                 for i in range(len(vec) - 1) if i != var)
-            bound = -rest / coeff
-            if coeff > 0:
-                if lo is None or bound > lo or (bound == lo and rel == REL_GT):
-                    lo, lo_strict = bound, rel == REL_GT
-            else:
-                if hi is None or bound < hi or (bound == hi and rel == REL_GT):
-                    hi, hi_strict = bound, rel == REL_GT
-        values[var] = picker(lo, lo_strict, hi, hi_strict)
+    for var, rows in reversed(levels):
+        values[var] = picker(*_fm_bounds(rows, var, values))
     for var, solution in reversed(solved):
-        values[var] = solution[-1] + sum(
-            solution[i] * values.get(i, Fraction(0)) for i in range(nvars) if i != var)
+        values[var] = solution[-1] + sum(solution[i] * x for i, x in values.items())
     return tuple(values.get(i, Fraction(0)) for i in range(nvars))
-
-
-def _fm_feasible_sample(constraints, nvars, want_sample, choose=None):
-    prepared = _fm_prepare(constraints, nvars)
-    if prepared is None:
-        return None
-    if not want_sample:
-        return ()
-    return _fm_draw(prepared, nvars, choose)
 
 
 def _pick_interior(lo, lo_strict, hi, hi_strict) -> Fraction:
@@ -385,11 +393,6 @@ class LinearCellSampler:
             return lo + (hi - lo) * t
 
         return _fm_draw(self.prepared, len(self.cell.params), choose)
-
-
-def random_point_in_linear_cell(cell: LinearCell, rng) -> Tuple[Fraction, ...]:
-    """A random exact rational point of the cell (relative interior)."""
-    return LinearCellSampler(cell).draw(rng)
 
 
 def random_point_in_cell1d(cell: Cell1D, rng) -> Fraction:
@@ -493,9 +496,9 @@ def _enumerate_fm(planes, m):
             if sign == sample_sign:
                 descend(idx + 1, extended, signs + [sign], sample)
                 continue
-            child_sample = _fm_feasible_sample(extended, m, want_sample=True)
-            if child_sample is not None:
-                descend(idx + 1, extended, signs + [sign], child_sample)
+            prepared = _fm_prepare(extended, m)
+            if prepared is not None:
+                descend(idx + 1, extended, signs + [sign], _fm_draw(prepared, m))
 
     descend(0, [], [], tuple(Fraction(0) for _ in range(m)))
     return out
@@ -684,90 +687,43 @@ def satisfies_system(system: Sequence[Tuple[Expression, str]], gamma) -> bool:
 def integer_point(cell: LinearCell, box) -> Optional[Tuple[int, ...]]:
     """Lexicographically least integer point of the cell inside a box.
 
-    ``box`` maps each parameter to an inclusive integer (lo, hi) range, or
-    is a single (lo, hi) pair for all parameters.  Bounded enumeration
-    with propagation: each level first narrows its variable's range by
-    exact elimination of the remaining ones, then scans ascending.
+    ``box`` is an inclusive integer (lo, hi) range for every parameter.
+    The cell and the box are projected once by ``_fm_levels``; the search
+    then scans each variable ascending between its exact bounds given the
+    values fixed before it.
     """
-    params = cell.params
-    if isinstance(box, tuple):
-        box = {p: box for p in params}
-    ranges = [(int(box[p][0]), int(box[p][1])) for p in params]
-    m = len(params)
-    base = []
+    m = len(cell.params)
+    rows = []
     for expr, rel in cell.constraints:
-        base.append((expr_to_vector(expr, params), rel))
-    for i, (lo, hi) in enumerate(ranges):
-        lo_vec = tuple(Fraction(1 if j == i else 0) for j in range(m)) + (Fraction(-lo),)
-        hi_vec = tuple(Fraction(-1 if j == i else 0) for j in range(m)) + (Fraction(hi),)
-        base.append((lo_vec, REL_GE))
-        base.append((hi_vec, REL_GE))
+        vec = expr_to_vector(expr, cell.params)
+        if rel == REL_EQ:
+            rows.append((vec, REL_GE))
+            rows.append((tuple(-c for c in vec), REL_GE))
+        else:
+            rows.append((vec, rel))
+    for i in range(m):
+        unit = tuple(Fraction(j == i) for j in range(m))
+        rows.append((unit + (Fraction(-box[0]),), REL_GE))
+        rows.append((tuple(-c for c in unit) + (Fraction(box[1]),), REL_GE))
+    levels = dict(_fm_levels(rows, m))
 
-    import math
-
-    def var_range(system, var):
-        """Exact integer bounds for ``var`` with every other variable
-        eliminated; None when the relaxation is already infeasible."""
-        work = []
-        for vec, rel in system:
-            if rel == REL_EQ:
-                work.append((vec, REL_GE))
-                work.append((tuple(-c for c in vec), REL_GE))
-            else:
-                work.append((vec, rel))
-        for other in range(m - 1, -1, -1):
-            if other == var:
-                continue
-            lowers = [(v, r) for v, r in work if v[other] > 0]
-            uppers = [(v, r) for v, r in work if v[other] < 0]
-            nxt = [(v, r) for v, r in work if v[other] == 0]
-            for lv, lr in lowers:
-                for uv, ur in uppers:
-                    sl = tuple(c / lv[other] for c in lv)
-                    su = tuple(c / -uv[other] for c in uv)
-                    combined = tuple(a + b for a, b in zip(sl, su))
-                    nxt.append((combined,
-                                REL_GE if (lr == REL_GE and ur == REL_GE) else REL_GT))
-            work = nxt
-        lo, lo_strict = None, False
-        hi, hi_strict = None, False
-        for vec, rel in work:
-            coeff = vec[var]
-            if coeff == 0:
-                c = vec[-1]
-                if rel == REL_GT and not c > 0:
-                    return None
-                if rel == REL_GE and not c >= 0:
-                    return None
-                continue
-            bound = -vec[-1] / coeff
-            if coeff > 0:
-                if lo is None or bound > lo or (bound == lo and rel == REL_GT):
-                    lo, lo_strict = bound, rel == REL_GT
-            else:
-                if hi is None or bound < hi or (bound == hi and rel == REL_GT):
-                    hi, hi_strict = bound, rel == REL_GT
-        lo_i = ranges[var][0] if lo is None else max(
-            ranges[var][0], math.floor(lo) + 1 if lo_strict else math.ceil(lo))
-        hi_i = ranges[var][1] if hi is None else min(
-            ranges[var][1], math.ceil(hi) - 1 if hi_strict else math.floor(hi))
-        return (lo_i, hi_i)
-
-    def search(system, prefix):
+    def search(prefix):
         depth = len(prefix)
         if depth == m:
-            return tuple(prefix) if cell.contains([Fraction(v) for v in prefix]) else None
-        rng = var_range(system, depth)
-        if rng is None or rng[0] > rng[1]:
+            return tuple(prefix)
+        bounds = _fm_bounds(levels[depth], depth, dict(enumerate(prefix)))
+        if bounds is None:
             return None
-        for v in range(rng[0], rng[1] + 1):
-            pin = tuple(Fraction(1 if j == depth else 0) for j in range(m)) + (Fraction(-v),)
-            found = search(system + [(pin, REL_EQ)], prefix + [v])
+        lo, lo_strict, hi, hi_strict = bounds
+        first = math.floor(lo) + 1 if lo_strict else math.ceil(lo)
+        last = math.ceil(hi) - 1 if hi_strict else math.floor(hi)
+        for v in range(first, last + 1):
+            found = search(prefix + [v])
             if found is not None:
                 return found
         return None
 
-    return search(list(base), [])
+    return search([])
 
 
 def cell1d_integer_point(cell: Cell1D, minimum: Optional[int] = None) -> Optional[int]:
@@ -805,22 +761,3 @@ def signs_at_1d(polys: Sequence[IntPoly], sample) -> Dict[IntPoly, int]:
         else:
             out[f] = poly_sign_at(f, Fraction(sample))
     return out
-
-
-def signs_at_linear(exprs: Sequence[Expression], params: Sequence[str],
-                    point: Sequence[Fraction]) -> Dict[Tuple, int]:
-    gamma = dict(zip(params, point))
-    out: Dict[Tuple, int] = {}
-    for e in exprs:
-        v = e.evaluate(gamma)
-        out[expr_to_vector(e, params)] = (v > 0) - (v < 0)
-    return out
-
-
-def signs_at(polys, sample):
-    """Sign assignment of a polynomial set at a sample point.
-
-    1D form: integer coefficient tuples with a scalar sample.  Linear
-    form: use signs_at_linear directly.
-    """
-    return signs_at_1d(polys, sample)

@@ -804,11 +804,8 @@ def suite_decomposition_props(seed: int, n_cases: int) -> SuiteReport:
     slack rewriting round-trip."""
     rng = random.Random(seed)
     report = SuiteReport("decomposition-props")
-    from .decomposition import (decompose_1d, decompose_linear, project_clock,
-                                expr_to_vector, _canonical_hyperplane)
-    from .polynomials import (isolate_real_roots, poly_eval, poly_is_zero, poly_trim,
-                              square_free_part, sturm_chain, sturm_root_count,
-                              cauchy_root_bound)
+    from .decomposition import decompose_1d, decompose_linear, project_clock
+    from .polynomials import poly_trim
     from .scalars import INF, NEG_INF, cmp as scmp
 
     # 1D cover and disjointness

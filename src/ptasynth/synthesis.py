@@ -198,8 +198,7 @@ def _integer_point_1d(cell: Cell1D, box) -> Optional[tuple]:
     return None if n is None or n > box[1] else (n,)
 
 
-def _decide_cells(cells, params, decide_at, domain, pdomain, int_box,
-                  integer_of) -> List[CellVerdict]:
+def _decide_cells(cells, params, decide_at, domain, pdomain, integer_of) -> List[CellVerdict]:
     """Decide every cell at one valuation.
 
     Under int/nat parameters each cell's least integer point in the box
@@ -209,7 +208,7 @@ def _decide_cells(cells, params, decide_at, domain, pdomain, int_box,
     interval in place, and the cell's endpoints share the root object, so
     the reported intervals stay the ones the decomposition isolated.
     """
-    box = (0 if pdomain == PARAM_NAT else -int_box, int_box)
+    box = (0 if pdomain == PARAM_NAT else -DEFAULT_INT_BOX, DEFAULT_INT_BOX)
     integral = pdomain in (PARAM_INT, PARAM_NAT)
     out = []
     for cell in cells:
@@ -225,8 +224,8 @@ def _decide_cells(cells, params, decide_at, domain, pdomain, int_box,
     return out
 
 
-def _region(params, atom_pool, resets, use_cad1, decide_at, psi, domain, pdomain,
-            int_box) -> FeasibleRegion:
+def _region(params, atom_pool, resets, use_cad1, decide_at, psi, domain,
+            pdomain) -> FeasibleRegion:
     """Decompose the parameter space over the threshold pool and decide
     every cell: by projection and 1D root isolation when ``use_cad1``,
     over the hyperplane arrangement otherwise."""
@@ -237,13 +236,12 @@ def _region(params, atom_pool, resets, use_cad1, decide_at, psi, domain, pdomain
             raise UnsupportedError(
                 "polynomial expressions are supported with exactly one parameter")
         cells = decompose_1d(project_clock(_clock_polynomials(pool, params[0])))
-        verdicts = _decide_cells(cells, params, decide_at, domain, pdomain, int_box,
+        verdicts = _decide_cells(cells, params, decide_at, domain, pdomain,
                                  _integer_point_1d)
         return FeasibleRegion(params, "cad1", verdicts, psi, domain, pdomain)
     planes = _linear_hyperplanes(pool)
     cells = decompose_linear(planes, params)
-    verdicts = _decide_cells(cells, params, decide_at, domain, pdomain, int_box,
-                             integer_point)
+    verdicts = _decide_cells(cells, params, decide_at, domain, pdomain, integer_point)
     return FeasibleRegion(params, "linear", verdicts, psi, domain, pdomain,
                           planes=tuple(canonical_planes(planes, params)))
 
@@ -251,8 +249,7 @@ def _region(params, atom_pool, resets, use_cad1, decide_at, psi, domain, pdomain
 # -- the pipeline ---------------------------------------------------------------
 
 def synthesize(pta: Pta, psi: SystemProperty, time_domain: Optional[str] = None,
-               param_domain: Optional[str] = None,
-               int_box: int = DEFAULT_INT_BOX) -> FeasibleRegion:
+               param_domain: Optional[str] = None) -> FeasibleRegion:
     """Compute the feasible parameter region for the property.
 
     One polynomial parameter goes through projection + 1D decomposition;
@@ -269,7 +266,7 @@ def synthesize(pta: Pta, psi: SystemProperty, time_domain: Optional[str] = None,
         return decide(pta, gamma, psi, domain).satisfied
 
     return _region(pta.params, atom_pool, _reset_constants(pta), _nonlinear(atom_pool),
-                   decide_at, psi, domain, pdomain, int_box)
+                   decide_at, psi, domain, pdomain)
 
 
 def region_query(region: FeasibleRegion, gamma) -> bool:
@@ -333,8 +330,7 @@ def enumerate_runs(pta: Pta, max_len: int) -> List[SyntacticRun]:
 
 
 def run_region(pta: Pta, tau: SyntacticRun, phi, time_domain: Optional[str] = None,
-               param_domain: Optional[str] = None,
-               int_box: int = DEFAULT_INT_BOX) -> FeasibleRegion:
+               param_domain: Optional[str] = None) -> FeasibleRegion:
     """Parameter region over which one syntactic run can reach its end
     in a state satisfying the property.
 
@@ -360,4 +356,4 @@ def run_region(pta: Pta, tau: SyntacticRun, phi, time_domain: Optional[str] = No
         return any(feasible_with_reset(br, gamma, domain).feasible for br in branches)
 
     return _region(params, atom_pool, resets, _nonlinear(atom_pool) or len(params) == 1,
-                   decide_at, None, domain, pdomain, int_box)
+                   decide_at, None, domain, pdomain)

@@ -1,18 +1,24 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from ptasynth.decomposition import (
+    LinearCellSampler,
+    _enumerate_boxed,
+    _enumerate_fm,
+    _fm_bounds,
+    _plane_value,
+    canonical_planes,
     cell1d_integer_point,
     decompose_1d,
     decompose_linear,
     integer_point,
     project_clock,
     random_point_in_cell1d,
-    random_point_in_linear_cell,
     satisfies_system,
-    signs_at,
+    signs_at_1d,
     slack_form,
 )
 from ptasynth.expressions import Expression
@@ -46,7 +52,7 @@ def test_decompose_1d_sign_on_middle_cell():
     f = (-2, 0, 1)  # p^2 - 2
     cells = decompose_1d([f])
     assert len(cells) == 5
-    assert signs_at([f], cells[2].sample)[f] == -1
+    assert signs_at_1d([f], cells[2].sample)[f] == -1
 
 
 def test_project_clock_examples():
@@ -145,11 +151,11 @@ def test_cell1d_integer_point():
 
 def test_signs_at_examples():
     f = (-4, 0, 1)  # p^2 - 4
-    assert signs_at([f], Fraction(0))[f] == -1
-    assert signs_at([f], Fraction(2))[f] == 0
+    assert signs_at_1d([f], Fraction(0))[f] == -1
+    assert signs_at_1d([f], Fraction(2))[f] == 0
     root2 = isolate_real_roots((-2, 0, 1))[1]
     g = (-2, 0, 1)
-    assert signs_at([g], root2)[g] == 0
+    assert signs_at_1d([g], root2)[g] == 0
 
 
 def test_random_interior_points_stay_inside():
@@ -157,7 +163,7 @@ def test_random_interior_points_stay_inside():
     exprs = [lin(p1=1), lin(-1, p1=1, p2=1), lin(2, p2=-1)]
     for cell in decompose_linear(exprs, ("p1", "p2")):
         for _ in range(25):
-            assert cell.contains(random_point_in_linear_cell(cell, rng))
+            assert cell.contains(LinearCellSampler(cell).draw(rng))
     for cell in decompose_1d([(-2, 0, 1), (0, 1)]):
         if cell.kind == "point" and not isinstance(cell.sample, Fraction):
             continue
@@ -169,3 +175,71 @@ def test_random_interior_points_stay_inside():
 def test_decomposition_property_suite():
     report = suite_decomposition_props(9, 14)
     assert report.ok(), report.render()
+
+
+def random_arrangement(rng, m, n_planes):
+    params = ("a", "b", "c")[:m]
+    exprs = [lin(rng.randint(-3, 3), **{p: rng.randint(-2, 2) for p in params})
+             for _ in range(n_planes)]
+    return exprs, params
+
+
+def sign(v):
+    return (v > 0) - (v < 0)
+
+
+def test_fm_enumeration_matches_polytope_splitting():
+    rng = random.Random(7)
+    for case in range(40):
+        m = 1 + case % 2
+        exprs, params = random_arrangement(rng, m, rng.randint(1, 5))
+        planes = canonical_planes(exprs, params)
+        fm = _enumerate_fm(planes, m)
+        assert {signs for signs, _ in fm} == {signs for signs, _ in _enumerate_boxed(planes, m)}
+        for signs, sample in fm:
+            assert tuple(sign(_plane_value(vec, sample)) for vec in planes) == signs
+
+
+def test_fm_bounds_strictness_and_fixed_values():
+    F = Fraction
+    rows = [((F(1), F(0)), ">="), ((F(1), F(0)), ">"), ((F(-1), F(2)), ">=")]
+    assert _fm_bounds(rows, 0, {}) == (0, True, 2, False)
+    assert _fm_bounds(rows + [((F(-1), F(0)), ">=")], 0, {}) is None
+    assert _fm_bounds(rows[:1] + [((F(-1), F(0)), ">=")], 0, {}) == (0, False, 0, False)
+    without = [((F(0), F(1), F(-1)), ">")]             # b - 1 > 0, no a
+    assert _fm_bounds(without, 0, {1: 1}) is None
+    assert _fm_bounds(without, 0, {1: 2}) == (None, False, None, False)
+
+
+def test_decompose_linear_three_params():
+    axes = [lin(a=1), lin(b=1), lin(c=1)]
+    params = ("a", "b", "c")
+    assert len(decompose_linear(axes, params)) == 27
+
+    cells = decompose_linear(axes + [lin(-1, a=1, b=1, c=1)], params)
+    assert all(c.contains(c.sample) for c in cells)
+    grid = [Fraction(n, 2) for n in range(-2, 3)]
+    for point in itertools.product(grid, repeat=3):
+        assert sum(c.contains(point) for c in cells) == 1, point
+
+
+def brute_integer_point(cell, box):
+    for point in itertools.product(range(box[0], box[1] + 1), repeat=len(cell.params)):
+        if cell.contains([Fraction(v) for v in point]):
+            return point
+    return None
+
+
+def test_integer_point_is_least_box_point():
+    rng = random.Random(11)
+    box = (-3, 3)
+    seen_equality = seen_empty = 0
+    for case in range(12):
+        m = 1 + case % 3
+        exprs, params = random_arrangement(rng, m, rng.randint(1, 4 if m < 3 else 3))
+        for cell in decompose_linear(exprs, params):
+            expected = brute_integer_point(cell, box)
+            assert integer_point(cell, box) == expected, (exprs, cell.signs)
+            seen_equality += 0 in cell.signs
+            seen_empty += expected is None
+    assert seen_equality and seen_empty
