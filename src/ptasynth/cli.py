@@ -67,15 +67,24 @@ def _load_property(path: str, pta):
     return parse_property(_read(path), pta)
 
 
-def _valuation(pairs, pta):
-    gamma = {}
+def _param(name: str, pta) -> str:
+    if name not in pta.params:
+        raise CliError("unknown parameter %r" % name)
+    return name
+
+
+def _set_values(pairs, pta, gamma: dict) -> dict:
+    """``gamma`` updated with the ``--set name=value`` pairs."""
     for item in pairs or ():
         if "=" not in item:
             raise CliError("--set needs name=value, got %r" % item)
         name, _, value = item.partition("=")
-        if name not in pta.params:
-            raise CliError("unknown parameter %r" % name)
-        gamma[name] = parse_fraction(value)
+        gamma[_param(name, pta)] = parse_fraction(value)
+    return gamma
+
+
+def _valuation(pairs, pta):
+    gamma = _set_values(pairs, pta, {})
     missing = set(pta.params) - set(gamma)
     if missing:
         raise CliError("missing --set for parameter(s): %s" % ", ".join(sorted(missing)))
@@ -130,7 +139,8 @@ def _trace(path: str, pta):
     for step in data.get("steps", ()):
         steps.append((parse_fraction(str(step["delay"])), int(step["edge"])))
     run = ConcreteRun(tuple(steps), parse_fraction(str(data.get("final_delay", "0"))))
-    gamma = {name: parse_fraction(str(v)) for name, v in data.get("valuation", {}).items()}
+    gamma = {_param(name, pta): parse_fraction(str(v))
+             for name, v in data.get("valuation", {}).items()}
     return run, gamma
 
 
@@ -258,9 +268,7 @@ def cmd_run_region(args):
 
 def cmd_decompose(args):
     pta = _load_model(args.model)
-    psi = _load_property(args.prop, pta) if args.prop else None
-    if psi is None:
-        raise CliError("decompose needs --prop (the pool includes property atoms)")
+    psi = _load_property(args.prop, pta)
     region = synthesize(pta, psi, args.time, args.param_domain)
     _print_region(region)
     _write_out(args, jsonio.region_to_json(region))
@@ -329,9 +337,7 @@ def cmd_scan_run(args):
     pta = _load_model(args.model)
     two_one = validate_two_one(pta)
     run, gamma = _trace(args.trace, pta)
-    for item in args.set or ():
-        name, _, value = item.partition("=")
-        gamma[name] = parse_fraction(value)
+    _set_values(args.set, pta, gamma)
     missing = set(pta.params) - set(gamma)
     if missing:
         raise CliError("trace or --set must give parameter(s): %s" % ", ".join(sorted(missing)))
@@ -373,10 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Parameter synthesis and analysis for parametric timed automata")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, prop_required=True, needs_time=True, needs_pdomain=False, out=True):
+    def common(p, prop=True, needs_time=True, needs_pdomain=False, out=True):
         p.add_argument("--model", required=True, help="model file")
-        if prop_required is not None:
-            p.add_argument("--prop", required=prop_required, help="property file")
+        if prop:
+            p.add_argument("--prop", required=True, help="property file")
         if needs_time:
             p.add_argument("--time", choices=["nat", "dense"],
                            help="override the model's time domain")
@@ -408,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("feasible", help="per-run feasibility at a valuation")
-    common(p, prop_required=None, out=False)
+    common(p, prop=False, out=False)
     p.add_argument("--run", required=True, help="file listing edge indices")
     p.add_argument("--set", action="append", metavar="p=V")
     p.set_defaults(fn=cmd_feasible)
@@ -424,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_run_region)
 
     p = sub.add_parser("decompose", help="print the parameter-space cells")
-    common(p, prop_required=False, needs_pdomain=True)
+    common(p, needs_pdomain=True)
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("synth", help="compute the feasible parameter region")

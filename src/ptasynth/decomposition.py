@@ -1,17 +1,21 @@
 """Sign-invariant decomposition of the parameter space with exact samples.
 
-Two decompositions are provided.  For one polynomial parameter, the clock
-variable is projected out (coefficients, a resultant against the clock
-derivative, pairwise resultants) and the real line splits at the roots of
-the projected polynomials into point and interval cells.  For up to three
-parameters with linear expressions, the realizable sign vectors over the
-hyperplanes are enumerated: up to two parameters by splitting exact
-polytopes, at three by a depth-first search with Fourier-Motzkin
-feasibility pruning.  Strictness never goes through a numeric epsilon.
+Two decompositions are provided.  For one parameter, linear or
+polynomial, the clock variable is projected out (coefficients, a
+resultant against the clock derivative, pairwise resultants) and the real
+line splits at the roots of the projected polynomials into point and
+interval cells.  For two or three parameters with linear expressions, the
+realizable sign vectors over the hyperplanes are enumerated: at two by
+splitting exact polytopes, at three by a depth-first search with
+Fourier-Motzkin feasibility pruning.  Strictness never goes through a
+numeric epsilon.
 
-One Fourier-Motzkin core (``_fm_levels``, ``_fm_eliminate``,
-``_fm_bounds``) projects every exact linear system here: the cell
-samples, ``LinearCellSampler`` and the least integer point of a cell.
+A linear cell is its sign vector over the arrangement's canonical integer
+plane vectors, one tuple that every cell of the arrangement shares.
+``_row`` turns one plane and sign into the exact row of one Fourier-Motzkin
+core (``_fm_levels``, ``_fm_eliminate``, ``_fm_bounds``), which projects
+every linear system here: the cell samples, ``LinearCellSampler`` and the
+least integer point of a cell.
 
 Every cell carries an exact sample point: rational in open cells,
 algebraic only at irrational 1D point cells.
@@ -47,6 +51,9 @@ REL_GT = ">"
 REL_GE = ">="
 REL_EQ = "="
 
+Vector = Tuple[int, ...]                 # coefficients then constant
+Row = Tuple[Fraction, ...]               # the same, exact, for elimination
+
 
 @dataclass
 class Cell1D:
@@ -69,13 +76,20 @@ class Cell1D:
 class LinearCell:
     """A realizable sign vector over a hyperplane arrangement."""
 
-    constraints: Tuple[Tuple[Expression, str], ...]   # (expr, rel) meaning expr rel 0
+    planes: Tuple[Vector, ...]       # the arrangement's canonical planes, shared
     signs: Tuple[int, ...]
     sample: Tuple[Fraction, ...]
     params: Tuple[str, ...]
 
+    @property
+    def constraints(self) -> Tuple[Tuple[Expression, str], ...]:
+        """The cell as ``(expr, rel)`` pairs meaning ``expr rel 0``."""
+        return tuple((vector_to_expr(row, self.params), rel)
+                     for row, rel in map(_row, self.planes, self.signs))
+
     def contains(self, point: Sequence[Fraction]) -> bool:
-        return satisfies_system(self.constraints, dict(zip(self.params, point)))
+        return all(_sign(_plane_value(vec, point)) == s
+                   for vec, s in zip(self.planes, self.signs))
 
 
 # -- expression/polynomial conversions ----------------------------------------
@@ -207,40 +221,41 @@ class _RootSortKey:
 
 # -- exact linear systems (Fourier-Motzkin) -------------------------------------
 
-Vector = Tuple[Fraction, ...]            # coefficients then constant
-
-
 def expr_to_vector(e: Expression, params: Sequence[str]) -> Vector:
     if not e.is_linear():
-        raise UnsupportedError("linear decomposition needs linear expressions")
-    return tuple(Fraction(e.cf(p)) for p in params) + (Fraction(e.con()),)
+        raise UnsupportedError(
+            "polynomial expressions are supported with exactly one parameter")
+    return tuple(e.cf(p) for p in params) + (e.con(),)
 
 
-def vector_to_expr(vec: Vector, params: Sequence[str]) -> Expression:
+def vector_to_expr(vec: Row, params: Sequence[str]) -> Expression:
     coeffs = {p: int(vec[i]) for i, p in enumerate(params)}
     return Expression.linear(int(vec[-1]), coeffs)
 
 
 def _canonical_hyperplane(vec: Vector) -> Optional[Vector]:
     """Primitive, sign-normalized form; None for the zero functional."""
-    coeffs = vec[:-1]
-    if all(c == 0 for c in coeffs):
+    lead = next((c for c in vec[:-1] if c != 0), 0)
+    if lead == 0:
         return None
-    denom = 1
-    for c in vec:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in vec]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    lead = next(c for c in ints[:-1] if c != 0)
-    if lead < 0:
-        ints = [-c for c in ints]
-    return tuple(Fraction(c) for c in ints)
+    g = math.gcd(*vec) * (1 if lead > 0 else -1)
+    return tuple(c // g for c in vec)
 
 
-def _substitute(vec: Vector, var: int, solution: Vector) -> Vector:
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _row(vec: Vector, sign: int) -> Tuple[Row, str]:
+    """The exact Fourier-Motzkin row saying plane ``vec`` has ``sign``:
+    ``vec = 0``, ``vec > 0`` or ``-vec > 0``, with ``Fraction`` entries so
+    the elimination divides exactly."""
+    if sign < 0:
+        return tuple(Fraction(-c) for c in vec), REL_GT
+    return tuple(map(Fraction, vec)), REL_GT if sign else REL_EQ
+
+
+def _substitute(vec: Row, var: int, solution: Row) -> Row:
     """Replace variable ``var`` by an affine expression of the others."""
     coeff = vec[var]
     out = list(vec)
@@ -260,7 +275,7 @@ def _fm_prepare(constraints, nvars):
     the rest by ``_fm_levels``; the levels are kept so samples can be
     drawn repeatedly.
     """
-    solved: List[Tuple[int, Vector]] = []
+    solved: List[Tuple[int, Row]] = []
     work = [(tuple(v), rel) for v, rel in constraints]
 
     changed = True
@@ -375,8 +390,8 @@ class LinearCellSampler:
 
     def __init__(self, cell: LinearCell):
         self.cell = cell
-        system = [(expr_to_vector(e, cell.params), rel) for e, rel in cell.constraints]
-        self.prepared = _fm_prepare(system, len(cell.params))
+        self.prepared = _fm_prepare(list(map(_row, cell.planes, cell.signs)),
+                                    len(cell.params))
         assert self.prepared is not None
 
     def draw(self, rng) -> Tuple[Fraction, ...]:
@@ -424,7 +439,8 @@ def random_point_in_cell1d(cell: Cell1D, rng) -> Fraction:
     return lo + (hi - lo) * t
 
 
-def canonical_planes(exprs: Sequence[Expression], params: Sequence[str]) -> List[Vector]:
+def canonical_planes(exprs: Sequence[Expression],
+                     params: Sequence[str]) -> Tuple[Vector, ...]:
     """The sorted canonical hyperplane vectors a decomposition will use;
     cell sign vectors align with this order."""
     canon = set()
@@ -432,7 +448,7 @@ def canonical_planes(exprs: Sequence[Expression], params: Sequence[str]) -> List
         vec = _canonical_hyperplane(expr_to_vector(e, tuple(params)))
         if vec is not None:
             canon.add(vec)
-    return sorted(canon)
+    return tuple(sorted(canon))
 
 
 def decompose_linear(exprs: Sequence[Expression], params: Sequence[str]) -> List[LinearCell]:
@@ -452,24 +468,9 @@ def decompose_linear(exprs: Sequence[Expression], params: Sequence[str]) -> List
     if m > 3:
         raise UnsupportedError("linear decomposition supports up to 3 parameters")
     planes = canonical_planes(exprs, params)
-
-    def cell_of(signs, sample):
-        constraints = []
-        for vec, sign in zip(planes, signs):
-            if sign == 0:
-                constraints.append((vector_to_expr(vec, params), REL_EQ))
-            elif sign > 0:
-                constraints.append((vector_to_expr(vec, params), REL_GT))
-            else:
-                constraints.append((vector_to_expr(tuple(-c for c in vec), params), REL_GT))
-        return LinearCell(tuple(constraints), tuple(signs), tuple(sample), params)
-
-    if m <= 2:
-        cells = [cell_of(signs, sample)
-                 for signs, sample in _enumerate_boxed(planes, m)]
-    else:
-        cells = [cell_of(signs, sample)
-                 for signs, sample in _enumerate_fm(planes, m)]
+    enumerate_cells = _enumerate_boxed if m <= 2 else _enumerate_fm
+    cells = [LinearCell(planes, tuple(signs), tuple(sample), params)
+             for signs, sample in enumerate_cells(planes, m)]
     cells.sort(key=lambda c: c.signs)
     return cells
 
@@ -477,22 +478,14 @@ def decompose_linear(exprs: Sequence[Expression], params: Sequence[str]) -> List
 def _enumerate_fm(planes, m):
     out = []
 
-    def constraint_for(vec, sign):
-        if sign == 0:
-            return (vec, REL_EQ)
-        if sign > 0:
-            return (vec, REL_GT)
-        return (tuple(-c for c in vec), REL_GT)
-
     def descend(idx, system, signs, sample):
         if idx == len(planes):
             out.append((tuple(signs), sample))
             return
         vec = planes[idx]
-        at_sample = vec[-1] + sum(c * x for c, x in zip(vec, sample))
-        sample_sign = (at_sample > 0) - (at_sample < 0)
+        sample_sign = _sign(_plane_value(vec, sample))
         for sign in (-1, 0, 1):
-            extended = system + [constraint_for(vec, sign)]
+            extended = system + [_row(vec, sign)]
             if sign == sample_sign:
                 descend(idx + 1, extended, signs + [sign], sample)
                 continue
@@ -635,54 +628,7 @@ def _enumerate_boxed(planes, m):
     return [(signs, _polytope_sample(verts)) for signs, verts in regions]
 
 
-# -- slack variables and integer points -----------------------------------------
-
-def slack_form(system: Sequence[Tuple[Expression, str]],
-               taken_names: Sequence[str] = ()) -> Tuple[List[Tuple[Expression, str]], List[str]]:
-    """Rewrite inequalities ``expr >= 0`` into equalities with slack variables.
-
-    Strict ``>`` is first rewritten to ``expr - 1 >= 0`` (integer-valued
-    parameters).  Returns the rewritten system and the fresh nonnegative
-    slack names.
-    """
-    used = set(taken_names)
-    for e, _ in system:
-        used.update(e.params())
-    out: List[Tuple[Expression, str]] = []
-    slacks: List[str] = []
-    counter = 1
-    for e, rel in system:
-        if not e.is_linear():
-            raise UnsupportedError("slack rewriting needs linear integer expressions")
-        if rel == REL_EQ:
-            out.append((e, REL_EQ))
-            continue
-        if rel == REL_GT:
-            e = e.plus_const(-1)
-        elif rel != REL_GE:
-            raise ValueError("relation must be one of >=, >, =")
-        while "s%d" % counter in used:
-            counter += 1
-        name = "s%d" % counter
-        used.add(name)
-        slacks.append(name)
-        coeffs = dict(e.coeffs)
-        coeffs[name] = -1
-        out.append((Expression.linear(e.con(), coeffs), REL_EQ))
-    return out, slacks
-
-
-def satisfies_system(system: Sequence[Tuple[Expression, str]], gamma) -> bool:
-    for e, rel in system:
-        v = e.evaluate(gamma)
-        if rel == REL_EQ and v != 0:
-            return False
-        if rel == REL_GT and not v > 0:
-            return False
-        if rel == REL_GE and not v >= 0:
-            return False
-    return True
-
+# -- integer points ---------------------------------------------------------------
 
 def integer_point(cell: LinearCell, box) -> Optional[Tuple[int, ...]]:
     """Lexicographically least integer point of the cell inside a box.
@@ -694,13 +640,12 @@ def integer_point(cell: LinearCell, box) -> Optional[Tuple[int, ...]]:
     """
     m = len(cell.params)
     rows = []
-    for expr, rel in cell.constraints:
-        vec = expr_to_vector(expr, cell.params)
+    for row, rel in map(_row, cell.planes, cell.signs):
         if rel == REL_EQ:
-            rows.append((vec, REL_GE))
-            rows.append((tuple(-c for c in vec), REL_GE))
+            rows.append((row, REL_GE))
+            rows.append((tuple(-c for c in row), REL_GE))
         else:
-            rows.append((vec, rel))
+            rows.append((row, rel))
     for i in range(m):
         unit = tuple(Fraction(j == i) for j in range(m))
         rows.append((unit + (Fraction(-box[0]),), REL_GE))

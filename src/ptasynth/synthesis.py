@@ -2,13 +2,15 @@
 
 Pipeline: collect the threshold comparisons of the model and property
 (``threshold_pool``), decompose the parameter space so every one of them
-has a constant sign per cell (resultant projection and root isolation for
-one polynomial parameter; threshold-difference hyperplanes for the linear
-multi-parameter case), then decide the property at one exact sample per
-cell with the concrete semantics and read the region off the verdict-true
-cells.  ``synthesize`` and ``run_region`` share the pool, both
-decompositions and the per-cell decision loop; they differ only in what
-they decide at a valuation and in when they take the projection path.
+has a constant sign per cell, then decide the property at one exact
+sample per cell with the concrete semantics and read the region off the
+verdict-true cells.  The parameter count alone picks the decomposition:
+resultant projection and root isolation (``cad1``) for one parameter,
+linear or polynomial; threshold-difference hyperplanes (``linear``) for
+zero, two or three parameters, whose expressions must then be linear.
+``synthesize`` and ``run_region`` share the pool, both decompositions and
+the per-cell decision loop; they differ only in what they decide at a
+valuation.
 
 Scope: exactly one parametric clock, and no other constrained clocks
 (models with extra concretely constrained clocks are accepted by the
@@ -31,7 +33,6 @@ from .constraints import AtomicConstraint
 from .decomposition import (
     Cell1D,
     atom_to_bivar,
-    canonical_planes,
     cell1d_integer_point,
     decompose_1d,
     decompose_linear,
@@ -75,7 +76,6 @@ class FeasibleRegion:
     psi: Optional[SystemProperty]
     time_domain: str
     param_domain: str
-    planes: Optional[tuple] = None   # canonical hyperplanes (linear method)
     info: dict = field(default_factory=dict)
 
     def is_empty(self) -> bool:
@@ -110,10 +110,6 @@ def _synthesis_clock(atom_pool: Sequence[AtomicConstraint]) -> Optional[str]:
     if len(constrained) > 1:
         raise UnsupportedError("synthesis supports a single constrained clock")
     return next(iter(constrained)) if constrained else None
-
-
-def _nonlinear(atom_pool: Sequence[AtomicConstraint]) -> bool:
-    return any(not a.rhs.is_linear() and not a.rhs.is_infinite() for a in atom_pool)
 
 
 def _reset_constants(pta: Pta) -> List[int]:
@@ -224,26 +220,21 @@ def _decide_cells(cells, params, decide_at, domain, pdomain, integer_of) -> List
     return out
 
 
-def _region(params, atom_pool, resets, use_cad1, decide_at, psi, domain,
-            pdomain) -> FeasibleRegion:
+def _region(params, atom_pool, resets, decide_at, psi, domain, pdomain) -> FeasibleRegion:
     """Decompose the parameter space over the threshold pool and decide
-    every cell: by projection and 1D root isolation when ``use_cad1``,
-    over the hyperplane arrangement otherwise."""
+    every cell: by projection and 1D root isolation for one parameter,
+    over the hyperplane arrangement otherwise (``decompose_linear``
+    rejects polynomial expressions)."""
     params = tuple(params)
     pool = threshold_pool(atom_pool, resets, domain == TIME_NAT)
-    if use_cad1:
-        if len(params) != 1:
-            raise UnsupportedError(
-                "polynomial expressions are supported with exactly one parameter")
+    if len(params) == 1:
         cells = decompose_1d(project_clock(_clock_polynomials(pool, params[0])))
         verdicts = _decide_cells(cells, params, decide_at, domain, pdomain,
                                  _integer_point_1d)
         return FeasibleRegion(params, "cad1", verdicts, psi, domain, pdomain)
-    planes = _linear_hyperplanes(pool)
-    cells = decompose_linear(planes, params)
+    cells = decompose_linear(_linear_hyperplanes(pool), params)
     verdicts = _decide_cells(cells, params, decide_at, domain, pdomain, integer_point)
-    return FeasibleRegion(params, "linear", verdicts, psi, domain, pdomain,
-                          planes=tuple(canonical_planes(planes, params)))
+    return FeasibleRegion(params, "linear", verdicts, psi, domain, pdomain)
 
 
 # -- the pipeline ---------------------------------------------------------------
@@ -252,10 +243,10 @@ def synthesize(pta: Pta, psi: SystemProperty, time_domain: Optional[str] = None,
                param_domain: Optional[str] = None) -> FeasibleRegion:
     """Compute the feasible parameter region for the property.
 
-    One polynomial parameter goes through projection + 1D decomposition;
-    linear expressions over up to three parameters go through the
-    hyperplane arrangement.  Every cell is decided concretely at its
-    sample (dual reach for forall-always properties).
+    One parameter, linear or polynomial, goes through projection + 1D
+    decomposition; linear expressions over zero, two or three parameters
+    go through the hyperplane arrangement.  Every cell is decided
+    concretely at its sample (dual reach for forall-always properties).
     """
     domain = time_domain or pta.time_domain
     pdomain = param_domain or pta.param_domain
@@ -265,8 +256,8 @@ def synthesize(pta: Pta, psi: SystemProperty, time_domain: Optional[str] = None,
     def decide_at(gamma):
         return decide(pta, gamma, psi, domain).satisfied
 
-    return _region(pta.params, atom_pool, _reset_constants(pta), _nonlinear(atom_pool),
-                   decide_at, psi, domain, pdomain)
+    return _region(pta.params, atom_pool, _reset_constants(pta), decide_at, psi,
+                   domain, pdomain)
 
 
 def region_query(region: FeasibleRegion, gamma) -> bool:
@@ -276,7 +267,7 @@ def region_query(region: FeasibleRegion, gamma) -> bool:
     interval and point, so ``cells[2k+1]`` is the k-th root and the query
     takes O(log n) exact comparisons.  Linear regions index cells by the
     sign vector of the canonical hyperplanes at the query point; the
-    planes are cached in ``region.info`` as int vectors, and the point is
+    cells share the arrangement's int plane vectors, and the point is
     scaled by the lcm of its denominators, so every sign is that of an
     int dot product.
     """
@@ -294,13 +285,11 @@ def region_query(region: FeasibleRegion, gamma) -> bool:
             else:
                 lo = mid + 1
         return cells[2 * lo].verdict
-    if "int_planes" not in region.info:
-        region.info["int_planes"] = [tuple(int(c) for c in vec) for vec in region.planes]
     point = [Fraction(gamma[p]) for p in region.params]
     scale = math.lcm(*(x.denominator for x in point))
     scaled = [x.numerator * (scale // x.denominator) for x in point] + [scale]
     signs = []
-    for vec in region.info["int_planes"]:
+    for vec in region.cells[0].cell.planes:
         v = sum(c * x for c, x in zip(vec, scaled))
         signs.append((v > 0) - (v < 0))
     try:
@@ -355,5 +344,4 @@ def run_region(pta: Pta, tau: SyntacticRun, phi, time_domain: Optional[str] = No
     def decide_at(gamma):
         return any(feasible_with_reset(br, gamma, domain).feasible for br in branches)
 
-    return _region(params, atom_pool, resets, _nonlinear(atom_pool) or len(params) == 1,
-                   decide_at, None, domain, pdomain)
+    return _region(params, atom_pool, resets, decide_at, None, domain, pdomain)

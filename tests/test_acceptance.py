@@ -8,6 +8,7 @@ the underlying suites live in ptasynth.harness.
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from ptasynth.harness import (
     suite_feasibility_oracle,
@@ -138,9 +139,11 @@ def test_criterion_9_selftest_determinism():
             capture_output=True, text=True)
         runs.append(proc)
     elapsed = time.time() - t0
+    golden = (Path(__file__).parent / "golden" / "selftest_42.txt").read_text()
     ok = (runs[0].returncode == 0 and runs[1].returncode == 0
-          and runs[0].stdout == runs[1].stdout
+          and runs[0].stdout == runs[1].stdout == golden
           and "selftest: PASS" in runs[0].stdout)
     assert _verdict(
-        9, "selftest --seed 42 twice produces byte-identical passing reports",
+        9, "selftest --seed 42 twice produces byte-identical passing reports, "
+           "equal to tests/golden/selftest_42.txt",
         ok, elapsed), runs[0].stdout[-2000:] + runs[0].stderr[-2000:]

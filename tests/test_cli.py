@@ -124,3 +124,27 @@ def test_analyze2_probe_schema(tmp_path):
     assert res.returncode == 0
     assert "EXPERIMENTAL" in res.stdout
     jsonio.validate(json.loads(out.read_text()), jsonio.load_schema("probe"))
+
+
+def test_scan_run_rejects_unknown_parameters(tmp_path):
+    from importlib import resources
+    model = resources.files("ptasynth").joinpath("data/twoone/m01_upward_gate.pta")
+    trace = tmp_path / "trace.json"
+    args = ("scan-run", "--model", str(model), "--trace", str(trace), "--lemma", "oneP4")
+    trace.write_text('{"steps": [{"delay": "2", "edge": 0}], "valuation": {"p": "3"}}')
+    assert cli(*args).returncode == 0
+    assert cli(*args, "--set", "p=4").returncode == 0
+    for extra in (("--set", "q=3"), ("--set", "p=4", "--set", "q=3")):
+        res = cli(*args, *extra)
+        assert res.returncode == 2 and "unknown parameter 'q'" in res.stderr, extra
+    trace.write_text('{"steps": [{"delay": "2", "edge": 0}], "valuation": {"p": "3", "q": "1"}}')
+    res = cli(*args)
+    assert res.returncode == 2 and "unknown parameter 'q'" in res.stderr
+
+
+def test_decompose_requires_prop(workdir):
+    res = cli("decompose", "--model", str(workdir / "gate.pta"))
+    assert res.returncode == 2 and "--prop" in res.stderr
+    res = cli("decompose", "--model", str(workdir / "gate.pta"), "--prop",
+              str(workdir / "ef.prop"))
+    assert res.returncode == 0 and res.stdout.startswith("method: cad1")

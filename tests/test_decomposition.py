@@ -9,7 +9,11 @@ from ptasynth.decomposition import (
     _enumerate_boxed,
     _enumerate_fm,
     _fm_bounds,
+    _fm_draw,
+    _fm_prepare,
+    _pick_interior,
     _plane_value,
+    _row,
     canonical_planes,
     cell1d_integer_point,
     decompose_1d,
@@ -17,9 +21,7 @@ from ptasynth.decomposition import (
     integer_point,
     project_clock,
     random_point_in_cell1d,
-    satisfies_system,
     signs_at_1d,
-    slack_form,
 )
 from ptasynth.expressions import Expression
 from ptasynth.harness import suite_decomposition_props
@@ -94,33 +96,6 @@ def test_decompose_linear_three_lines_census():
 def test_decompose_linear_dimension_cap():
     with pytest.raises(UnsupportedError):
         decompose_linear([lin(a=1)], ("a", "b", "c", "d"))
-
-
-def test_slack_form_examples():
-    system, slacks = slack_form([(lin(-5, p1=2, p2=3), ">=")])
-    assert slacks == ["s1"]
-    expr, rel = system[0]
-    assert rel == "="
-    assert expr.cf("p1") == 2 and expr.cf("p2") == 3 and expr.cf("s1") == -1
-    assert expr.con() == -5
-
-    system, slacks = slack_form([(lin(-4, p1=1), "=")])
-    assert slacks == [] and system[0][0] == lin(-4, p1=1)
-
-    system, slacks = slack_form([(lin(-2, p1=1), ">")])
-    expr, rel = system[0]
-    assert rel == "=" and expr.con() == -3 and expr.cf(slacks[0]) == -1
-
-
-def test_slack_round_trip_manual():
-    system = [(lin(-5, p1=2, p2=3), ">=")]
-    rewritten, slacks = slack_form(system)
-    gamma = {"p1": Fraction(1), "p2": Fraction(1)}
-    assert satisfies_system(system, gamma)
-    slack_value = Fraction(0)
-    expr = rewritten[0][0]
-    residue = expr.evaluate({**gamma, slacks[0]: slack_value})
-    assert residue == 0  # 2 + 3 - 5, slack 0
 
 
 def test_integer_point_examples():
@@ -243,3 +218,29 @@ def test_integer_point_is_least_box_point():
             seen_equality += 0 in cell.signs
             seen_empty += expected is None
     assert seen_equality and seen_empty
+
+
+def test_linear_cells_compute_in_fractions():
+    # the planes are ints, and int / int is a float in Python: every row
+    # the elimination divides must be a Fraction row, so that samples,
+    # random draws and the bounds at every level stay exact
+    rng = random.Random(13)
+    bounds = []
+
+    def record(*args):
+        bounds.extend(b for b in (args[0], args[2]) if b is not None)
+        return _pick_interior(*args)
+
+    for case in range(18):
+        m = 2 + case % 2
+        exprs, params = random_arrangement(rng, m, rng.randint(2, 4))
+        exprs.append(lin(-1, a=2, b=3))
+        for cell in decompose_linear(exprs, params):
+            assert all(type(c) is int for vec in cell.planes for c in vec)
+            rows = list(map(_row, cell.planes, cell.signs))
+            assert all(type(c) is Fraction for row, _ in rows for c in row)
+            assert all(type(x) is Fraction for x in cell.sample)
+            assert all(type(x) is Fraction for x in LinearCellSampler(cell).draw(rng))
+            assert all(type(x) is Fraction for x in _fm_draw(_fm_prepare(rows, m), m, record))
+    assert bounds and all(type(b) is Fraction for b in bounds)
+    assert any(b.denominator > 1 for b in bounds)

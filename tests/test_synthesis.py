@@ -4,7 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from ptasynth.decomposition import canonical_planes, decompose_1d, project_clock
+from ptasynth.decomposition import (
+    canonical_planes,
+    decompose_1d,
+    decompose_linear,
+    integer_point,
+    project_clock,
+    random_point_in_cell1d,
+)
 from ptasynth.harness import (
     int_grid,
     rand_pta_one_clock,
@@ -22,8 +29,10 @@ from ptasynth.model import (
 from ptasynth.parser import parse_model, parse_property
 from ptasynth.semantics import decide
 from ptasynth.synthesis import (
+    FeasibleRegion,
     _atom_pool,
     _clock_polynomials,
+    _decide_cells,
     _linear_hyperplanes,
     _reset_constants,
     enumerate_runs,
@@ -49,7 +58,7 @@ def test_cad1_projection_equals_linear_planes(time_domain):
         psi = SystemProperty("EF", rand_state_property(rng, pta))
         pool = threshold_pool(_atom_pool(pta, psi), _reset_constants(pta),
                               time_domain == "nat")
-        projected = {(Fraction(f[1]), Fraction(f[0]))
+        projected = {(f[1], f[0])
                      for f in project_clock(_clock_polynomials(pool, pta.params[0]))}
         assert projected == set(canonical_planes(_linear_hyperplanes(pool), pta.params))
 
@@ -135,8 +144,50 @@ loc q0 init inv: true
 edge q0 -> q0 : x <= p*q ; a ;
 """)
     psi = parse_property("EF q0", pta)
-    with pytest.raises(UnsupportedError):
+    with pytest.raises(UnsupportedError) as err:
         synthesize(pta, psi)
+    assert str(err.value) == "polynomial expressions are supported with exactly one parameter"
+    with pytest.raises(UnsupportedError) as err:
+        run_region(pta, SyntacticRun(pta, (0,)), psi.phi)
+    assert str(err.value) == "polynomial expressions are supported with exactly one parameter"
+
+
+def test_parameter_count_picks_the_decomposition(gate, square_gate, two_param):
+    for pta, method in ((gate, "cad1"), (square_gate, "cad1"), (two_param, "linear")):
+        psi = parse_property("EF %s" % pta.locations[-1], pta)
+        assert synthesize(pta, psi).method == method
+        assert run_region(pta, SyntacticRun(pta, (0,)), psi.phi).method == method
+
+
+def linear_reference(pta, psi):
+    """The region one parameter got over the hyperplane arrangement before
+    the parameter count alone picked the decomposition."""
+    domain, pdomain = pta.time_domain, pta.param_domain
+    pool = threshold_pool(_atom_pool(pta, psi), _reset_constants(pta), domain == "nat")
+    cells = decompose_linear(_linear_hyperplanes(pool), pta.params)
+    verdicts = _decide_cells(cells, pta.params,
+                             lambda gamma: decide(pta, gamma, psi, domain).satisfied,
+                             domain, pdomain, integer_point)
+    return FeasibleRegion(pta.params, "linear", verdicts, psi, domain, pdomain)
+
+
+@pytest.mark.parametrize("time_domain, param_domain", [
+    ("dense", "real"), ("dense", "int"), ("nat", "int"), ("nat", "nat")])
+def test_one_parameter_cad1_equals_linear_reference(time_domain, param_domain):
+    rng = random.Random(17)
+    grid = int_grid(1, 0 if param_domain == "nat" else -5, 20)
+    for _ in range(12):
+        pta = rand_pta_one_clock(rng, 1, time_domain, param_domain)
+        for mode in ("EF", "AG"):
+            psi = SystemProperty(mode, rand_state_property(rng, pta))
+            region, reference = synthesize(pta, psi), linear_reference(pta, psi)
+            assert region.method == "cad1"
+            assert len(region.cells) == len(reference.cells)
+            for cv in reference.cells:
+                gamma = dict(zip(pta.params, cv.cell.sample))
+                assert region_query(region, gamma) == cv.verdict, gamma
+            for gamma in grid:
+                assert region_query(region, gamma) == region_query(reference, gamma), gamma
 
 
 def test_enumerate_runs_examples(gate):
@@ -219,12 +270,9 @@ edge q1 -> q1 : x >= 3 ; b ;
 """)
     psi = parse_property("EF (q1 && x <= p)", pta)
     region = synthesize(pta, psi, time_domain="dense")
-    from ptasynth.decomposition import LinearCellSampler
     for cv in region.cells:
-        sampler = LinearCellSampler(cv.cell)
         for _ in range(20):
-            point = sampler.draw(rng)
-            gamma = dict(zip(region.params, point))
+            gamma = {"p": random_point_in_cell1d(cv.cell, rng)}
             assert decide(pta, gamma, psi, "dense").satisfied == cv.verdict
 
 
@@ -311,9 +359,22 @@ def test_region_json_endpoints_are_the_isolated_intervals(text, prop):
     assert any(isinstance(end, dict) for pair in got for end in pair)
 
 
+LINEAR2 = """
+clocks: x
+params: p1, p2
+domain: time=nat param=int
+loc q0 init inv: true
+loc q1 inv: x <= p2
+loc q2 inv: true
+edge q0 -> q1 : x > p1 ; a ; reset x:=0
+edge q1 -> q2 : x >= 1 & x <= p2 - p1 ; b ;
+"""
+
+
 @pytest.mark.parametrize("text, prop, golden", [
     (ROOTS_DENSE, "EF (-x <= 3 && (q0 && q1))", "region_roots_dense.json"),
-    (ROOTS_NAT, "EF q1", "region_roots_nat.json")], ids=["dense", "nat"])
+    (ROOTS_NAT, "EF q1", "region_roots_nat.json"),
+    (LINEAR2, "EF q2", "region_linear2.json")], ids=["dense", "nat", "linear2"])
 def test_region_json_is_pinned(text, prop, golden):
     # the exact region JSON, every isolating interval of every root
     # included: a change in how roots are isolated or refined shows here
