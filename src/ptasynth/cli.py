@@ -135,8 +135,15 @@ def _write_out(args, payload: dict):
 
 def _trace(path: str, pta):
     data = json.loads(_read(path))
+    if not (isinstance(data, dict) and isinstance(data.get("steps", []), list)
+            and isinstance(data.get("valuation", {}), dict)):
+        raise CliError("malformed trace: expected an object with a \"steps\" list "
+                       "and a \"valuation\" object")
     steps = []
     for step in data.get("steps", ()):
+        if not isinstance(step, dict) or "delay" not in step or "edge" not in step:
+            raise CliError("malformed trace: a step needs \"delay\" and \"edge\", got %s"
+                           % json.dumps(step))
         steps.append((parse_fraction(str(step["delay"])), int(step["edge"])))
     run = ConcreteRun(tuple(steps), parse_fraction(str(data.get("final_delay", "0"))))
     gamma = {_param(name, pta): parse_fraction(str(v))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Tuple
 
 from .expressions import Expression
-from .scalars import INF, cmp
+from .scalars import INF
 
 
 class ConstraintError(ValueError):
@@ -64,8 +64,7 @@ class AtomicConstraint:
             lhs += Fraction(omega[self.pos])
         if self.neg is not None:
             lhs -= Fraction(omega[self.neg])
-        c = cmp(lhs, bound)
-        return c < 0 if self.strict else c <= 0
+        return lhs < bound if self.strict else lhs <= bound
 
     # -- rewriting -------------------------------------------------------
 
@@ -101,19 +100,20 @@ class AtomicConstraint:
         return self.render()
 
 
-def atom_from_relation(pos, neg, rel: str, rhs: Expression, from_equality=False):
+def atom_from_relation(pos, neg, rel: str, rhs: Expression):
     """Build normalized atoms from a source-syntax relation.
 
-    Returns a tuple of atoms: one for <, <=, >, >=; two for =.
+    Returns a tuple of atoms: one for <, <=, >, >=; two for =, both
+    marked ``from_equality``.
     """
     if rel == "<":
-        return (AtomicConstraint(pos, neg, True, rhs, from_equality),)
+        return (AtomicConstraint(pos, neg, True, rhs),)
     if rel == "<=":
-        return (AtomicConstraint(pos, neg, False, rhs, from_equality),)
+        return (AtomicConstraint(pos, neg, False, rhs),)
     if rel == ">":
-        return (AtomicConstraint(neg, pos, True, rhs.negated(), from_equality),)
+        return (AtomicConstraint(neg, pos, True, rhs.negated()),)
     if rel == ">=":
-        return (AtomicConstraint(neg, pos, False, rhs.negated(), from_equality),)
+        return (AtomicConstraint(neg, pos, False, rhs.negated()),)
     if rel == "=":
         return (
             AtomicConstraint(pos, neg, False, rhs, True),

@@ -45,7 +45,7 @@ from .polynomials import (
     poly_trim,
     sylvester_resultant_x,
 )
-from .scalars import INF, NEG_INF, cmp
+from .scalars import INF, NEG_INF
 
 REL_GT = ">"
 REL_GE = ">="
@@ -66,10 +66,8 @@ class Cell1D:
 
     def contains(self, value) -> bool:
         if self.kind == "point":
-            return cmp(value, self.lo) == 0
-        lo_ok = self.lo is NEG_INF or cmp(value, self.lo) > 0
-        hi_ok = self.hi is INF or cmp(value, self.hi) < 0
-        return lo_ok and hi_ok
+            return value == self.lo
+        return self.lo < value < self.hi
 
 
 @dataclass
@@ -174,9 +172,9 @@ def decompose_1d(polys: Sequence[IntPoly]) -> List[Cell1D]:
         if poly_is_zero(f) or poly_degree(f) < 1:
             continue
         for r in isolate_real_roots(f):
-            if not any(r.compare_scalar(seen) == 0 for seen in roots):
+            if not any(r == seen for seen in roots):
                 roots.append(r)
-    roots.sort(key=_RootSortKey)
+    roots.sort()
     if not roots:
         return [Cell1D("interval", NEG_INF, INF, Fraction(0))]
 
@@ -186,7 +184,7 @@ def decompose_1d(polys: Sequence[IntPoly]) -> List[Cell1D]:
     cells: List[Cell1D] = []
     first = roots[0]
     cells.append(Cell1D("interval", NEG_INF, as_value(first),
-                        Fraction(first.floor_value() - 1)))
+                        Fraction(math.floor(first) - 1)))
     for i, r in enumerate(roots):
         cells.append(Cell1D("point", as_value(r), as_value(r), as_value(r)))
         if i + 1 < len(roots):
@@ -195,7 +193,7 @@ def decompose_1d(polys: Sequence[IntPoly]) -> List[Cell1D]:
                                 _between(r, nxt)))
     last = roots[-1]
     cells.append(Cell1D("interval", as_value(last), INF,
-                        Fraction(last.ceil_value() + 1)))
+                        Fraction(math.ceil(last) + 1)))
     return cells
 
 
@@ -207,16 +205,6 @@ def _between(a: AlgebraicNumber, b: AlgebraicNumber) -> Fraction:
         a.refine()
         b.refine()
     return (a.hi + b.lo) / 2
-
-
-class _RootSortKey:
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other):
-        return self.value.compare_scalar(other.value) < 0
 
 
 # -- exact linear systems (Fourier-Motzkin) -------------------------------------
@@ -673,8 +661,6 @@ def integer_point(cell: LinearCell, box) -> Optional[Tuple[int, ...]]:
 
 def cell1d_integer_point(cell: Cell1D, minimum: Optional[int] = None) -> Optional[int]:
     """Least integer in a 1D cell (at least ``minimum`` when given), if any."""
-    from .scalars import scalar_ceil, scalar_floor
-
     if cell.kind == "point":
         v = cell.lo
         if not isinstance(v, Fraction) or v.denominator != 1:
@@ -684,12 +670,12 @@ def cell1d_integer_point(cell: Cell1D, minimum: Optional[int] = None) -> Optiona
     if cell.lo is NEG_INF:
         lo = minimum
     else:
-        lo = scalar_floor(cell.lo) + 1
+        lo = math.floor(cell.lo) + 1
         if minimum is not None:
             lo = max(lo, minimum)
     if cell.hi is INF:
         return lo if lo is not None else 0
-    hi = scalar_ceil(cell.hi) - 1
+    hi = math.ceil(cell.hi) - 1
     if lo is None:
         return hi
     return lo if lo <= hi else None

@@ -18,13 +18,14 @@ index, and nat time takes the least admissible integer instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .constraints import AtomicConstraint, SimpleConstraint
 from .model import ConcreteRun, TIME_DENSE, TIME_NAT, UnsupportedError
-from .scalars import INF, cmp, scalar_ceil, scalar_floor
+from .scalars import INF
 from .transforms import GuardOnlyRun, GuardStep
 
 
@@ -74,10 +75,9 @@ def linf(lb: SimpleConstraint, gamma) -> Bound:
         if e is INF:
             continue
         threshold = -e
-        c = cmp(threshold, best.value)
-        if c > 0:
+        if threshold > best.value:
             best = Bound(threshold, atom.strict)
-        elif c == 0 and atom.strict:
+        elif atom.strict and threshold == best.value:
             best = Bound(best.value, True)
     return best
 
@@ -94,14 +94,12 @@ def usup(up: SimpleConstraint, gamma) -> Bound:
         e = atom.rhs.evaluate(gamma)
         if e is INF:
             continue
-        c = cmp(e, best.value)
-        if c < 0:
+        if e < best.value:
             best = Bound(e, atom.strict)
-        elif c == 0 and atom.strict:
+        elif atom.strict and e == best.value:
             best = Bound(best.value, True)
     if best.value is not INF:
-        c = cmp(best.value, 0)
-        if c < 0 or (c == 0 and best.open):
+        if best.value < 0 or (best.open and best.value == 0):
             return Bound(Fraction(0), True)
     return best
 
@@ -113,22 +111,19 @@ def _interval_nonempty(lo: Bound, hi: Bound, time_domain: str) -> bool:
         return lo.value is not INF
     if lo.value is INF:
         return False
-    c = cmp(lo.value, hi.value)
-    if c > 0:
-        return False
-    if c == 0:
-        return not lo.open and not hi.open
-    return True
+    if lo.value < hi.value:
+        return True
+    return lo.value == hi.value and not lo.open and not hi.open
 
 
 def _least_integer_in(lo: Bound, hi: Bound) -> Optional[int]:
     if lo.value is INF:
         return None
-    n = scalar_floor(lo.value) + 1 if lo.open else scalar_ceil(lo.value)
+    n = math.floor(lo.value) + 1 if lo.open else math.ceil(lo.value)
     n = max(n, 0)
     if hi.value is INF:
         return n
-    top = scalar_ceil(hi.value) - 1 if hi.open else scalar_floor(hi.value)
+    top = math.ceil(hi.value) - 1 if hi.open else math.floor(hi.value)
     return n if n <= top else None
 
 
@@ -142,19 +137,17 @@ def pair_satisfiable(i: int, j: int, run: GuardOnlyRun, gamma,
 
 
 def _bound_max(a: Bound, b: Bound) -> Bound:
-    c = cmp(a.value, b.value)
-    if c > 0:
+    if a.value > b.value:
         return a
-    if c < 0:
+    if a.value < b.value:
         return b
     return Bound(a.value, a.open or b.open)
 
 
 def _bound_min(a: Bound, b: Bound) -> Bound:
-    c = cmp(a.value, b.value)
-    if c < 0:
+    if a.value < b.value:
         return a
-    if c > 0:
+    if a.value > b.value:
         return b
     return Bound(a.value, a.open or b.open)
 

@@ -281,15 +281,7 @@ def _track_boundary_cases(grun: GuardOnlyRun, gamma, res, coverage):
     for delay, idx in res.witness.steps:
         x += Fraction(delay)
         lb, up, _ = split_guard(grun.steps[idx].guard)
-        coverage[(_scalar_eq(x, linf(lb, gamma).value),
-                  _scalar_eq(x, usup(up, gamma).value))] += 1
-
-
-def _scalar_eq(a, b) -> bool:
-    from .scalars import cmp, is_finite
-    if not is_finite(b):
-        return False
-    return cmp(a, b) == 0
+        coverage[(x == linf(lb, gamma).value, x == usup(up, gamma).value)] += 1
 
 
 # -- synthesis vs grid oracle (criterion 2) --------------------------------------
@@ -509,7 +501,7 @@ def _final_set_satisfies(final_set, tau: SyntacticRun, phi, gamma) -> bool:
     if final_set is None:
         return False
     from .transforms import encode_property
-    from .scalars import INF as _INF, is_finite, scalar_ceil, scalar_floor
+    from .scalars import INF as _INF, is_finite
     import math
 
     encoded = encode_property(phi, tau.final_location())
@@ -524,7 +516,7 @@ def _final_set_satisfies(final_set, tau: SyntacticRun, phi, gamma) -> bool:
             bound = atom.rhs.evaluate(gamma)
             if not is_finite(bound):
                 continue
-            for t in (scalar_floor(bound), scalar_ceil(bound)):
+            for t in (math.floor(bound), math.ceil(bound)):
                 for v in (t - 1, t, t + 1):
                     candidates.add(v)
                     candidates.add(-v)
@@ -799,7 +791,7 @@ def suite_decomposition_props(seed: int, n_cases: int) -> SuiteReport:
     report = SuiteReport("decomposition-props")
     from .decomposition import decompose_1d, decompose_linear, project_clock
     from .polynomials import poly_trim
-    from .scalars import INF, NEG_INF, cmp as scmp
+    from .scalars import INF, NEG_INF
 
     # 1D cover and disjointness
     for _ in range(n_cases):
@@ -813,8 +805,7 @@ def suite_decomposition_props(seed: int, n_cases: int) -> SuiteReport:
             report.fail("1d cells do not span the line")
             continue
         for a, b in zip(cells, cells[1:]):
-            if scmp(a.hi if a.kind == "interval" else a.lo,
-                    b.lo if b.kind == "interval" else b.lo) != 0:
+            if (a.hi if a.kind == "interval" else a.lo) != b.lo:
                 report.fail("adjacent 1d cells do not share an endpoint")
                 break
             if a.kind == b.kind:

@@ -5,7 +5,12 @@ degree first, with no trailing zeros; () is the zero polynomial.  Real
 roots are isolated by rational-root extraction plus Sturm bisection, and
 irrational roots are carried around as :class:`AlgebraicNumber` values
 (square-free defining polynomial plus a shrinking isolating interval)
-that support exact comparison and sign evaluation.
+that support exact comparison and sign evaluation.  They and the values
+:class:`AlgValue` derives from them share the base class
+:class:`ExactValue`, which gives them Python's comparison operators and
+``math.floor``/``math.ceil``: they sort, take ``min``/``max`` and mix
+with ints, ``Fraction``s and the infinity sentinels of
+:mod:`ptasynth.scalars` like any other number.
 
 All arithmetic inside is on Python ints.  A sign at a rational n/d is the
 sign of the homogenised value d^deg f(n/d); an interval enclosure runs
@@ -24,6 +29,7 @@ elimination.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import List, Tuple
 
@@ -260,7 +266,41 @@ def _divisors(n: int) -> List[int]:
     return sorted(out)
 
 
-class AlgebraicNumber:
+def _order(op):
+    """The rich comparison ``op(self, other)`` read off ``compare_scalar``."""
+    def compare(self, other):
+        if other is self:
+            return op(0, 0)
+        if isinstance(other, (int, Fraction, ExactValue)):
+            return op(self.compare_scalar(other), 0)
+        return NotImplemented
+    return compare
+
+
+class ExactValue:
+    """Order and rounding for exact values that define ``compare_scalar``
+    (-1, 0 or +1 against an int, a ``Fraction`` or another exact value),
+    ``__floor__`` and ``__neg__``.
+
+    Any other operand gets ``NotImplemented``, so the infinity sentinels
+    answer through their own reflected operators.
+    """
+
+    __slots__ = ()
+    # compared by value and refined in place: never a dict key
+    __hash__ = None
+
+    __eq__ = _order(operator.eq)
+    __lt__ = _order(operator.lt)
+    __le__ = _order(operator.le)
+    __gt__ = _order(operator.gt)
+    __ge__ = _order(operator.ge)
+
+    def __ceil__(self) -> int:
+        return -math.floor(-self)
+
+
+class AlgebraicNumber(ExactValue):
     """A real root of a square-free integer polynomial, isolated in an interval.
 
     Rational values use a degenerate interval lo == hi.  Irrational values
@@ -308,9 +348,9 @@ class AlgebraicNumber:
     # exact comparisons ----------------------------------------------------
 
     def compare_scalar(self, other) -> int:
-        if hasattr(other, "compare_scalar") and isinstance(other, AlgebraicNumber):
+        if isinstance(other, AlgebraicNumber):
             return self._compare_algebraic(other)
-        if hasattr(other, "compare_scalar"):
+        if isinstance(other, ExactValue):
             return -other.compare_scalar(self)
         q = Fraction(other)
         if self.is_rational():
@@ -379,7 +419,7 @@ class AlgebraicNumber:
                     return 0
             self.refine()
 
-    def floor_value(self) -> int:
+    def __floor__(self) -> int:
         if self.is_rational():
             return math.floor(self.lo)
         while True:
@@ -393,9 +433,6 @@ class AlgebraicNumber:
                     return n
                 return n - 1 if c < 0 else n
             self.refine()
-
-    def ceil_value(self) -> int:
-        return -(-self).floor_value()
 
     def __neg__(self) -> "AlgebraicNumber":
         mirrored = poly_trim([c * (-1) ** i for i, c in enumerate(self.poly)])
@@ -469,21 +506,11 @@ def isolate_real_roots(f: IntPoly) -> List[AlgebraicNumber]:
             # g has no rational roots left, so mid is never a root
             stack.append((mid, hi))
             stack.append((lo, mid))
-    roots.sort(key=_RootKey)
+    roots.sort()
     return roots
 
 
-class _RootKey:
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other):
-        return self.value.compare_scalar(other.value) < 0
-
-
-class AlgValue:
+class AlgValue(ExactValue):
     """The exact value g(alpha) for an integer polynomial g at a shared root.
 
     Supports exact comparison against rationals and against other values
@@ -512,7 +539,7 @@ class AlgValue:
     def __neg__(self):
         return AlgValue(self.root, poly_neg(self.g))
 
-    def floor_value(self) -> int:
+    def __floor__(self) -> int:
         if self.root.is_rational():
             return math.floor(poly_eval(self.g, self.root.lo))
         while True:
@@ -526,9 +553,6 @@ class AlgValue:
                     return n
                 return n - 1 if c < 0 else n
             self.root.refine()
-
-    def ceil_value(self) -> int:
-        return -(-self).floor_value()
 
     def __repr__(self):
         return "AlgValue(%s @ %r)" % (list(self.g), self.root)

@@ -1,15 +1,15 @@
-"""Exact scalar values: rationals, two infinities, and ordering helpers.
+"""Exact scalar values: rationals and two infinities.
 
-Everything downstream compares clock values, guard bounds, and cell
-endpoints through :func:`cmp`, so this module is the single place that
-knows how plain ``Fraction``/``int`` values, the infinity sentinels, and
-algebraic values (see :mod:`ptasynth.polynomials`) interact.  No floats
-anywhere.
+Clock values, guard bounds and cell endpoints are ints, ``Fraction``s,
+the sentinels ``INF``/``NEG_INF`` defined here, or algebraic values (see
+:mod:`ptasynth.polynomials`).  All of them order with Python's comparison
+operators: the sentinels lie beyond every other value, and the algebraic
+values compare exactly with ints, ``Fraction``s and each other (a value
+over a root only with values over the same root).  No floats anywhere.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
@@ -77,41 +77,6 @@ NEG_INF = _NegInfinity()
 
 def is_finite(v) -> bool:
     return v is not INF and v is not NEG_INF
-
-
-def cmp(a, b) -> int:
-    """Three-way comparison of exact scalars (-1, 0, +1).
-
-    Accepts int, Fraction, the infinity sentinels, and any object with a
-    ``compare_scalar`` method (algebraic values).
-    """
-    if a is b:
-        return 0
-    if a is INF or b is NEG_INF:
-        return 1
-    if a is NEG_INF or b is INF:
-        return -1
-    if hasattr(a, "compare_scalar"):
-        return a.compare_scalar(b)
-    if hasattr(b, "compare_scalar"):
-        return -b.compare_scalar(a)
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
-
-
-def scalar_floor(v) -> int:
-    if hasattr(v, "floor_value"):
-        return v.floor_value()
-    return math.floor(v)
-
-
-def scalar_ceil(v) -> int:
-    if hasattr(v, "ceil_value"):
-        return v.ceil_value()
-    return math.ceil(v)
 
 
 def parse_fraction(text: str) -> Fraction:

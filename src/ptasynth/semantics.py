@@ -28,6 +28,7 @@ Run-level realizability (the R(.) sets) ends on the last action firing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -51,7 +52,7 @@ from .model import (
     UnsupportedError,
     prop_atoms,
 )
-from .scalars import INF, cmp, scalar_ceil, scalar_floor
+from .scalars import INF
 from .transforms import GuardOnlyRun, negate_property
 
 
@@ -132,19 +133,20 @@ def _compile_atom(atom: AtomicConstraint, gamma, clock_index, pair_index):
 
     Over integers ``v ~ b`` (``~`` being ``<`` or ``<=``) is ``v <= top``
     with ``top`` the largest integer that satisfies it: ``floor(b)`` for
-    ``<=`` and ``ceil(b) - 1`` for ``<``, exact for algebraic ``b`` through
-    ``scalar_floor``/``scalar_ceil``.  So an upper bound becomes
-    ``(_UP, i, top)`` (``x_i <= top``), a lower bound ``-x <= b`` becomes
-    ``(_LO, i, -top)`` (``x_i >= -top``), a diagonal ``(_DIAG, k, s, top)``
-    (``s * d_k <= top`` for the ``k``-th stored pairwise difference taken
-    with sign ``s``), and a clock-free atom the constant ``(_CONST, 0 <= top)``.
+    ``<=`` and ``ceil(b) - 1`` for ``<``, exact for algebraic ``b`` too
+    (``math.floor``/``math.ceil`` refine it as far as needed).  So an
+    upper bound becomes ``(_UP, i, top)`` (``x_i <= top``), a lower bound
+    ``-x <= b`` becomes ``(_LO, i, -top)`` (``x_i >= -top``), a diagonal
+    ``(_DIAG, k, s, top)`` (``s * d_k <= top`` for the ``k``-th stored
+    pairwise difference taken with sign ``s``), and a clock-free atom the
+    constant ``(_CONST, 0 <= top)``.
     Every ``|top|`` is at most M+1, so the capped clock values and clamped
     differences of :func:`reach_discrete` compare exactly against it.
     """
     bound = atom.rhs.evaluate(gamma)
     if bound is INF:
         return (_CONST, True)
-    top = scalar_ceil(bound) - 1 if atom.strict else scalar_floor(bound)
+    top = math.ceil(bound) - 1 if atom.strict else math.floor(bound)
     if atom.pos is not None and atom.neg is not None:
         i, j = clock_index[atom.pos], clock_index[atom.neg]
         if i < j:
@@ -210,9 +212,9 @@ def reach_discrete(pta: Pta, gamma, phi, min_cap: int = 0) -> ReachabilityVerdic
         value = atom.rhs.evaluate(gamma)
         if value is INF:
             continue
-        if cmp(value, 0) < 0:
+        if value < 0:
             value = -value
-        m_bound = max(m_bound, scalar_ceil(value))
+        m_bound = max(m_bound, math.ceil(value))
     max_reset = pta.max_reset()
     cap = max(m_bound + 1 + max_reset, min_cap, 1)
     dmax = m_bound + 1
@@ -357,7 +359,7 @@ def clock_regions(atoms: Sequence[AtomicConstraint], gamma, clock: Optional[str]
 
     The split values are 0, the reset constants and every clock atom's
     threshold (``t`` of ``x ~ t`` and of ``t ~ x``).  They are sorted once
-    with ``cmp`` and equal neighbours merged, keeping the first occurrence;
+    and equal neighbours merged, keeping the first occurrence;
     the ranks at or above the rank of 0 are the points ``v0 = 0 < v1 <
     ... < vk`` of the regions ``v0, (v0, v1), v1, ..., vk, (vk, inf)``, so
     point ``i`` is region ``2i``.  An atom's bitmap (bit ``r`` is its truth
@@ -377,18 +379,17 @@ def clock_regions(atoms: Sequence[AtomicConstraint], gamma, clock: Optional[str]
         if bound is INF:
             profiles.append(True)
         elif atom.is_clock_free():
-            c = cmp(0, bound)
-            profiles.append(c < 0 if atom.strict else c <= 0)
+            profiles.append(0 < bound if atom.strict else 0 <= bound)
         else:
             upper = atom.pos == clock
             profiles.append((len(values), atom.strict, upper))
             values.append(bound if upper else -bound)
 
-    order = sorted(range(len(values)), key=lambda i: _SortKey(values[i]))
+    order = sorted(range(len(values)), key=values.__getitem__)
     rank = [0] * len(values)
     reps = [order[0]]                   # first occurrence of each distinct value
     for prev, i in zip(order, order[1:]):
-        if cmp(values[prev], values[i]) != 0:
+        if values[prev] != values[i]:
             reps.append(i)
         rank[i] = len(reps) - 1
     zero = rank[0]
@@ -523,18 +524,6 @@ def reach_dense_one_clock(pta: Pta, gamma, phi) -> ReachabilityVerdict:
     return ReachabilityVerdict(True, witness, info)
 
 
-class _SortKey:
-    """Total-order adapter so exact scalars can be sorted with list.sort."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other):
-        return cmp(self.value, other.value) < 0
-
-
 # -- property decisions ------------------------------------------------------
 
 @dataclass
@@ -545,11 +534,10 @@ class CheckResult:
     info: dict = field(default_factory=dict)
 
 
-def reach(pta: Pta, gamma, phi, time_domain: Optional[str] = None,
-          min_cap: int = 0) -> ReachabilityVerdict:
+def reach(pta: Pta, gamma, phi, time_domain: Optional[str] = None) -> ReachabilityVerdict:
     domain = time_domain or pta.time_domain
     if domain == TIME_NAT:
-        return reach_discrete(pta, gamma, phi, min_cap=min_cap)
+        return reach_discrete(pta, gamma, phi)
     return reach_dense_one_clock(pta, gamma, phi)
 
 
@@ -623,12 +611,10 @@ class ClockSet:
     def is_empty(self) -> bool:
         if self.hi is INF:
             return False
-        c = cmp(self.lo, self.hi)
-        return c > 0 or (c == 0 and (self.lo_open or self.hi_open))
+        return self.lo > self.hi or (self.lo == self.hi and (self.lo_open or self.hi_open))
 
 
 def _clockset_integerize(s: ClockSet) -> Optional[ClockSet]:
-    import math
     lo = math.floor(s.lo) + 1 if s.lo_open else math.ceil(s.lo)
     if s.hi is INF:
         return ClockSet(Fraction(lo), False, INF, True)
@@ -653,13 +639,11 @@ def _apply_guard_to_set(s: ClockSet, guard: SimpleConstraint, gamma, clock) -> O
         if bound is INF:
             continue
         if atom.pos == clock:
-            c = cmp(bound, hi) if hi is not INF else -1
-            if c < 0 or (c == 0 and atom.strict and not hi_open):
+            if bound < hi or (bound == hi and atom.strict and not hi_open):
                 hi, hi_open = bound, atom.strict
         else:
             t = -bound
-            c = cmp(t, lo)
-            if c > 0 or (c == 0 and atom.strict and not lo_open):
+            if t > lo or (t == lo and atom.strict and not lo_open):
                 lo, lo_open = t, atom.strict
     out = ClockSet(lo, lo_open, hi, hi_open)
     return None if out.is_empty() else out

@@ -25,7 +25,8 @@ nat-time form ``x <= t - 1``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -43,6 +44,7 @@ from .expressions import Expression
 from .model import (
     PARAM_INT,
     PARAM_NAT,
+    PARAM_REAL,
     Pta,
     SyntacticRun,
     SystemProperty,
@@ -51,7 +53,6 @@ from .model import (
     prop_atoms,
 )
 from .polynomials import AlgebraicNumber
-from .scalars import cmp
 from .semantics import decide
 from .feasibility import feasible_with_reset
 from .transforms import encode_run_property, invariants_to_guards
@@ -63,7 +64,6 @@ DEFAULT_INT_BOX = 64
 class CellVerdict:
     cell: object                     # Cell1D | LinearCell
     verdict: bool
-    sample_used: object              # gamma dict used for the decision
     decided_at: str                  # "sample" | "integer-point"
     integer_witness: Optional[tuple] = None
 
@@ -76,15 +76,14 @@ class FeasibleRegion:
     psi: Optional[SystemProperty]
     time_domain: str
     param_domain: str
-    info: dict = field(default_factory=dict)
 
     def is_empty(self) -> bool:
         return not any(cv.verdict for cv in self.cells)
 
+    @cached_property
     def signs_index(self) -> dict:
-        if "signs_index" not in self.info:
-            self.info["signs_index"] = {cv.cell.signs: cv.verdict for cv in self.cells}
-        return self.info["signs_index"]
+        """Verdict by sign vector, for the cells of a linear region."""
+        return {cv.cell.signs: cv.verdict for cv in self.cells}
 
 
 def _atom_pool(pta: Pta, psi: Optional[SystemProperty]) -> List[AtomicConstraint]:
@@ -216,7 +215,7 @@ def _decide_cells(cells, params, decide_at, domain, pdomain, integer_of) -> List
             values = [_detached(v) for v in values]
             decided = "sample"
         gamma = dict(zip(params, values))
-        out.append(CellVerdict(cell, decide_at(gamma), gamma, decided, integer))
+        out.append(CellVerdict(cell, decide_at(gamma), decided, integer))
     return out
 
 
@@ -224,8 +223,16 @@ def _region(params, atom_pool, resets, decide_at, psi, domain, pdomain) -> Feasi
     """Decompose the parameter space over the threshold pool and decide
     every cell: by projection and 1D root isolation for one parameter,
     over the hyperplane arrangement otherwise (``decompose_linear``
-    rejects polynomial expressions)."""
+    rejects polynomial expressions).
+
+    Nat time with real parameters is rejected: nat-time verdicts depend
+    on the floor of each threshold, which the cells do not keep constant.
+    """
     params = tuple(params)
+    if params and domain == TIME_NAT and pdomain == PARAM_REAL:
+        raise UnsupportedError(
+            "synthesis in nat time needs int or nat parameters: nat-time verdicts "
+            "are not constant on the cells of real parameters")
     pool = threshold_pool(atom_pool, resets, domain == TIME_NAT)
     if len(params) == 1:
         cells = decompose_1d(project_clock(_clock_polynomials(pool, params[0])))
@@ -277,11 +284,11 @@ def region_query(region: FeasibleRegion, gamma) -> bool:
         lo, hi = 0, len(cells) // 2
         while lo < hi:
             mid = (lo + hi) // 2
-            c = cmp(value, cells[2 * mid + 1].cell.lo)
-            if c == 0:
-                return cells[2 * mid + 1].verdict
-            if c < 0:
+            root = cells[2 * mid + 1].cell.lo
+            if value < root:
                 hi = mid
+            elif value == root:
+                return cells[2 * mid + 1].verdict
             else:
                 lo = mid + 1
         return cells[2 * lo].verdict
@@ -293,7 +300,7 @@ def region_query(region: FeasibleRegion, gamma) -> bool:
         v = sum(c * x for c, x in zip(vec, scaled))
         signs.append((v > 0) - (v < 0))
     try:
-        return region.signs_index()[tuple(signs)]
+        return region.signs_index[tuple(signs)]
     except KeyError:
         raise AssertionError("decomposition does not cover the query point")
 

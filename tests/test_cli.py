@@ -148,3 +148,35 @@ def test_decompose_requires_prop(workdir):
     res = cli("decompose", "--model", str(workdir / "gate.pta"), "--prop",
               str(workdir / "ef.prop"))
     assert res.returncode == 0 and res.stdout.startswith("method: cad1")
+
+
+def test_scan_run_rejects_malformed_traces(tmp_path):
+    from importlib import resources
+    model = resources.files("ptasynth").joinpath("data/twoone/m01_upward_gate.pta")
+    trace = tmp_path / "trace.json"
+    args = ("scan-run", "--model", str(model), "--trace", str(trace), "--lemma", "oneP4",
+            "--set", "p=3")
+    for text in ('{"steps": [{"delay": "2"}]}', '{"steps": [{"edge": 0}]}',
+                 '{"steps": [3]}', '[{"delay": "2", "edge": 0}]', '{"steps": 3}',
+                 '{"steps": [], "valuation": ["p", 3]}'):
+        trace.write_text(text)
+        res = cli(*args)
+        assert res.returncode == 2, (text, res.stderr)
+        assert res.stderr.startswith("error: malformed trace: "), (text, res.stderr)
+        assert "Traceback" not in res.stderr
+
+
+def test_nat_time_real_parameters_are_rejected(tmp_path):
+    model, prop, run = tmp_path / "m.pta", tmp_path / "ef.prop", tmp_path / "run0.txt"
+    model.write_text(GATE.replace("clocks: x\n", "clocks: x\ndomain: time=nat param=real\n")
+                     .replace("x >= 2 & x <= p", "x >= p & x <= p"))
+    prop.write_text("EF q1\n")
+    run.write_text("0\n")
+    common = ("--model", str(model), "--prop", str(prop))
+    for args in (("synth", *common), ("decompose", *common),
+                 ("run-region", *common, "--run", str(run))):
+        res = cli(*args)
+        assert res.returncode == 2, args
+        assert "error: synthesis in nat time needs int or nat parameters" in res.stderr
+    res = cli("check", *common, "--set", "p=3/2")
+    assert res.returncode == 0 and "verdict: unsat" in res.stdout

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 from ptasynth.polynomials import (
     AlgValue,
     AlgebraicNumber,
+    ExactValue,
     PolynomialError,
     bivar_derivative_x,
     cauchy_root_bound,
@@ -28,6 +31,7 @@ from ptasynth.polynomials import (
     sturm_root_count,
     sylvester_resultant_x,
 )
+from ptasynth.scalars import INF, NEG_INF
 
 
 def test_isolate_rational_roots():
@@ -121,21 +125,21 @@ def test_sign_of_is_zero_exactly_at_shared_roots(f):
 
 def test_algebraic_floor_ceil():
     root2 = isolate_real_roots((-2, 0, 1))[1]
-    assert root2.floor_value() == 1
-    assert root2.ceil_value() == 2
+    assert math.floor(root2) == 1
+    assert math.ceil(root2) == 2
     neg = isolate_real_roots((-2, 0, 1))[0]
-    assert neg.floor_value() == -2
-    assert neg.ceil_value() == -1
+    assert math.floor(neg) == -2
+    assert math.ceil(neg) == -1
 
 
 def test_alg_value_exact_integer():
     root2 = isolate_real_roots((-2, 0, 1))[1]
     squared = AlgValue(root2, (0, 0, 1))           # value sqrt(2)^2 = 2 exactly
     assert squared.compare_scalar(2) == 0
-    assert squared.floor_value() == 2
+    assert math.floor(squared) == 2
     shifted = AlgValue(root2, (1, 1))              # sqrt(2) + 1
     assert shifted.compare_scalar(2) == 1
-    assert shifted.floor_value() == 2
+    assert math.floor(shifted) == 2
 
 
 def test_alg_value_comparisons_share_root():
@@ -306,3 +310,93 @@ def test_compare_equal_roots_of_different_polynomials():
     assert a.compare_scalar(minus) == 1 and minus.compare_scalar(a) == -1
     root3 = AlgebraicNumber((-3, 0, 1), Fraction(1), Fraction(2))
     assert a.compare_scalar(root3) == -1 and root3.compare_scalar(b) == 1
+
+
+# -- Python's operators on exact values -----------------------------------------
+
+def _exact_pool():
+    """Ints, Fractions, rational and irrational roots, values over one root
+    and the two sentinels."""
+    root2 = isolate_real_roots((-2, 0, 1))[1]
+    cubic = isolate_real_roots((1, -3, 0, 1))      # t^3 - 3t + 1, three roots
+    numbers = [-2, 0, 1, 2, Fraction(-3, 2), Fraction(1, 2), Fraction(7, 5),
+               AlgebraicNumber.from_rational(Fraction(1, 2)),
+               AlgebraicNumber.from_rational(2),
+               root2, -root2, *cubic]
+    over_root2 = [AlgValue(root2, (0, 1)), AlgValue(root2, (0, 0, 1)),
+                  AlgValue(root2, (1, 1)), AlgValue(root2, (0, -1))]
+    return numbers, over_root2, [INF, NEG_INF]
+
+
+def _reference(a, b) -> int:
+    """Three-way reference order: identity, then the sentinels, then
+    ``compare_scalar`` (which may raise), then ints and Fractions natively."""
+    if a is b:
+        return 0
+    if a is INF or b is NEG_INF:
+        return 1
+    if a is NEG_INF or b is INF:
+        return -1
+    if isinstance(a, ExactValue):
+        return a.compare_scalar(b)
+    if isinstance(b, ExactValue):
+        return -b.compare_scalar(a)
+    return (a > b) - (a < b)
+
+
+_OPERATORS = [(operator.eq, lambda c: c == 0), (operator.ne, lambda c: c != 0),
+              (operator.lt, lambda c: c < 0), (operator.le, lambda c: c <= 0),
+              (operator.gt, lambda c: c > 0), (operator.ge, lambda c: c >= 0)]
+
+
+def test_operators_agree_with_compare_scalar():
+    numbers, over_root2, sentinels = _exact_pool()
+    values = numbers + over_root2 + sentinels
+    checked = 0
+    for a in values:
+        for b in values:
+            try:
+                want = _reference(a, b)
+            except PolynomialError:
+                # a value over a root against a raw root: incomparable
+                for op, _ in _OPERATORS:
+                    with pytest.raises(PolynomialError):
+                        op(a, b)
+                continue
+            for op, test in _OPERATORS:
+                assert op(a, b) is test(want), (op.__name__, a, b)
+            checked += 1
+    assert checked > len(values) ** 2 // 2
+
+
+def test_sorted_follows_compare_scalar():
+    numbers, over_root2, sentinels = _exact_pool()
+    rng = random.Random(7)
+    for values in (numbers + sentinels,
+                   over_root2 + [0, Fraction(3, 2), 2, Fraction(-1, 3)] + sentinels):
+        for _ in range(5):
+            rng.shuffle(values)
+            got = sorted(values)
+            assert got == sorted(values, key=functools.cmp_to_key(_reference))
+            assert all(_reference(a, b) <= 0 for a, b in zip(got, got[1:]))
+    # min and max work the same way: -1.88 < -sqrt(2) and 1.53 > sqrt(2)
+    root2 = isolate_real_roots((-2, 0, 1))[1]
+    cubic = isolate_real_roots((1, -3, 0, 1))
+    irrational = [root2, -root2, *cubic]
+    assert min(irrational) is cubic[0] and max(irrational) is cubic[2]
+    assert max(irrational + [INF]) is INF and min([NEG_INF] + irrational) is NEG_INF
+
+
+def test_floor_ceil_bracket_the_value():
+    numbers, over_root2, _ = _exact_pool()
+    for v in numbers + over_root2:
+        lo, hi = math.floor(v), math.ceil(v)
+        assert lo <= v < lo + 1 and hi - 1 < v <= hi, v
+        assert (lo == hi) is (v == lo)
+
+
+def test_exact_values_are_unhashable():
+    root2 = isolate_real_roots((-2, 0, 1))[1]
+    for v in (root2, AlgebraicNumber.from_rational(3), AlgValue(root2, (0, 1))):
+        with pytest.raises(TypeError):
+            hash(v)

@@ -152,6 +152,37 @@ edge q0 -> q0 : x <= p*q ; a ;
     assert str(err.value) == "polynomial expressions are supported with exactly one parameter"
 
 
+NAT_TIME_REAL_PARAM = """
+clocks: x
+params: p
+domain: time=nat param=real
+loc q0 init inv: true
+loc q1 inv: true
+edge q0 -> q1 : x >= p & x <= p ; a ;
+"""
+
+
+def test_synthesis_rejects_nat_time_with_real_parameters():
+    # x = p with x a natural number holds exactly at natural p, which no
+    # cell of the real line keeps constant: p = 1 is sat, p = 3/2 unsat
+    pta = parse_model(NAT_TIME_REAL_PARAM)
+    psi = parse_property("EF q1", pta)
+    with pytest.raises(UnsupportedError) as err:
+        synthesize(pta, psi)
+    assert "nat time needs int or nat parameters" in str(err.value)
+    with pytest.raises(UnsupportedError):
+        run_region(pta, SyntacticRun(pta, (0,)), psi.phi)
+    # single valuations stay exact
+    assert decide(pta, g(1), psi).satisfied
+    assert not decide(pta, g(Fraction(3, 2)), psi).satisfied
+    # int parameters, dense time and parameter-free models still synthesize
+    assert synthesize(pta, psi, param_domain="int").method == "cad1"
+    assert synthesize(pta, psi, time_domain="dense").method == "cad1"
+    free = parse_model(NAT_TIME_REAL_PARAM.replace("params: p\n", "")
+                       .replace("x >= p & x <= p", "x >= 2 & x <= 2"))
+    assert not synthesize(free, parse_property("EF q1", free)).is_empty()
+
+
 def test_parameter_count_picks_the_decomposition(gate, square_gate, two_param):
     for pta, method in ((gate, "cad1"), (square_gate, "cad1"), (two_param, "linear")):
         psi = parse_property("EF %s" % pta.locations[-1], pta)
