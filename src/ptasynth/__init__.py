@@ -14,6 +14,8 @@ from .model import (
 )
 from .parser import ParseError, parse_constraint, parse_model, parse_property
 from .semantics import (
+    compile_check,
+    compile_reach,
     decide,
     grid_oracle,
     reach_dense_one_clock,
@@ -74,6 +76,8 @@ __all__ = [
     "parse_constraint",
     "parse_model",
     "parse_property",
+    "compile_check",
+    "compile_reach",
     "decide",
     "grid_oracle",
     "reach_dense_one_clock",

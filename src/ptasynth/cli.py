@@ -25,7 +25,7 @@ from .model import (
 from .parser import ParseError, parse_model, parse_property
 from .polynomials import PolynomialError
 from .scalars import format_fraction, parse_fraction
-from .semantics import decide, grid_oracle, linearize_guard_run, replay_run
+from .semantics import compile_check, decide, grid_oracle, linearize_guard_run, replay_run
 from .synthesis import enumerate_runs, run_region, synthesize
 from .transforms import encode_run_property, invariants_to_guards
 from .twoclock import (
@@ -209,7 +209,7 @@ def cmd_check(args):
     pta = _load_model(args.model)
     psi = _load_property(args.prop, pta)
     gamma = _valuation(args.set, pta)
-    result = decide(pta, gamma, psi, args.time)
+    result = decide(compile_check(pta, psi, args.time), gamma)
     domain = args.time or pta.time_domain
     print("property: %s" % render_system_property(psi))
     print("valuation: %s" % ", ".join(

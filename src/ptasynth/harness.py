@@ -36,6 +36,8 @@ from .model import (
     thresholds,
 )
 from .semantics import (
+    compile_check,
+    compile_reach,
     decide,
     grid_oracle,
     guard_run_reachable_set,
@@ -429,7 +431,8 @@ def suite_invariant_folding(seed: int, n_cases: int) -> SuiteReport:
             # cross-check both sides against the chain reachability engine
             if made % 10 == 0:
                 chain, final = linearize_syntactic_run(tau)
-                direct = reach_discrete(chain, gamma, PropLoc(final)).reachable
+                direct = reach_discrete(compile_reach(chain, PropLoc(final), TIME_NAT),
+                                        gamma).reachable
                 if direct != rhs:
                     report.fail("oracle disagreement on run %s gamma %s"
                                 % (tau.edge_indices, gamma))
@@ -599,8 +602,8 @@ def suite_lu_monotonicity(seed: int, n_models: int, grid_hi=5) -> SuiteReport:
         made += 1
         psi = SystemProperty(EXISTS_EVENTUALLY, PropLoc(rng.choice(pta.locations)))
         grid = int_grid(len(pta.params), 0, grid_hi)
-        verdicts = {valuation_key(g): decide(pta, g, psi, TIME_NAT).satisfied
-                    for g in grid}
+        program = compile_check(pta, psi, TIME_NAT)
+        verdicts = {valuation_key(g): decide(program, g).satisfied for g in grid}
         lower, upper = classes["lower"], classes["upper"]
         for g1 in grid:
             if not verdicts[valuation_key(g1)]:

@@ -15,11 +15,18 @@ Three complete decision engines live here:
 * interval-propagation oracles over single runs, used as independent
   cross-checks by the test harness.
 
-The first two compile each exact bound once per call, so that the search
-itself compares small integers only: the discrete engine turns every
-bound into an integer bound on integer clock values (``floor``/``ceil``,
-exact for algebraic values), and the dense engine ranks the split values
-once and turns every atom into an int bitmap over the region list.
+The first two work in two steps.  :func:`compile_reach` (and
+:func:`compile_check` for a system property) runs once per model,
+property and time domain: it gathers the distinct atoms, turns every
+bound into integer monomials, and builds the location and edge tables
+and the state property over atom indices.  The engine then instantiates
+that program at each valuation and searches.  At a rational valuation
+every bound becomes one int, scaled by a common power of the parameter
+denominators' lcm; at an algebraic one it is the exact value.  The
+discrete engine rounds each bound to an integer bound on integer clock
+values (``floor``/``ceil``, by int division or exactly), and the dense
+engine ranks the split values and turns every atom into an int bitmap
+over the region list, so the search compares small integers only.
 
 Satisfaction of an exists-eventually property is decided over all
 LTS-reachable states, including states reached partway through a delay.
@@ -31,9 +38,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .constraints import AtomicConstraint, SimpleConstraint
+from .expressions import ExpressionError
 from .model import (
     EXISTS_EVENTUALLY,
     ConcreteRun,
@@ -123,141 +131,298 @@ def replay_run(pta: Pta, gamma, xi: ConcreteRun, time_domain: Optional[str] = No
     return ReplayResult(True, "", states)
 
 
+# -- compiled programs ---------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class ReachProgram:
+    """Reachability of a state property, compiled once for many valuations.
+
+    Nothing here depends on the parameter valuation: the distinct atoms of
+    the model and the property, each finite bound as integer monomials
+    ``(coeff, degree, ((parameter index, exponent), ...))`` (None for an
+    infinite bound), every invariant and guard as a tuple of atom indices,
+    and the property compiled over them.  ``holds(state, table)`` reads
+    the per-valuation table of the engine (tops or bitmaps, one per atom);
+    the table is passed in, never stored, so one program serves every cell,
+    grid point or parameter value.
+    """
+
+    pta: Pta
+    phi: object
+    time_domain: str
+    atoms: Tuple[AtomicConstraint, ...]
+    bounds: tuple
+    params: Tuple[str, ...]          # the parameters the bounds mention
+    degree: int                      # the largest total degree of a bound
+    invariants: Tuple[Tuple[int, ...], ...]      # per location index
+    guards: Tuple[Tuple[int, ...], ...]          # per edge index
+    initial: int
+    holds: Callable
+
+
+@dataclass(frozen=True, eq=False)
+class DiscreteProgram(ReachProgram):
+    """Nat time: ``shapes`` gives each atom's test on a search state,
+    ``(_UP, i)``, ``(_LO, i)``, ``(_DIAG, k, sign)`` or ``(_CONST,)``;
+    ``out_edges`` per location ``(edge, target, ((clock index, value), ...))``."""
+
+    shapes: tuple
+    n_clocks: int
+    pairs: Tuple[Tuple[int, int], ...]
+    max_reset: int
+    out_edges: tuple
+
+
+@dataclass(frozen=True, eq=False)
+class DenseProgram(ReachProgram):
+    """Dense time, one constrained clock: ``profiles`` per atom is True
+    (infinite bound), None (clock-free) or ``(split index, strict,
+    upper)``, where split value 0 is 0, the next ``len(resets)`` are the
+    distinct reset constants and then one threshold per clock atom;
+    ``out_edges`` per location ``(edge, target, reset index or None)``."""
+
+    clock: Optional[str]
+    resets: Tuple[int, ...]
+    profiles: tuple
+    out_edges: tuple
+
+
+def _monomials(expr, params) -> Optional[tuple]:
+    if expr.is_infinite():
+        return None
+    return tuple((c, sum(e for _, e in mono), tuple((params.index(p), e) for p, e in mono))
+                 for mono, c in expr.as_poly_terms().items())
+
+
+def _compile_state_prop(phi, atom_test, loc_of):
+    """Compile a state property into a test ``(state, table) -> bool``.
+
+    A search state is a tuple whose first entry is the location index and
+    ``table`` the engine's per-valuation data; ``atom_test(atom)`` returns
+    the test of one atom and ``loc_of(name)`` the index of a location.
+    """
+    if isinstance(phi, PropConst):
+        value = phi.value
+        return lambda state, table: value
+    if isinstance(phi, PropLoc):
+        target = loc_of(phi.name)
+        return lambda state, table: state[0] == target
+    if isinstance(phi, PropAtom):
+        return atom_test(phi.atom)
+    if isinstance(phi, PropNot):
+        inner = _compile_state_prop(phi.inner, atom_test, loc_of)
+        return lambda state, table: not inner(state, table)
+    if isinstance(phi, PropAnd):
+        left = _compile_state_prop(phi.left, atom_test, loc_of)
+        right = _compile_state_prop(phi.right, atom_test, loc_of)
+        return lambda state, table: left(state, table) and right(state, table)
+    if isinstance(phi, PropOr):
+        left = _compile_state_prop(phi.left, atom_test, loc_of)
+        right = _compile_state_prop(phi.right, atom_test, loc_of)
+        return lambda state, table: left(state, table) or right(state, table)
+    raise TypeError("not a state property: %r" % (phi,))
+
+
+def compile_reach(pta: Pta, phi, time_domain: Optional[str] = None) -> ReachProgram:
+    """Compile the reachability of ``phi`` for :func:`reach_discrete` (nat
+    time) or :func:`reach_dense_one_clock` (dense time)."""
+    domain = time_domain or pta.time_domain
+    index: Dict[AtomicConstraint, int] = {}
+    for atom in list(pta.atoms()) + list(prop_atoms(phi)):
+        index.setdefault(atom, len(index))
+    atoms = tuple(index)
+    params = tuple(sorted({p for a in atoms for p in a.rhs.params()}))
+    bounds = tuple(_monomials(a.rhs, params) for a in atoms)
+    loc_index = {q: i for i, q in enumerate(pta.locations)}
+    common = dict(
+        pta=pta, phi=phi, time_domain=domain, atoms=atoms, bounds=bounds, params=params,
+        degree=max((d for b in bounds if b for _, d, _ in b), default=0),
+        invariants=tuple(tuple(index[a] for a in pta.invariants[q]) for q in pta.locations),
+        guards=tuple(tuple(index[a] for a in e.guard) for e in pta.edges),
+        initial=loc_index[pta.initial])
+    compile_engine = _compile_discrete if domain == TIME_NAT else _compile_dense
+    return compile_engine(pta, phi, index, loc_index, common)
+
+
+def _bound_values(program: ReachProgram, gamma):
+    """Every atom bound at ``gamma``, and the scale they are given in.
+
+    At a rational point, with ``L`` the lcm of the parameter denominators
+    and ``D`` the largest total degree, bound ``b`` comes back as the int
+    ``b * L**D`` and the scale is ``L**D``: each monomial is a product of
+    the ints ``p * L``, lifted to degree ``D`` by a power of ``L``.  At an
+    algebraic point the bounds are the exact values of
+    ``Expression.evaluate``, with scale 1.  An infinite bound is None.
+    """
+    try:
+        point = [gamma[p] for p in program.params]
+    except KeyError:
+        missing = sorted(set(program.params) - set(gamma))
+        raise ExpressionError("missing parameter value for %s" % ", ".join(missing))
+    if not all(isinstance(v, (int, Fraction)) for v in point):
+        return [None if b is None else a.rhs.evaluate(gamma)
+                for a, b in zip(program.atoms, program.bounds)], 1
+    lcm = math.lcm(*(v.denominator for v in point))
+    scaled = [v.numerator * (lcm // v.denominator) for v in point]
+    powers = [1]
+    for _ in range(program.degree):
+        powers.append(powers[-1] * lcm)
+    top = program.degree
+    out = []
+    for bound in program.bounds:
+        if bound is None:
+            out.append(None)
+            continue
+        total = 0
+        for c, degree, mono in bound:
+            term = c * powers[top - degree]
+            for i, e in mono:
+                term *= scaled[i] ** e
+            total += term
+        out.append(total)
+    return out, powers[top]
+
+
+def _floor(value, scale) -> int:
+    """``floor(value / scale)``: int division for a scaled int, the exact
+    ``math.floor`` for a value at an algebraic point (scale 1)."""
+    return value // scale if isinstance(value, int) else math.floor(value)
+
+
+def _ceil(value, scale) -> int:
+    return -_floor(-value, scale)
+
+
 # -- discrete (nat-time) reachability ---------------------------------------
 
 _UP, _LO, _DIAG, _CONST = 0, 1, 2, 3
 
 
-def _compile_atom(atom: AtomicConstraint, gamma, clock_index, pair_index):
-    """Compile one atom into a test on integer clock values.
+def _compile_discrete(pta, phi, index, loc_index, common) -> DiscreteProgram:
+    """Each atom's test on integer clock values, fixed up to its ``top``.
 
     Over integers ``v ~ b`` (``~`` being ``<`` or ``<=``) is ``v <= top``
     with ``top`` the largest integer that satisfies it: ``floor(b)`` for
-    ``<=`` and ``ceil(b) - 1`` for ``<``, exact for algebraic ``b`` too
-    (``math.floor``/``math.ceil`` refine it as far as needed).  So an
-    upper bound becomes ``(_UP, i, top)`` (``x_i <= top``), a lower bound
-    ``-x <= b`` becomes ``(_LO, i, -top)`` (``x_i >= -top``), a diagonal
-    ``(_DIAG, k, s, top)`` (``s * d_k <= top`` for the ``k``-th stored
-    pairwise difference taken with sign ``s``), and a clock-free atom the
-    constant ``(_CONST, 0 <= top)``.
-    Every ``|top|`` is at most M+1, so the capped clock values and clamped
-    differences of :func:`reach_discrete` compare exactly against it.
+    ``<=`` and ``ceil(b) - 1`` for ``<``.  So an upper bound tests
+    ``x_i <= top``, a lower bound ``-x <= b`` tests ``x_i >= -top``, a
+    diagonal ``s * d_k <= top`` for the ``k``-th stored pairwise
+    difference taken with sign ``s``, and a clock-free atom ``0 <= top``.
     """
-    bound = atom.rhs.evaluate(gamma)
-    if bound is INF:
-        return (_CONST, True)
-    top = math.ceil(bound) - 1 if atom.strict else math.floor(bound)
-    if atom.pos is not None and atom.neg is not None:
-        i, j = clock_index[atom.pos], clock_index[atom.neg]
-        if i < j:
-            return (_DIAG, pair_index[(i, j)], 1, top)
-        return (_DIAG, pair_index[(j, i)], -1, top)
-    if atom.pos is not None:
-        return (_UP, clock_index[atom.pos], top)
-    if atom.neg is not None:
-        return (_LO, clock_index[atom.neg], -top)
-    return (_CONST, 0 <= top)
-
-
-def _eval_compiled(check, values, diffs) -> bool:
-    kind = check[0]
-    if kind == _UP:
-        return values[check[1]] <= check[2]
-    if kind == _LO:
-        return values[check[1]] >= check[2]
-    if kind == _DIAG:
-        return check[2] * diffs[check[1]] <= check[3]
-    return check[1]
-
-
-def _compile_state_prop(phi, atom_test, loc_of):
-    """Compile a state property into a test of a search state.
-
-    A search state is a tuple whose first entry is the location index;
-    ``atom_test(atom)`` returns the test of one atom on such a state, and
-    ``loc_of(name)`` the index of a location.  Each engine compiles the
-    property once per call and then only applies the result.
-    """
-    if isinstance(phi, PropConst):
-        value = phi.value
-        return lambda state: value
-    if isinstance(phi, PropLoc):
-        target = loc_of(phi.name)
-        return lambda state: state[0] == target
-    if isinstance(phi, PropAtom):
-        return atom_test(phi.atom)
-    if isinstance(phi, PropNot):
-        inner = _compile_state_prop(phi.inner, atom_test, loc_of)
-        return lambda state: not inner(state)
-    if isinstance(phi, PropAnd):
-        left = _compile_state_prop(phi.left, atom_test, loc_of)
-        right = _compile_state_prop(phi.right, atom_test, loc_of)
-        return lambda state: left(state) and right(state)
-    if isinstance(phi, PropOr):
-        left = _compile_state_prop(phi.left, atom_test, loc_of)
-        right = _compile_state_prop(phi.right, atom_test, loc_of)
-        return lambda state: left(state) or right(state)
-    raise TypeError("not a state property: %r" % (phi,))
-
-
-def reach_discrete(pta: Pta, gamma, phi, min_cap: int = 0) -> ReachabilityVerdict:
-    """Exact nat-time reachability of a state property, with replayable witness.
-
-    Parameter values may be rationals or exact algebraic values; all
-    comparisons against integer clock values stay exact either way.
-    """
-    atoms = list(pta.atoms()) + list(prop_atoms(phi))
-    m_bound = 0
-    for atom in atoms:
-        value = atom.rhs.evaluate(gamma)
-        if value is INF:
-            continue
-        if value < 0:
-            value = -value
-        m_bound = max(m_bound, math.ceil(value))
-    max_reset = pta.max_reset()
-    cap = max(m_bound + 1 + max_reset, min_cap, 1)
-    dmax = m_bound + 1
-
+    atoms = common["atoms"]
     tracked = [c for c in pta.clocks if any(c in a.clocks() for a in atoms)
                or any(c in e.updates for e in pta.edges)]
     clock_index = {c: i for i, c in enumerate(tracked)}
     need_diffs = any(a.pos is not None and a.neg is not None for a in atoms)
-    pairs = [(i, j) for i in range(len(tracked)) for j in range(i + 1, len(tracked))] \
-        if need_diffs else []
+    pairs = tuple((i, j) for i in range(len(tracked)) for j in range(i + 1, len(tracked))) \
+        if need_diffs else ()
     pair_index = {p: k for k, p in enumerate(pairs)}
 
-    loc_index = {q: i for i, q in enumerate(pta.locations)}
+    def shape(atom):
+        if atom.pos is not None and atom.neg is not None:
+            i, j = clock_index[atom.pos], clock_index[atom.neg]
+            return (_DIAG, pair_index[(i, j)], 1) if i < j else (_DIAG, pair_index[(j, i)], -1)
+        if atom.pos is not None:
+            return (_UP, clock_index[atom.pos])
+        if atom.neg is not None:
+            return (_LO, clock_index[atom.neg])
+        return (_CONST,)
 
-    def compile_conj(sc: SimpleConstraint):
-        checks = [_compile_atom(a, gamma, clock_index, pair_index) for a in sc]
-        if (_CONST, False) in checks:
-            return lambda values, diffs: False
-        checks = [c for c in checks if c[0] != _CONST]
-
-        def test(values, diffs):
-            for c in checks:
-                if not _eval_compiled(c, values, diffs):
-                    return False
-            return True
-        return test
-
-    invariants = [compile_conj(pta.invariants[q]) for q in pta.locations]
-    out_edges = [[] for _ in pta.locations]
-    for eidx, e in enumerate(pta.edges):
-        resets = [(clock_index[c], int(b)) for c, b in sorted(e.updates.items())
-                  if c in clock_index]
-        out_edges[loc_index[e.source]].append(
-            (eidx, compile_conj(e.guard), loc_index[e.target], resets))
+    shapes = tuple(shape(a) for a in atoms)
 
     def atom_test(atom):
-        check = _compile_atom(atom, gamma, clock_index, pair_index)
-        return lambda state: _eval_compiled(check, state[1], state[2])
+        k = index[atom]
+        if common["bounds"][k] is None:
+            return lambda state, tops: True
+        kind = shapes[k][0]
+        if kind == _UP:
+            i = shapes[k][1]
+            return lambda state, tops: state[1][i] <= tops[k]
+        if kind == _LO:
+            i = shapes[k][1]
+            return lambda state, tops: state[1][i] >= -tops[k]
+        if kind == _DIAG:
+            _, d, sign = shapes[k]
+            return lambda state, tops: sign * state[2][d] <= tops[k]
+        return lambda state, tops: 0 <= tops[k]
 
-    phi_fn = _compile_state_prop(phi, atom_test, loc_index.__getitem__)
+    out_edges = [[] for _ in pta.locations]
+    for eidx, e in enumerate(pta.edges):
+        resets = tuple((clock_index[c], int(b)) for c, b in sorted(e.updates.items())
+                       if c in clock_index)
+        out_edges[loc_index[e.source]].append((eidx, loc_index[e.target], resets))
+    return DiscreteProgram(
+        holds=_compile_state_prop(phi, atom_test, loc_index.__getitem__), shapes=shapes,
+        n_clocks=len(tracked), pairs=pairs, max_reset=pta.max_reset(),
+        out_edges=tuple(map(tuple, out_edges)), **common)
 
-    def inv_ok(loc, values, diffs):
-        return invariants[loc](values, diffs)
+
+def _checks(shapes, tops, indices):
+    """The tests of one conjunction at the valuation's tops, or None if a
+    clock-free conjunct fails."""
+    out = []
+    for k in indices:
+        top = tops[k]
+        if top is None:
+            continue
+        shape = shapes[k]
+        kind = shape[0]
+        if kind == _UP:
+            out.append((_UP, shape[1], top))
+        elif kind == _LO:
+            out.append((_LO, shape[1], -top))
+        elif kind == _DIAG:
+            out.append((_DIAG, shape[1], shape[2], top))
+        elif top < 0:
+            return None
+    return out
+
+
+def _holds(checks, values, diffs) -> bool:
+    if checks is None:
+        return False
+    for check in checks:
+        kind = check[0]
+        if kind == _UP:
+            if values[check[1]] > check[2]:
+                return False
+        elif kind == _LO:
+            if values[check[1]] < check[2]:
+                return False
+        elif check[2] * diffs[check[1]] > check[3]:
+            return False
+    return True
+
+
+def _discrete_tops(program: DiscreteProgram, gamma):
+    """Each atom's ``top`` at ``gamma`` (None for an infinite bound), and
+    M, the largest ``ceil(|bound|)``; each bound is evaluated once."""
+    values, scale = _bound_values(program, gamma)
+    tops = []
+    m_bound = 0
+    for atom, value in zip(program.atoms, values):
+        if value is None:
+            tops.append(None)
+            continue
+        m_bound = max(m_bound, _ceil(-value if value < 0 else value, scale))
+        tops.append(_ceil(value, scale) - 1 if atom.strict else _floor(value, scale))
+    return tops, m_bound
+
+
+def reach_discrete(program: DiscreteProgram, gamma, min_cap: int = 0) -> ReachabilityVerdict:
+    """Exact nat-time reachability of the program's property at ``gamma``,
+    with a replayable witness.
+
+    Parameter values may be rationals or exact algebraic values; the
+    search compares integer clock values with the integer tops only.
+    """
+    tops, m_bound = _discrete_tops(program, gamma)
+    cap = max(m_bound + 1 + program.max_reset, min_cap, 1)
+    dmax = m_bound + 1
+
+    shapes, pairs, out_edges = program.shapes, program.pairs, program.out_edges
+    invariants = [_checks(shapes, tops, inv) for inv in program.invariants]
+    guards = [_checks(shapes, tops, guard) for guard in program.guards]
+    phi_holds = program.holds
 
     def clamp(d):
         if d > dmax:
@@ -266,21 +431,19 @@ def reach_discrete(pta: Pta, gamma, phi, min_cap: int = 0) -> ReachabilityVerdic
             return -dmax
         return d
 
-    zeros = tuple([0] * len(tracked))
-    zero_diffs = tuple([0] * len(pairs))
-    start = (loc_index[pta.initial], zeros, zero_diffs)
-    if not inv_ok(*start):
+    start = (program.initial, (0,) * program.n_clocks, (0,) * len(pairs))
+    if not _holds(invariants[start[0]], start[1], start[2]):
         return ReachabilityVerdict(False, info={"cap": cap, "states": 0})
 
     parents: Dict[tuple, tuple] = {start: None}
     order = [start]
     head = 0
-    hit = start if phi_fn(start) else None
+    hit = start if phi_holds(start, tops) else None
     while hit is None and head < len(order):
         loc, values, diffs = order[head]
         head += 1
-        for eidx, guard, dst, resets in out_edges[loc]:
-            if not guard(values, diffs):
+        for eidx, dst, resets in out_edges[loc]:
+            if not _holds(guards[eidx], values, diffs):
                 continue
             new_values = list(values)
             for ci, b in resets:
@@ -299,10 +462,10 @@ def reach_discrete(pta: Pta, gamma, phi, min_cap: int = 0) -> ReachabilityVerdic
                         nd[k] = clamp(values[i] - reset_map[j]) if values[i] < cap else dmax
                 new_diffs = tuple(nd)
             state = (dst, tuple(new_values), new_diffs)
-            if state in parents or not inv_ok(*state):
+            if state in parents or not _holds(invariants[dst], state[1], new_diffs):
                 continue
             parents[state] = (order[head - 1], "edge", eidx)
-            if phi_fn(state):
+            if phi_holds(state, tops):
                 hit = state
                 break
             order.append(state)
@@ -310,9 +473,9 @@ def reach_discrete(pta: Pta, gamma, phi, min_cap: int = 0) -> ReachabilityVerdic
             break
         new_values = tuple(min(v + 1, cap) for v in values)
         state = (loc, new_values, diffs)
-        if state not in parents and inv_ok(*state):
+        if state not in parents and _holds(invariants[loc], new_values, diffs):
             parents[state] = (order[head - 1], "delay", None)
-            if phi_fn(state):
+            if phi_holds(state, tops):
                 hit = state
             else:
                 order.append(state)
@@ -342,9 +505,9 @@ def reach_discrete(pta: Pta, gamma, phi, min_cap: int = 0) -> ReachabilityVerdic
 
 # -- dense one-clock reachability -------------------------------------------
 
-def _single_constrained_clock(pta: Pta, phi) -> Optional[str]:
+def _single_constrained_clock(atoms) -> Optional[str]:
     hits = set()
-    for a in list(pta.atoms()) + list(prop_atoms(phi)):
+    for a in atoms:
         hits.update(a.clocks())
     if len(hits) > 1:
         raise UnsupportedError(
@@ -353,38 +516,57 @@ def _single_constrained_clock(pta: Pta, phi) -> Optional[str]:
     return next(iter(hits)) if hits else None
 
 
-def clock_regions(atoms: Sequence[AtomicConstraint], gamma, clock: Optional[str],
-                  resets: Sequence[int]):
-    """Rank the split values of one clock and compile each atom to a bitmap.
-
-    The split values are 0, the reset constants and every clock atom's
-    threshold (``t`` of ``x ~ t`` and of ``t ~ x``).  They are sorted once
-    and equal neighbours merged, keeping the first occurrence;
-    the ranks at or above the rank of 0 are the points ``v0 = 0 < v1 <
-    ... < vk`` of the regions ``v0, (v0, v1), v1, ..., vk, (vk, inf)``, so
-    point ``i`` is region ``2i``.  An atom's bitmap (bit ``r`` is its truth
-    in region ``r``) follows from its threshold's rank alone: for ``x ~ t``
-    the regions before ``t`` are true, ``t`` itself is ``not strict`` and
-    the regions after it are false; ``t ~ x`` is the mirror image, and a
-    threshold below 0 gives a constant bitmap, as do clock-free atoms.
-
-    Returns ``(points, masks, reset_region)``: the point values, the bitmap
-    of each atom as an int in the order given, and the point region of
-    each reset constant.
-    """
-    values = [Fraction(0)] + [Fraction(b) for b in resets]
-    profiles = []                       # per atom: a bool, or (value index, strict, upper)
-    for atom in atoms:
-        bound = atom.rhs.evaluate(gamma)
-        if bound is INF:
+def _compile_dense(pta, phi, index, loc_index, common) -> DenseProgram:
+    atoms = common["atoms"]
+    clock = _single_constrained_clock(atoms)
+    resets = tuple(dict.fromkeys(int(e.updates[clock]) for e in pta.edges
+                                 if clock in e.updates))
+    profiles = []
+    split = 1 + len(resets)
+    for atom, bound in zip(atoms, common["bounds"]):
+        if bound is None:
             profiles.append(True)
         elif atom.is_clock_free():
-            profiles.append(0 < bound if atom.strict else 0 <= bound)
+            profiles.append(None)
         else:
-            upper = atom.pos == clock
-            profiles.append((len(values), atom.strict, upper))
-            values.append(bound if upper else -bound)
+            profiles.append((split, atom.strict, atom.pos == clock))
+            split += 1
 
+    def atom_test(atom):
+        k = index[atom]
+        return lambda state, masks: (masks[k] >> state[1]) & 1 == 1
+
+    reset_index = {b: i for i, b in enumerate(resets)}
+    out_edges = [[] for _ in pta.locations]
+    for eidx, e in enumerate(pta.edges):
+        reset = reset_index[int(e.updates[clock])] if clock in e.updates else None
+        out_edges[loc_index[e.source]].append((eidx, loc_index[e.target], reset))
+    return DenseProgram(
+        holds=_compile_state_prop(phi, atom_test, loc_index.__getitem__), clock=clock,
+        resets=resets, profiles=tuple(profiles), out_edges=tuple(map(tuple, out_edges)),
+        **common)
+
+
+def clock_regions(values: Sequence, profiles: Sequence, n_resets: int):
+    """Rank the split values of one clock and compile each atom to a bitmap.
+
+    ``values`` are the split values: 0, then ``n_resets`` reset constants,
+    then the clock atoms' thresholds (``t`` of ``x ~ t`` and of ``t ~ x``),
+    all in one scale.  They are sorted once and equal neighbours merged,
+    keeping the first occurrence; the ranks at or above the rank of 0 are
+    the points ``v0 = 0 < v1 < ... < vk`` of the regions ``v0, (v0, v1),
+    v1, ..., vk, (vk, inf)``, so point ``i`` is region ``2i``.  An atom's
+    profile is a bool (a constant) or ``(value index, strict, upper)``,
+    and its bitmap (bit ``r`` is its truth in region ``r``) follows from
+    its threshold's rank alone: for ``x ~ t`` the regions before ``t``
+    are true, ``t`` itself is ``not strict`` and the regions after it are
+    false; ``t ~ x`` is the mirror image, and a threshold below 0 gives a
+    constant bitmap.
+
+    Returns ``(points, masks, reset_regions)``: the point values, the
+    bitmap of each atom as an int in the order given, and the point region
+    of each reset constant.
+    """
     order = sorted(range(len(values)), key=values.__getitem__)
     rank = [0] * len(values)
     reps = [order[0]]                   # first occurrence of each distinct value
@@ -409,66 +591,70 @@ def clock_regions(atoms: Sequence[AtomicConstraint], gamma, clock: Optional[str]
         at = 0 if strict else 1 << r
         below = (1 << r) - 1
         masks.append(below | at if upper else (full & ~below & ~(1 << r)) | at)
-    reset_region = {b: 2 * (rank[1 + k] - zero) for k, b in enumerate(resets)}
-    return points, masks, reset_region
+    reset_regions = [2 * (rank[1 + k] - zero) for k in range(n_resets)]
+    return points, masks, reset_regions
 
 
-def reach_dense_one_clock(pta: Pta, gamma, phi) -> ReachabilityVerdict:
+def _dense_regions(program: DenseProgram, gamma):
+    """:func:`clock_regions` of the bounds at ``gamma``, and their scale."""
+    bounds, scale = _bound_values(program, gamma)
+    split = [0] + [b * scale for b in program.resets]
+    profiles = []
+    for atom, prof, value in zip(program.atoms, program.profiles, bounds):
+        if prof is None:
+            profiles.append(0 < value if atom.strict else 0 <= value)
+        else:
+            profiles.append(prof)
+            if prof is not True:
+                split.append(value if prof[2] else -value)
+    return clock_regions(split, profiles, len(program.resets)) + (scale,)
+
+
+def reach_dense_one_clock(program: DenseProgram, gamma) -> ReachabilityVerdict:
     """Dense-time reachability for models constraining a single clock.
 
-    The evaluated guard/invariant/property bounds (plus 0 and the reset
-    constants) split the clock axis into points and open intervals on
-    which every atom has a fixed truth value (:func:`clock_regions` ranks
-    them once and compiles every atom to an int bitmap over the regions);
-    reachability runs over (location, region) pairs, testing bits only.
-    Witness delays use interval midpoints and are emitted only when every
-    bound is rational.
+    The bounds at ``gamma`` (plus 0 and the reset constants, all in the
+    scale of :func:`_bound_values`) split the clock axis into points and
+    open intervals on which every atom has a fixed truth value
+    (:func:`clock_regions` ranks them and compiles every atom to an int
+    bitmap over the regions); reachability runs over (location, region)
+    pairs, testing bits only.  Witness delays use interval midpoints and
+    are emitted only when every bound is rational.
     """
-    clock = _single_constrained_clock(pta, phi)
-    atoms = list(pta.atoms()) + list(prop_atoms(phi))
-    resets = [e.updates[clock] for e in pta.edges if clock in e.updates]
-    points, masks, reset_region = clock_regions(atoms, gamma, clock, resets)
+    points, masks, reset_regions, scale = _dense_regions(program, gamma)
     n_regions = 2 * len(points)
-    mask_of = {id(a): m for a, m in zip(atoms, masks)}
+    full = (1 << n_regions) - 1
 
-    def bitmap(sc: SimpleConstraint) -> int:
-        out = (1 << n_regions) - 1
-        for a in sc:
-            out &= mask_of[id(a)]
+    def bitmap(indices) -> int:
+        out = full
+        for k in indices:
+            out &= masks[k]
         return out
 
-    def atom_test(atom):
-        bits = mask_of[id(atom)]
-        return lambda state: (bits >> state[1]) & 1 == 1
+    inv_maps = [bitmap(inv) for inv in program.invariants]
+    guard_maps = [bitmap(guard) for guard in program.guards]
+    out_edges = program.out_edges
+    phi_holds = program.holds
 
-    loc_index = {q: i for i, q in enumerate(pta.locations)}
-    inv_maps = [bitmap(pta.invariants[q]) for q in pta.locations]
-    out_edges = [[] for _ in pta.locations]
-    for eidx, e in enumerate(pta.edges):
-        out_edges[loc_index[e.source]].append(
-            (eidx, bitmap(e.guard), loc_index[e.target], reset_region.get(e.updates.get(clock))))
-
-    phi_holds = _compile_state_prop(phi, atom_test, loc_index.__getitem__)
-
-    start = (loc_index[pta.initial], 0)
+    start = (program.initial, 0)
     if not inv_maps[start[0]] & 1:
         return ReachabilityVerdict(False, info={"regions": n_regions})
     parents = {start: None}
     order = [start]
     head = 0
-    hit = start if phi_holds(start) else None
+    hit = start if phi_holds(start, masks) else None
     while hit is None and head < len(order):
         loc, region = order[head]
         head += 1
-        for eidx, guard, dst, reset in out_edges[loc]:
-            if not (guard >> region) & 1:
+        for eidx, dst, reset in out_edges[loc]:
+            if not (guard_maps[eidx] >> region) & 1:
                 continue
-            target_region = region if reset is None else reset
+            target_region = region if reset is None else reset_regions[reset]
             state = (dst, target_region)
             if state in parents or not (inv_maps[dst] >> target_region) & 1:
                 continue
             parents[state] = ((loc, region), "edge", eidx)
-            if phi_holds(state):
+            if phi_holds(state, masks):
                 hit = state
                 break
             order.append(state)
@@ -478,7 +664,7 @@ def reach_dense_one_clock(pta: Pta, gamma, phi) -> ReachabilityVerdict:
             state = (loc, region + 1)
             if state not in parents and (inv_maps[loc] >> (region + 1)) & 1:
                 parents[state] = ((loc, region), "delay", None)
-                if phi_holds(state):
+                if phi_holds(state, masks):
                     hit = state
                 else:
                     order.append(state)
@@ -486,8 +672,9 @@ def reach_dense_one_clock(pta: Pta, gamma, phi) -> ReachabilityVerdict:
     info = {"regions": n_regions, "states": len(parents)}
     if hit is None:
         return ReachabilityVerdict(False, info=info)
-    if any(not isinstance(v, Fraction) for v in points):
+    if any(not isinstance(v, (int, Fraction)) for v in points):
         return ReachabilityVerdict(True, None, info)
+    points = [Fraction(v, scale) for v in points]
 
     moves = []
     cur = hit
@@ -506,6 +693,7 @@ def reach_dense_one_clock(pta: Pta, gamma, phi) -> ReachabilityVerdict:
         b = points[region // 2 + 1]
         return (a + b) / 2 if at_least <= a else (at_least + b) / 2
 
+    clock = program.clock
     steps = []
     x = Fraction(0)
     pending = Fraction(0)
@@ -517,7 +705,7 @@ def reach_dense_one_clock(pta: Pta, gamma, phi) -> ReachabilityVerdict:
         else:
             steps.append((pending, eidx))
             pending = Fraction(0)
-            e = pta.edges[eidx]
+            e = program.pta.edges[eidx]
             if clock is not None and clock in e.updates:
                 x = Fraction(e.updates[clock])
     witness = ConcreteRun(tuple(steps), final_delay=pending)
@@ -534,19 +722,28 @@ class CheckResult:
     info: dict = field(default_factory=dict)
 
 
-def reach(pta: Pta, gamma, phi, time_domain: Optional[str] = None) -> ReachabilityVerdict:
-    domain = time_domain or pta.time_domain
-    if domain == TIME_NAT:
-        return reach_discrete(pta, gamma, phi)
-    return reach_dense_one_clock(pta, gamma, phi)
+@dataclass(frozen=True, eq=False)
+class CheckProgram:
+    mode: str
+    reach: ReachProgram
 
 
-def decide(pta: Pta, gamma, psi: SystemProperty, time_domain: Optional[str] = None) -> CheckResult:
+def compile_check(pta: Pta, psi: SystemProperty, time_domain: Optional[str] = None) -> CheckProgram:
+    """Compile ``A[gamma] |= psi`` once, for :func:`decide` at many
+    valuations; forall-always compiles the reachability of the negation."""
+    phi = psi.phi if psi.mode == EXISTS_EVENTUALLY else negate_property(psi.phi)
+    return CheckProgram(psi.mode, compile_reach(pta, phi, time_domain))
+
+
+def decide(program: CheckProgram, gamma) -> CheckResult:
     """Decide A[gamma] |= psi; forall-always goes through the dual reach."""
-    if psi.mode == EXISTS_EVENTUALLY:
-        v = reach(pta, gamma, psi.phi, time_domain)
+    reach = program.reach
+    if reach.time_domain == TIME_NAT:
+        v = reach_discrete(reach, gamma)
+    else:
+        v = reach_dense_one_clock(reach, gamma)
+    if program.mode == EXISTS_EVENTUALLY:
         return CheckResult(v.reachable, v.witness, "witness" if v.witness else "", v.info)
-    v = reach(pta, gamma, negate_property(psi.phi), time_domain)
     return CheckResult(not v.reachable, v.witness,
                        "counterexample" if v.witness else "", v.info)
 
@@ -558,7 +755,8 @@ def valuation_key(gamma) -> tuple:
 def grid_oracle(pta: Pta, psi: SystemProperty, grid: Sequence[Mapping[str, Fraction]],
                 time_domain: Optional[str] = None) -> dict:
     """Decide the property at every grid point; keyed by sorted valuation."""
-    return {valuation_key(g): decide(pta, g, psi, time_domain).satisfied for g in grid}
+    program = compile_check(pta, psi, time_domain)
+    return {valuation_key(g): decide(program, g).satisfied for g in grid}
 
 
 # -- run automata -------------------------------------------------------------

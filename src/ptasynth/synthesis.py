@@ -53,7 +53,7 @@ from .model import (
     prop_atoms,
 )
 from .polynomials import AlgebraicNumber
-from .semantics import decide
+from .semantics import compile_check, decide
 from .feasibility import feasible_with_reset
 from .transforms import encode_run_property, invariants_to_guards
 
@@ -260,8 +260,10 @@ def synthesize(pta: Pta, psi: SystemProperty, time_domain: Optional[str] = None,
     atom_pool = _atom_pool(pta, psi)
     _synthesis_clock(atom_pool)
 
+    program = compile_check(pta, psi, domain)
+
     def decide_at(gamma):
-        return decide(pta, gamma, psi, domain).satisfied
+        return decide(program, gamma).satisfied
 
     return _region(pta.params, atom_pool, _reset_constants(pta), decide_at, psi,
                    domain, pdomain)

@@ -28,7 +28,14 @@ from .model import (
     TIME_NAT,
     thresholds,
 )
-from .semantics import decide, linearize_syntactic_run, reach_discrete, replay_run
+from .semantics import (
+    compile_check,
+    compile_reach,
+    decide,
+    linearize_syntactic_run,
+    reach_discrete,
+    replay_run,
+)
 from .model import PropLoc
 
 
@@ -280,7 +287,7 @@ def pigeonhole_hypotheses_report(two_one: TwoOnePta, run: ConcreteRun,
     edge_indices = tuple(eidx for _, eidx in run.steps)
     syntactic = SyntacticRun(pta, edge_indices)
     chain, final = linearize_syntactic_run(syntactic)
-    up_reach = reach_discrete(chain, gamma_up, PropLoc(final))
+    up_reach = reach_discrete(compile_reach(chain, PropLoc(final), TIME_NAT), gamma_up)
     return {
         "gamma": gamma_value,
         "steps": per_step,
@@ -342,8 +349,9 @@ def no_reset_threshold_check(two_one: TwoOnePta, tau: SyntacticRun) -> Threshold
     verdicts = {}
     witness = None
     witness_at = None
+    program = compile_reach(chain, PropLoc(final), TIME_NAT)
     for t in targets:
-        v = reach_discrete(chain, {param: Fraction(t)}, PropLoc(final))
+        v = reach_discrete(program, {param: Fraction(t)})
         verdicts[t] = v.reachable
         if v.reachable and witness is None:
             witness, witness_at = v.witness, t
@@ -407,8 +415,8 @@ def periodicity_probe(two_one: TwoOnePta, psi: SystemProperty,
     param = two_one.param
     s0, s1 = thresholds(pta, psi)
     horizon = s1 + horizon_mult * s0
-    verdicts = [decide(pta, {param: Fraction(v)}, psi, TIME_NAT).satisfied
-                for v in range(horizon + 1)]
+    program = compile_check(pta, psi, TIME_NAT)
+    verdicts = [decide(program, {param: Fraction(v)}).satisfied for v in range(horizon + 1)]
     tail = verdicts[s1:]
     if not any(tail):
         return PeriodicityReport(s0, s1, horizon, verdicts, (s1, 1), True, None)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,11 +6,23 @@ import pytest
 
 from ptasynth.constraints import AtomicConstraint, SimpleConstraint
 from ptasynth.expressions import Expression
-from ptasynth.harness import rand_pta_one_clock, suite_lu_monotonicity
+from ptasynth.harness import (
+    rand_pta_one_clock,
+    rand_state_property,
+    shipped_two_one_models,
+    suite_lu_monotonicity,
+)
 from ptasynth.model import ConcreteRun, Edge, PropLoc, Pta, SystemProperty, UnsupportedError
 from ptasynth.parser import parse_constraint, parse_model, parse_property
+from ptasynth.polynomials import AlgebraicNumber, isolate_real_roots
+from ptasynth.scalars import INF
 from ptasynth.semantics import (
+    _dense_regions,
+    _discrete_tops,
     clock_regions,
+    compile_check,
+    compile_reach,
+    decide,
     grid_oracle,
     reach_dense_one_clock,
     reach_discrete,
@@ -75,24 +88,26 @@ def brute_force_reachable(pta, gamma, max_delay=6):
 
 def test_reach_discrete_derived_examples(gate, gate_ef):
     # exhaustive search over delays 0..6 confirms the verdicts
+    program = compile_reach(gate, gate_ef.phi, "nat")
     for p in range(0, 7):
         expected = "q1" in brute_force_reachable(gate, g(p))
-        verdict = reach_discrete(gate, g(p), gate_ef.phi)
+        verdict = reach_discrete(program, g(p))
         assert verdict.reachable == expected
         if verdict.reachable:
             assert replay_run(gate, g(p), verdict.witness, "nat")
 
 
 def test_reach_initial_location_trivial(gate):
-    v = reach_discrete(gate, g(0), PropLoc("q0"))
+    v = reach_discrete(compile_reach(gate, PropLoc("q0"), "nat"), g(0))
     assert v.reachable and v.witness.steps == ()
 
 
 def test_reach_dense_point_region(gate, gate_ef):
-    v = reach_dense_one_clock(gate, g(2), gate_ef.phi)
+    program = compile_reach(gate, gate_ef.phi, "dense")
+    v = reach_dense_one_clock(program, g(2))
     assert v.reachable
     assert replay_run(gate, g(2), v.witness, "dense")
-    assert not reach_dense_one_clock(gate, g(Fraction(199, 100)), gate_ef.phi).reachable
+    assert not reach_dense_one_clock(program, g(Fraction(199, 100))).reachable
 
 
 def test_reach_dense_empty_open_interval():
@@ -103,9 +118,9 @@ loc q0 init inv: true
 loc q1 inv: true
 edge q0 -> q1 : x > 2 & x < 2 ; a ;
 """)
-    psi = parse_property("EF q1", pta)
+    program = compile_reach(pta, parse_property("EF q1", pta).phi, "dense")
     for p in range(0, 4):
-        assert not reach_dense_one_clock(pta, g(p), psi.phi).reachable
+        assert not reach_dense_one_clock(program, g(p)).reachable
 
 
 def test_reach_dense_reset_loop():
@@ -118,7 +133,7 @@ edge q0 -> q0 : true ; a ; reset x:=0
 edge q0 -> q1 : true ; b ;
 """)
     psi = parse_property("EF q1", pta)
-    assert reach_dense_one_clock(pta, g(0), psi.phi).reachable
+    assert reach_dense_one_clock(compile_reach(pta, psi.phi, "dense"), g(0)).reachable
 
 
 def test_reach_dense_rejects_two_constrained_clocks():
@@ -130,7 +145,7 @@ edge q0 -> q0 : x <= p & y >= 1 ; a ;
 """)
     psi = parse_property("EF q0", pta)
     with pytest.raises(UnsupportedError):
-        reach_dense_one_clock(pta, g(1), psi.phi)
+        compile_reach(pta, psi.phi, "dense")
 
 
 def test_grid_oracle_example(gate, gate_ef):
@@ -160,9 +175,10 @@ edge q0 -> q1 : x >= 1 ; a ;
 
 
 def test_cap_independence(gate, gate_ef):
+    program = compile_reach(gate, gate_ef.phi, "nat")
     for p in range(0, 8):
-        base = reach_discrete(gate, g(p), gate_ef.phi)
-        bigger = reach_discrete(gate, g(p), gate_ef.phi, min_cap=base.info["cap"] + 3)
+        base = reach_discrete(program, g(p))
+        bigger = reach_discrete(program, g(p), min_cap=base.info["cap"] + 3)
         assert base.reachable == bigger.reachable
 
 
@@ -176,8 +192,8 @@ def test_discrete_dense_agreement_on_closed_integer_models():
             continue
         psi = SystemProperty("EF", PropLoc(rng.choice(pta.locations)))
         gamma = {"p1": Fraction(rng.randint(-4, 10))}
-        nat = reach_discrete(pta, gamma, psi.phi)
-        dense = reach_dense_one_clock(pta, gamma, psi.phi)
+        nat = reach_discrete(compile_reach(pta, psi.phi, "nat"), gamma)
+        dense = reach_dense_one_clock(compile_reach(pta, psi.phi, "dense"), gamma)
         assert nat.reachable == dense.reachable
         for verdict, domain in ((nat, "nat"), (dense, "dense")):
             if verdict.reachable and verdict.witness is not None:
@@ -197,10 +213,10 @@ loc q1 inv: true
 edge q0 -> q0 : true ; tick ; reset y:=0
 edge q0 -> q1 : x - y <= p & x >= 4 ; go ;
 """)
-    psi = parse_property("EF q1", pta)
+    program = compile_reach(pta, parse_property("EF q1", pta).phi)
     # reachable for every p: wait 4, reset y, fire with x-y small
     for p in range(0, 4):
-        v = reach_discrete(pta, g(p), psi.phi)
+        v = reach_discrete(program, g(p))
         assert v.reachable, p
         assert replay_run(pta, g(p), v.witness, "nat")
     # and a lower-bounded difference that the cap must still see as large
@@ -213,9 +229,9 @@ loc q1 inv: true
 edge q0 -> q0 : true ; tick ; reset y:=0
 edge q0 -> q1 : x - y >= p ; go ;
 """)
-    psi2 = parse_property("EF q1", pta2)
+    program2 = compile_reach(pta2, parse_property("EF q1", pta2).phi)
     for p in range(0, 6):
-        v = reach_discrete(pta2, g(p), psi2.phi)
+        v = reach_discrete(program2, g(p))
         assert v.reachable, p
         assert replay_run(pta2, g(p), v.witness, "nat")
 
@@ -260,16 +276,33 @@ def test_reach_discrete_matches_brute_force_on_rational_bounds():
     reached = 0
     for _ in range(60):
         pta = rand_two_clock_acyclic(rng)
+        programs = {q: compile_reach(pta, PropLoc(q)) for q in pta.locations}
         for p in (Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)):
             gamma = g(p)
             expected = brute_force_reachable(pta, gamma, max_delay=8)
             for q in pta.locations:
-                v = reach_discrete(pta, gamma, PropLoc(q))
+                v = reach_discrete(programs[q], gamma)
                 assert v.reachable == (q in expected), (pta.render(), p, q)
                 if v.reachable:
                     reached += q != pta.initial
                     assert replay_run(pta, gamma, v.witness, "nat")
     assert reached > 50
+
+
+def fraction_split(atoms, gamma, clock, resets):
+    """The split values and atom profiles of :func:`clock_regions`, with
+    every bound evaluated in ``Fraction``s."""
+    values = [Fraction(0)] + [Fraction(b) for b in resets]
+    profiles = []
+    for atom in atoms:
+        bound = atom.rhs.evaluate(gamma)
+        if atom.is_clock_free():
+            profiles.append(0 < bound if atom.strict else 0 <= bound)
+        else:
+            upper = atom.pos == clock
+            profiles.append((len(values), atom.strict, upper))
+            values.append(bound if upper else -bound)
+    return values, profiles
 
 
 def region_point(points, r):
@@ -292,12 +325,164 @@ def test_clock_region_bitmaps_match_holds(p):
               for strict in (False, True) for c in (-1, 0, 1)]
     gamma = {"p": p}
     resets = [1, 2, 0]
-    points, masks, reset_region = clock_regions(atoms, gamma, "x", resets)
+    values, profiles = fraction_split(atoms, gamma, "x", resets)
+    points, masks, reset_regions = clock_regions(values, profiles, len(resets))
     assert points[0] == 0 and all(a < b for a, b in zip(points, points[1:]))
-    for b in resets:
-        assert points[reset_region[b] // 2] == b and reset_region[b] % 2 == 0
+    for b, r in zip(resets, reset_regions):
+        assert points[r // 2] == b and r % 2 == 0
     for r in range(2 * len(points)):
         omega = {"x": region_point(points, r)}
         for atom, mask in zip(atoms, masks):
             assert ((mask >> r) & 1 == 1) == SimpleConstraint.of(atom).holds(omega, gamma), \
                 (atom, r, omega)
+
+
+# -- compiled programs --------------------------------------------------------
+
+def copy_value(v):
+    """A fresh copy of an algebraic value: deciding at one refines it."""
+    return AlgebraicNumber(v.poly, v.lo, v.hi) if isinstance(v, AlgebraicNumber) else v
+
+
+def one_param_values():
+    """Ints, Fractions with large denominators (negative ones too), rational
+    algebraic numbers and irrational roots (of 2p^2 - 7 and p^3 - 3p + 1)."""
+    irrational = isolate_real_roots((-7, 0, 2)) + isolate_real_roots((1, -3, 0, 1))
+    return ([Fraction(n) for n in (-3, 0, 1, 4)]
+            + [Fraction(n, d) for n, d in ((7919, 1000003), (-2**61 + 1, 2**59), (355, 113))]
+            + [AlgebraicNumber.from_rational(Fraction(v)) for v in ("5/3", "-1/2", "2")]
+            + [r for r in irrational if not r.is_rational()])
+
+
+def outcome(result):
+    return (result.satisfied, result.witness, result.witness_kind, result.info)
+
+
+@pytest.mark.parametrize("time_domain", ["dense", "nat"])
+def test_one_program_serves_every_valuation(time_domain):
+    # a program reused across valuations answers like a fresh compile at
+    # each; catches per-valuation tops or masks kept in the program (a
+    # state leak between cells)
+    rng = random.Random(88)
+    values = one_param_values()
+    for _ in range(25):
+        pta = rand_pta_one_clock(rng, 1, time_domain, "int")
+        psi = SystemProperty(rng.choice(["EF", "AG"]), rand_state_property(rng, pta))
+        program = compile_check(pta, psi)
+        for v in rng.sample(values, len(values)):
+            reused = decide(program, {"p1": copy_value(v)})
+            fresh = decide(compile_check(pta, psi), {"p1": copy_value(v)})
+            assert outcome(reused) == outcome(fresh), (pta.render(), psi, v)
+            if isinstance(v, AlgebraicNumber) and v.is_rational():
+                # the algebraic instantiation agrees with the scaled ints
+                assert outcome(reused) == outcome(decide(program, {"p1": v.to_fraction()}))
+
+
+def test_one_program_serves_every_value_of_a_shipped_two_clock_model():
+    values = [Fraction(n) for n in range(0, 12)] + [Fraction(7, 2), Fraction(10**9 + 7, 10**8)]
+    for name, pta, psi in shipped_two_one_models():
+        program = compile_check(pta, psi, "nat")
+        for v in values:
+            gamma = {pta.params[0]: v}
+            assert outcome(decide(program, gamma)) == \
+                outcome(decide(compile_check(pta, psi, "nat"), gamma)), (name, v)
+
+
+def fraction_tops(atoms, gamma):
+    """The integer tops of the nat engine, with every bound evaluated in
+    ``Fraction``s and rounded by ``math.floor``/``math.ceil``."""
+    out = []
+    for atom in atoms:
+        bound = atom.rhs.evaluate(gamma)
+        out.append(None if bound is INF else
+                   math.ceil(bound) - 1 if atom.strict else math.floor(bound))
+    return out
+
+
+def rational_points(rng, params):
+    yield {p: Fraction(rng.randint(-9, 9)) for p in params}
+    for _ in range(4):
+        yield {p: Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**5)) for p in params}
+
+
+@pytest.mark.parametrize("n_params", [1, 2])
+def test_scaled_ints_rank_and_round_like_fractions(n_params):
+    # the scaled-int instantiation gives the tops, the region points, the
+    # atom bitmaps and the reset regions of Fraction evaluation; catches a
+    # wrong scale (a power of the lcm too few) and rounding by truncation
+    # instead of floor division
+    rng = random.Random(5 + n_params)
+    for _ in range(30):
+        pta = rand_pta_one_clock(rng, n_params, "dense", "real")
+        phi = rand_state_property(rng, pta)
+        nat, dense = compile_reach(pta, phi, "nat"), compile_reach(pta, phi, "dense")
+        for gamma in rational_points(rng, pta.params):
+            tops, m_bound = _discrete_tops(nat, gamma)
+            assert tops == fraction_tops(nat.atoms, gamma)
+            assert m_bound == max([math.ceil(abs(a.rhs.evaluate(gamma))) for a in nat.atoms], default=0)
+            points, masks, reset_regions, scale = _dense_regions(dense, gamma)
+            values, profiles = fraction_split(dense.atoms, gamma, "x", dense.resets)
+            assert ([Fraction(v, scale) for v in points], masks, reset_regions) == \
+                clock_regions(values, profiles, len(dense.resets))
+
+
+def test_polynomial_bounds_scale_by_their_degree():
+    # bounds of degree 0 to 3 over two parameters, scaled to one int each
+    pta = parse_model("""
+clocks: x
+params: p, q
+loc q0 init inv: x <= p*q^2 + 3
+loc q1 inv: true
+edge q0 -> q1 : x >= p^2 - q & x < 2*p*q - 1 ; a ;
+edge q1 -> q1 : x > 4 ; b ;
+""")
+    program = compile_reach(pta, PropLoc("q1"), "nat")
+    assert program.degree == 3
+    for gamma in ({"p": Fraction(3, 7), "q": Fraction(-5, 4)}, {"p": Fraction(9, 2), "q": Fraction(2, 3)},
+                  {"p": Fraction(-1), "q": Fraction(11, 6)}):
+        assert _discrete_tops(program, gamma)[0] == fraction_tops(program.atoms, gamma)
+
+
+def test_check_two_parameter_polynomial_model_at_rational_points():
+    # EF q1 holds iff some clock value x >= 0 lies in [p*q - 1, p^2*q]
+    # (an integer one in nat time); the witness must replay
+    pta = parse_model("""
+clocks: x
+params: p, q
+loc q0 init inv: true
+loc q1 inv: true
+edge q0 -> q1 : x >= p*q - 1 & x <= p^2*q ; a ;
+""")
+    psi = parse_property("EF q1", pta)
+    rng = random.Random(3)
+    for time_domain in ("dense", "nat"):
+        program = compile_check(pta, psi, time_domain)
+        for _ in range(60):
+            gamma = {"p": Fraction(rng.randint(-30, 30), rng.randint(1, 9)),
+                     "q": Fraction(rng.randint(-30, 30), rng.randint(1, 9))}
+            p, q = gamma["p"], gamma["q"]
+            lo, hi = max(p * q - 1, Fraction(0)), p * p * q
+            if time_domain == "nat":
+                lo, hi = math.ceil(lo), math.floor(hi)
+            result = decide(program, gamma)
+            assert result.satisfied == (lo <= hi), gamma
+            if result.satisfied:
+                assert replay_run(pta, gamma, result.witness, time_domain)
+
+
+@pytest.mark.parametrize("denominator", [1, 2, 10**6 + 3])
+def test_reused_programs_match_brute_force_with_diagonals(denominator):
+    # one nat program per target location, reused across valuations with
+    # two clocks, diagonal, clock-free and strict atoms
+    rng = random.Random(404 + denominator)
+    for _ in range(30):
+        pta = rand_two_clock_acyclic(rng)
+        programs = {q: compile_reach(pta, PropLoc(q)) for q in pta.locations}
+        for n in rng.sample(range(-3 * denominator, 3 * denominator), 4):
+            gamma = g(Fraction(n, denominator))
+            expected = brute_force_reachable(pta, gamma, max_delay=8)
+            for q in pta.locations:
+                v = reach_discrete(programs[q], gamma)
+                assert v.reachable == (q in expected), (pta.render(), gamma, q)
+                if v.reachable:
+                    assert replay_run(pta, gamma, v.witness, "nat")

@@ -27,7 +27,7 @@ from ptasynth.model import (
     UnsupportedError,
 )
 from ptasynth.parser import parse_model, parse_property
-from ptasynth.semantics import decide
+from ptasynth.semantics import compile_check, decide
 from ptasynth.synthesis import (
     FeasibleRegion,
     _atom_pool,
@@ -173,8 +173,9 @@ def test_synthesis_rejects_nat_time_with_real_parameters():
     with pytest.raises(UnsupportedError):
         run_region(pta, SyntacticRun(pta, (0,)), psi.phi)
     # single valuations stay exact
-    assert decide(pta, g(1), psi).satisfied
-    assert not decide(pta, g(Fraction(3, 2)), psi).satisfied
+    program = compile_check(pta, psi)
+    assert decide(program, g(1)).satisfied
+    assert not decide(program, g(Fraction(3, 2))).satisfied
     # int parameters, dense time and parameter-free models still synthesize
     assert synthesize(pta, psi, param_domain="int").method == "cad1"
     assert synthesize(pta, psi, time_domain="dense").method == "cad1"
@@ -196,8 +197,9 @@ def linear_reference(pta, psi):
     domain, pdomain = pta.time_domain, pta.param_domain
     pool = threshold_pool(_atom_pool(pta, psi), _reset_constants(pta), domain == "nat")
     cells = decompose_linear(_linear_hyperplanes(pool), pta.params)
+    program = compile_check(pta, psi, domain)
     verdicts = _decide_cells(cells, pta.params,
-                             lambda gamma: decide(pta, gamma, psi, domain).satisfied,
+                             lambda gamma: decide(program, gamma).satisfied,
                              domain, pdomain, integer_point)
     return FeasibleRegion(pta.params, "linear", verdicts, psi, domain, pdomain)
 
@@ -301,10 +303,11 @@ edge q1 -> q1 : x >= 3 ; b ;
 """)
     psi = parse_property("EF (q1 && x <= p)", pta)
     region = synthesize(pta, psi, time_domain="dense")
+    program = compile_check(pta, psi, "dense")
     for cv in region.cells:
         for _ in range(20):
             gamma = {"p": random_point_in_cell1d(cv.cell, rng)}
-            assert decide(pta, gamma, psi, "dense").satisfied == cv.verdict
+            assert decide(program, gamma).satisfied == cv.verdict
 
 
 def test_synthesis_oracle_suite_reduced():
@@ -326,8 +329,9 @@ edge q0 -> q1 : x > p & x < 2*p ; a ;
     psi = parse_property("EF q1", pta)
     region = synthesize(pta, psi)
     assert region.method == "cad1"
+    program = compile_check(pta, psi)
     for p in range(-5, 21):
-        assert region_query(region, g(p)) == decide(pta, g(p), psi).satisfied, p
+        assert region_query(region, g(p)) == decide(program, g(p)).satisfied, p
     assert region_query(region, g(2)) is True
 
 

@@ -43,3 +43,32 @@ def test_tracer_wraps_and_restores_every_layer_function():
     finally:
         tracer.uninstall()
     assert _globals(spans) == before
+
+
+def test_one_traced_decision_per_decided_cell():
+    # the benchmark counts one ``decide`` span per decided cell, each with
+    # one search under it, however the engines share work between cells
+    from ptasynth import synthesis
+    from ptasynth.parser import parse_model, parse_property
+
+    pta = parse_model("""
+clocks: x
+params: p
+loc q0 init inv: x <= p^2
+loc q1 inv: true
+edge q0 -> q1 : x >= 2 & x <= 3*p - 1 ; a ; reset x:=1
+edge q1 -> q0 : x > p ; b ;
+""")
+    psi = parse_property("AG (q0 || x <= p)", pta)
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        region = synthesis.synthesize(pta, psi)
+    finally:
+        tracer.uninstall()
+    counts = tracer.snapshot_counts()
+    decided = len(region.cells)
+    assert decided > 5
+    assert counts["semantics.decide.calls"] == decided
+    assert counts["semantics.reach_dense.calls"] == decided
+    assert counts["synthesis.synthesize.calls"] == 1
