@@ -162,8 +162,8 @@ class ReachProgram:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteProgram(ReachProgram):
-    """Nat time: ``shapes`` gives each atom's test on a search state,
-    ``(_UP, i)``, ``(_LO, i)``, ``(_DIAG, k, sign)`` or ``(_CONST,)``;
+    """Nat time: ``shapes`` gives each atom's left-hand side on a search
+    state as ``(part, index, sign)`` (see :func:`_compile_discrete`);
     ``out_edges`` per location ``(edge, target, ((clock index, value), ...))``."""
 
     shapes: tuple
@@ -295,18 +295,16 @@ def _ceil(value, scale) -> int:
 
 # -- discrete (nat-time) reachability ---------------------------------------
 
-_UP, _LO, _DIAG, _CONST = 0, 1, 2, 3
-
-
 def _compile_discrete(pta, phi, index, loc_index, common) -> DiscreteProgram:
     """Each atom's test on integer clock values, fixed up to its ``top``.
 
     Over integers ``v ~ b`` (``~`` being ``<`` or ``<=``) is ``v <= top``
     with ``top`` the largest integer that satisfies it: ``floor(b)`` for
-    ``<=`` and ``ceil(b) - 1`` for ``<``.  So an upper bound tests
-    ``x_i <= top``, a lower bound ``-x <= b`` tests ``x_i >= -top``, a
-    diagonal ``s * d_k <= top`` for the ``k``-th stored pairwise
-    difference taken with sign ``s``, and a clock-free atom ``0 <= top``.
+    ``<=`` and ``ceil(b) - 1`` for ``<``.  A search state is ``(location,
+    clock values, pairwise differences)``, and an atom's left-hand side is
+    ``sign * state[part][index]``: ``x_i`` is ``(1, i, 1)``, ``-x_i`` is
+    ``(1, i, -1)``, a diagonal is the ``k``-th stored difference
+    ``(2, k, +-1)``, and a clock-free atom ``(1, 0, 0)``, the constant 0.
     """
     atoms = common["atoms"]
     tracked = [c for c in pta.clocks if any(c in a.clocks() for a in atoms)
@@ -320,30 +318,23 @@ def _compile_discrete(pta, phi, index, loc_index, common) -> DiscreteProgram:
     def shape(atom):
         if atom.pos is not None and atom.neg is not None:
             i, j = clock_index[atom.pos], clock_index[atom.neg]
-            return (_DIAG, pair_index[(i, j)], 1) if i < j else (_DIAG, pair_index[(j, i)], -1)
+            return (2, pair_index[(i, j)], 1) if i < j else (2, pair_index[(j, i)], -1)
         if atom.pos is not None:
-            return (_UP, clock_index[atom.pos])
+            return (1, clock_index[atom.pos], 1)
         if atom.neg is not None:
-            return (_LO, clock_index[atom.neg])
-        return (_CONST,)
+            return (1, clock_index[atom.neg], -1)
+        return (1, 0, 0)
 
     shapes = tuple(shape(a) for a in atoms)
 
     def atom_test(atom):
         k = index[atom]
+        part, i, sign = shapes[k]
         if common["bounds"][k] is None:
             return lambda state, tops: True
-        kind = shapes[k][0]
-        if kind == _UP:
-            i = shapes[k][1]
-            return lambda state, tops: state[1][i] <= tops[k]
-        if kind == _LO:
-            i = shapes[k][1]
-            return lambda state, tops: state[1][i] >= -tops[k]
-        if kind == _DIAG:
-            _, d, sign = shapes[k]
-            return lambda state, tops: sign * state[2][d] <= tops[k]
-        return lambda state, tops: 0 <= tops[k]
+        if sign == 0:
+            return lambda state, tops: 0 <= tops[k]
+        return lambda state, tops: sign * state[part][i] <= tops[k]
 
     out_edges = [[] for _ in pta.locations]
     for eidx, e in enumerate(pta.edges):
@@ -357,38 +348,26 @@ def _compile_discrete(pta, phi, index, loc_index, common) -> DiscreteProgram:
 
 
 def _checks(shapes, tops, indices):
-    """The tests of one conjunction at the valuation's tops, or None if a
-    clock-free conjunct fails."""
+    """The tests ``(part, index, sign, top)`` of one conjunction at the
+    valuation's tops, or None if a clock-free conjunct fails."""
     out = []
     for k in indices:
         top = tops[k]
         if top is None:
             continue
-        shape = shapes[k]
-        kind = shape[0]
-        if kind == _UP:
-            out.append((_UP, shape[1], top))
-        elif kind == _LO:
-            out.append((_LO, shape[1], -top))
-        elif kind == _DIAG:
-            out.append((_DIAG, shape[1], shape[2], top))
+        part, i, sign = shapes[k]
+        if sign:
+            out.append((part, i, sign, top))
         elif top < 0:
             return None
     return out
 
 
-def _holds(checks, values, diffs) -> bool:
+def _holds(checks, state) -> bool:
     if checks is None:
         return False
-    for check in checks:
-        kind = check[0]
-        if kind == _UP:
-            if values[check[1]] > check[2]:
-                return False
-        elif kind == _LO:
-            if values[check[1]] < check[2]:
-                return False
-        elif check[2] * diffs[check[1]] > check[3]:
+    for part, i, sign, top in checks:
+        if sign * state[part][i] > top:
             return False
     return True
 
@@ -432,7 +411,7 @@ def reach_discrete(program: DiscreteProgram, gamma, min_cap: int = 0) -> Reachab
         return d
 
     start = (program.initial, (0,) * program.n_clocks, (0,) * len(pairs))
-    if not _holds(invariants[start[0]], start[1], start[2]):
+    if not _holds(invariants[start[0]], start):
         return ReachabilityVerdict(False, info={"cap": cap, "states": 0})
 
     parents: Dict[tuple, tuple] = {start: None}
@@ -440,10 +419,11 @@ def reach_discrete(program: DiscreteProgram, gamma, min_cap: int = 0) -> Reachab
     head = 0
     hit = start if phi_holds(start, tops) else None
     while hit is None and head < len(order):
-        loc, values, diffs = order[head]
+        source = order[head]
+        loc, values, diffs = source
         head += 1
         for eidx, dst, resets in out_edges[loc]:
-            if not _holds(guards[eidx], values, diffs):
+            if not _holds(guards[eidx], source):
                 continue
             new_values = list(values)
             for ci, b in resets:
@@ -462,9 +442,9 @@ def reach_discrete(program: DiscreteProgram, gamma, min_cap: int = 0) -> Reachab
                         nd[k] = clamp(values[i] - reset_map[j]) if values[i] < cap else dmax
                 new_diffs = tuple(nd)
             state = (dst, tuple(new_values), new_diffs)
-            if state in parents or not _holds(invariants[dst], state[1], new_diffs):
+            if state in parents or not _holds(invariants[dst], state):
                 continue
-            parents[state] = (order[head - 1], "edge", eidx)
+            parents[state] = (source, "edge", eidx)
             if phi_holds(state, tops):
                 hit = state
                 break
@@ -473,8 +453,8 @@ def reach_discrete(program: DiscreteProgram, gamma, min_cap: int = 0) -> Reachab
             break
         new_values = tuple(min(v + 1, cap) for v in values)
         state = (loc, new_values, diffs)
-        if state not in parents and _holds(invariants[loc], new_values, diffs):
-            parents[state] = (order[head - 1], "delay", None)
+        if state not in parents and _holds(invariants[loc], state):
+            parents[state] = (source, "delay", None)
             if phi_holds(state, tops):
                 hit = state
             else:
