@@ -272,7 +272,8 @@ def test_reach_discrete_matches_brute_force_on_rational_bounds():
     # integer clock bounds compiled from integer, non-integer, negative,
     # strict and non-strict bounds, diagonals and clock-free atoms decide
     # location reachability like the enumeration of every integer-delay
-    # run; one program per location serves every value
+    # run; one program per location serves every value.  Catches rounding
+    # by truncation instead of floor division (the negative values)
     rng = random.Random(2024)
     reached = 0
     big = 10**6 + 3
@@ -382,6 +383,8 @@ def test_one_program_serves_every_valuation(time_domain):
 
 
 def test_one_program_serves_every_value_of_a_shipped_two_clock_model():
+    # diagonals, two clocks and resets; catches tops kept from the first
+    # value (a state leak between values)
     values = [Fraction(n) for n in range(0, 12)] + [Fraction(7, 2), Fraction(10**9 + 7, 10**8)]
     for name, pta, psi in shipped_two_one_models():
         program = compile_check(pta, psi, "nat")
@@ -430,7 +433,8 @@ def test_scaled_ints_rank_and_round_like_fractions(n_params):
 
 
 def test_polynomial_bounds_scale_by_their_degree():
-    # bounds of degree 0 to 3 over two parameters, scaled to one int each
+    # bounds of degree 0 to 3 over two parameters, scaled to one int each;
+    # catches a monomial lifted by the wrong power of the lcm
     pta = parse_model("""
 clocks: x
 params: p, q
@@ -448,7 +452,8 @@ edge q1 -> q1 : x > 4 ; b ;
 
 def test_check_two_parameter_polynomial_model_at_rational_points():
     # EF q1 holds iff some clock value x >= 0 lies in [p*q - 1, p^2*q]
-    # (an integer one in nat time); the witness must replay
+    # (an integer one in nat time); the witness must replay.  Catches a
+    # wrong scale of the product monomials and a wrong floor division
     pta = parse_model("""
 clocks: x
 params: p, q
