@@ -299,8 +299,6 @@ def _print_region(region):
         extra = ""
         if cv.integer_witness is not None:
             extra = "  integer point %s" % (cv.integer_witness,)
-        elif cv.decided_at == "no-integer-point":
-            extra = "  no integer point"
         print("%s  %s  sample %s%s" % (marker, shape, sample, extra))
 
 

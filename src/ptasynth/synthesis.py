@@ -3,10 +3,8 @@
 Pipeline: collect the threshold comparisons of the model and property
 (``threshold_pool``), decompose the parameter space so every one of them
 has a constant sign per cell, then decide the property at one exact
-point per cell with the concrete semantics and read the region off the
-verdict-true cells.  ``synthesize`` compiles the decision once
-(``compile_check``) and calls ``decide`` on that program once per
-decided cell.  The parameter count alone picks the decomposition:
+sample per cell with the concrete semantics and read the region off the
+verdict-true cells.  The parameter count alone picks the decomposition:
 resultant projection and root isolation (``cad1``) for one parameter,
 linear or polynomial; threshold-difference hyperplanes (``linear``) for
 zero, two or three parameters, whose expressions must then be linear.
@@ -17,17 +15,11 @@ valuation.
 Scope: exactly one parametric clock, and no other constrained clocks
 (models with extra concretely constrained clocks are accepted by the
 checkers but not by synthesis, which matches the preprocessing this
-pipeline assumes).  Under int/nat parameters every cell records an
-integer point.  A 1D cell's is exact (its least member, or the largest
-one of a cell unbounded below); a cell with none holds no value of the
-domain, so it is not decided and gets the verdict false
-(``"no-integer-point"``).  A linear cell's is searched in the box
-``DEFAULT_INT_BOX``, and a cell with none there is decided at its
-sample.  In nat time a cell is decided at its integer point when it has
-one, since integer-point verdicts are the ones the decomposition keeps
-constant there; for that, both decompositions compare a strict bound
-``x < t`` through its closed nat-time form ``x <= t - 1``.  In dense
-time every cell is decided at its exact sample.
+pipeline assumes).  Under integer parameter domains with nat time, cells
+are decided at an integer sample when one exists, since integer-point
+verdicts are the ones the decomposition keeps constant there; for that,
+both decompositions compare a strict bound ``x < t`` through its closed
+nat-time form ``x <= t - 1``.
 """
 
 from __future__ import annotations
@@ -72,7 +64,7 @@ DEFAULT_INT_BOX = 64
 class CellVerdict:
     cell: object                     # Cell1D | LinearCell
     verdict: bool
-    decided_at: str                  # "sample" | "integer-point" | "no-integer-point"
+    decided_at: str                  # "sample" | "integer-point"
     integer_witness: Optional[tuple] = None
 
 
@@ -195,35 +187,27 @@ def _detached(value):
         if isinstance(value, AlgebraicNumber) else value
 
 
-def _integer_point_1d(cell: Cell1D, minimum: Optional[int]) -> Optional[tuple]:
-    """The cell's integer point nearest its left end (at least ``minimum``),
-    or None if it has none: exact, with no box."""
+def _integer_point_1d(cell: Cell1D, box) -> Optional[tuple]:
     n = cell1d_integer_point(replace(cell, lo=_detached(cell.lo), hi=_detached(cell.hi)),
-                             minimum=minimum)
-    return None if n is None else (n,)
+                             minimum=box[0])
+    return None if n is None or n > box[1] else (n,)
 
 
-def _decide_cells(cells, params, decide_at, domain, pdomain, integer_of,
-                  exhaustive: bool) -> List[CellVerdict]:
+def _decide_cells(cells, params, decide_at, domain, pdomain, integer_of) -> List[CellVerdict]:
     """Decide every cell at one valuation.
 
-    Under int/nat parameters each cell's integer point
-    (``integer_of(cell)``) is recorded; in nat time the cell is decided
-    there when it has one, and at its exact sample otherwise.  When the
-    search is ``exhaustive`` (1D cells), a cell without an integer point
-    holds no parameter value of the domain: it gets the verdict false,
-    ``decided_at`` ``"no-integer-point"``, and is not decided.  Both look
-    at copies of algebraic values: comparisons refine a root's interval
-    in place, and the cell's endpoints share the root object, so the
-    reported intervals stay the ones the decomposition isolated.
+    Under int/nat parameters each cell's least integer point in the box
+    (``integer_of(cell, (lo, hi))``) is recorded; in nat time the cell is
+    decided there when it has one, and at its exact sample otherwise.
+    Both look at copies of algebraic values: comparisons refine a root's
+    interval in place, and the cell's endpoints share the root object, so
+    the reported intervals stay the ones the decomposition isolated.
     """
+    box = (0 if pdomain == PARAM_NAT else -DEFAULT_INT_BOX, DEFAULT_INT_BOX)
     integral = pdomain in (PARAM_INT, PARAM_NAT)
     out = []
     for cell in cells:
-        integer = integer_of(cell) if integral else None
-        if integral and exhaustive and integer is None:
-            out.append(CellVerdict(cell, False, "no-integer-point"))
-            continue
+        integer = integer_of(cell, box) if integral else None
         if domain == TIME_NAT and integer is not None:
             values, decided = [Fraction(v) for v in integer], "integer-point"
         else:
@@ -250,16 +234,13 @@ def _region(params, atom_pool, resets, decide_at, psi, domain, pdomain) -> Feasi
             "synthesis in nat time needs int or nat parameters: nat-time verdicts "
             "are not constant on the cells of real parameters")
     pool = threshold_pool(atom_pool, resets, domain == TIME_NAT)
-    minimum = 0 if pdomain == PARAM_NAT else None
     if len(params) == 1:
         cells = decompose_1d(project_clock(_clock_polynomials(pool, params[0])))
         verdicts = _decide_cells(cells, params, decide_at, domain, pdomain,
-                                 lambda cell: _integer_point_1d(cell, minimum), True)
+                                 _integer_point_1d)
         return FeasibleRegion(params, "cad1", verdicts, psi, domain, pdomain)
-    box = (-DEFAULT_INT_BOX if minimum is None else minimum, DEFAULT_INT_BOX)
     cells = decompose_linear(_linear_hyperplanes(pool), params)
-    verdicts = _decide_cells(cells, params, decide_at, domain, pdomain,
-                             lambda cell: integer_point(cell, box), False)
+    verdicts = _decide_cells(cells, params, decide_at, domain, pdomain, integer_point)
     return FeasibleRegion(params, "linear", verdicts, psi, domain, pdomain)
 
 
@@ -271,9 +252,8 @@ def synthesize(pta: Pta, psi: SystemProperty, time_domain: Optional[str] = None,
 
     One parameter, linear or polynomial, goes through projection + 1D
     decomposition; linear expressions over zero, two or three parameters
-    go through the hyperplane arrangement.  The decision is compiled
-    once, then every cell with a point in the parameter domain is decided
-    concretely there (dual reach for forall-always properties).
+    go through the hyperplane arrangement.  Every cell is decided
+    concretely at its sample (dual reach for forall-always properties).
     """
     domain = time_domain or pta.time_domain
     pdomain = param_domain or pta.param_domain

@@ -180,22 +180,3 @@ def test_nat_time_real_parameters_are_rejected(tmp_path):
         assert "error: synthesis in nat time needs int or nat parameters" in res.stderr
     res = cli("check", *common, "--set", "p=3/2")
     assert res.returncode == 0 and "verdict: unsat" in res.stdout
-
-
-def test_synth_marks_cells_without_an_integer_point(tmp_path):
-    (tmp_path / "m.pta").write_text(
-        "clocks: x\nparams: p\ndomain: time=nat param=nat\nloc q0 init inv: true\n"
-        "loc q1 inv: true\nedge q0 -> q1 : x >= 3*p - 1 & x <= 3*p - 1 & x >= 300 ; a ;\n")
-    (tmp_path / "ef.prop").write_text("EF q1\n")
-    out = tmp_path / "region.json"
-    res = cli("synth", "--model", str(tmp_path / "m.pta"), "--prop", str(tmp_path / "ef.prop"),
-              "--out", str(out))
-    assert res.returncode == 0
-    assert "unsat  point [301/3, 301/3]  sample 301/3  no integer point" in res.stdout
-    assert "sat   interval [301/3, inf]  sample 102  integer point (101,)" in res.stdout
-    payload = json.loads(out.read_text())
-    jsonio.validate(payload, jsonio.load_schema("region"))
-    assert [c["decided_at"] for c in payload["cells"]].count("no-integer-point") == 2
-    check = cli("check", "--model", str(tmp_path / "m.pta"), "--prop", str(tmp_path / "ef.prop"),
-                "--set", "p=101")
-    assert "verdict: sat" in check.stdout and "wait 302" in check.stdout

@@ -29,7 +29,6 @@ from ptasynth.model import (
 from ptasynth.parser import parse_model, parse_property
 from ptasynth.semantics import compile_check, decide
 from ptasynth.synthesis import (
-    DEFAULT_INT_BOX,
     FeasibleRegion,
     _atom_pool,
     _clock_polynomials,
@@ -199,10 +198,9 @@ def linear_reference(pta, psi):
     pool = threshold_pool(_atom_pool(pta, psi), _reset_constants(pta), domain == "nat")
     cells = decompose_linear(_linear_hyperplanes(pool), pta.params)
     program = compile_check(pta, psi, domain)
-    box = (0 if pdomain == "nat" else -DEFAULT_INT_BOX, DEFAULT_INT_BOX)
     verdicts = _decide_cells(cells, pta.params,
                              lambda gamma: decide(program, gamma).satisfied,
-                             domain, pdomain, lambda cell: integer_point(cell, box), False)
+                             domain, pdomain, integer_point)
     return FeasibleRegion(pta.params, "linear", verdicts, psi, domain, pdomain)
 
 
@@ -220,13 +218,7 @@ def test_one_parameter_cad1_equals_linear_reference(time_domain, param_domain):
             assert len(region.cells) == len(reference.cells)
             for cv in reference.cells:
                 gamma = dict(zip(pta.params, cv.cell.sample))
-                [mine] = [c for c in region.cells if c.cell.contains(cv.cell.sample[0])]
-                if mine.decided_at == "no-integer-point":
-                    # no value of the domain lies in the cell, which the
-                    # reference decided at its sample
-                    assert not mine.verdict and cv.integer_witness is None, gamma
-                else:
-                    assert region_query(region, gamma) == cv.verdict, gamma
+                assert region_query(region, gamma) == cv.verdict, gamma
             for gamma in grid:
                 assert region_query(region, gamma) == region_query(reference, gamma), gamma
 
@@ -323,20 +315,17 @@ def test_synthesis_oracle_suite_reduced():
     assert report.ok(), report.render()
 
 
-NAT_STRICT_POLY = """
+def test_synthesize_nat_time_polynomial_shifts_strict_bounds():
+    # 2p > x > p has an integer solution iff p >= 2; the projection must
+    # compare the strict bounds in their nat-time form x >= p + 1, x <= 2p - 1
+    pta = parse_model("""
 clocks: x
 params: p
 domain: time=nat param=int
 loc q0 init inv: true
 loc q1 inv: x <= p^2 + 50
 edge q0 -> q1 : x > p & x < 2*p ; a ;
-"""
-
-
-def test_synthesize_nat_time_polynomial_shifts_strict_bounds():
-    # 2p > x > p has an integer solution iff p >= 2; the projection must
-    # compare the strict bounds in their nat-time form x >= p + 1, x <= 2p - 1
-    pta = parse_model(NAT_STRICT_POLY)
+""")
     psi = parse_property("EF q1", pta)
     region = synthesize(pta, psi)
     assert region.method == "cad1"
@@ -344,67 +333,6 @@ def test_synthesize_nat_time_polynomial_shifts_strict_bounds():
     for p in range(-5, 21):
         assert region_query(region, g(p)) == decide(program, g(p)).satisfied, p
     assert region_query(region, g(2)) is True
-
-
-NAT_BEYOND_BOX = """
-clocks: x
-params: p
-domain: time=nat param=nat
-loc q0 init inv: true
-loc q1 inv: true
-edge q0 -> q1 : x >= 3*p - 1 & x <= 3*p - 1 & x >= 300 ; a ;
-"""
-
-
-def cell_summary(region):
-    return [(cv.cell.kind, cv.decided_at, cv.integer_witness, cv.verdict)
-            for cv in region.cells]
-
-
-def test_one_parameter_integer_points_are_exact():
-    # the cell p > 301/3 is decided at its least natural, 101, with no box
-    # in the way; the point 301/3 holds no natural and is not decided (at
-    # the sample it was sat, so the region held no natural yet was not
-    # empty)
-    pta = parse_model(NAT_BEYOND_BOX)
-    psi = parse_property("EF q1", pta)
-    region = synthesize(pta, psi)
-    assert cell_summary(region) == [
-        ("interval", "integer-point", (0,), False), ("point", "no-integer-point", None, False),
-        ("interval", "integer-point", (1,), False), ("point", "no-integer-point", None, False),
-        ("interval", "integer-point", (101,), True)]
-    program = compile_check(pta, psi)
-    for p in list(range(0, 130)) + [10**4, 10**4 + 1]:
-        assert region_query(region, g(p)) == decide(program, g(p)).satisfied, p
-    closed = parse_model(NAT_BEYOND_BOX.replace("x >= 300", "x >= 300 & x <= 300"))
-    assert synthesize(closed, parse_property("EF q1", closed)).is_empty()
-
-
-def test_cells_without_an_integer_are_not_decided():
-    # x > p & x < 2*p under int parameters: the root 1/2 is a cell with no
-    # integer; the leftmost cell takes its largest integer
-    pta = parse_model(NAT_STRICT_POLY.replace("x <= p^2 + 50", "true"))
-    psi = parse_property("EF q1", pta)
-    region = synthesize(pta, psi)
-    assert cell_summary(region) == [
-        ("interval", "integer-point", (-2,), False), ("point", "integer-point", (-1,), False),
-        ("interval", "integer-point", (0,), False), ("point", "no-integer-point", None, False),
-        ("interval", "integer-point", (1,), False), ("point", "integer-point", (2,), True),
-        ("interval", "integer-point", (3,), True)]
-    far = parse_model(NAT_STRICT_POLY.replace("x > p & x < 2*p", "x <= -2*p - 201"))
-    region = synthesize(far, psi)
-    assert cell_summary(region) == [
-        ("interval", "integer-point", (-101,), True), ("point", "no-integer-point", None, False),
-        ("interval", "integer-point", (-100,), False)]
-    # in dense time the verdict does not depend on the point of the cell,
-    # but a cell with no integer still holds no parameter value
-    program = compile_check(far, psi)
-    for p in range(-110, 21):
-        assert region_query(region, g(p)) == decide(program, g(p)).satisfied, p
-    # in dense time the verdict is the same at every point of a cell, but
-    # a cell with no integer still holds no parameter value
-    dense = synthesize(far, psi, time_domain="dense")
-    assert [cv.decided_at for cv in dense.cells] == ["sample", "no-integer-point", "sample"]
 
 
 def test_run_region_nat_time_one_param_shifts_strict_bounds():
