@@ -148,7 +148,6 @@ class ReachProgram:
     """
 
     pta: Pta
-    phi: object
     time_domain: str
     atoms: Tuple[AtomicConstraint, ...]
     bounds: tuple
@@ -235,7 +234,7 @@ def compile_reach(pta: Pta, phi, time_domain: Optional[str] = None) -> ReachProg
     bounds = tuple(_monomials(a.rhs, params) for a in atoms)
     loc_index = {q: i for i, q in enumerate(pta.locations)}
     common = dict(
-        pta=pta, phi=phi, time_domain=domain, atoms=atoms, bounds=bounds, params=params,
+        pta=pta, time_domain=domain, atoms=atoms, bounds=bounds, params=params,
         degree=max((d for b in bounds if b for _, d, _ in b), default=0),
         invariants=tuple(tuple(index[a] for a in pta.invariants[q]) for q in pta.locations),
         guards=tuple(tuple(index[a] for a in e.guard) for e in pta.edges),

@@ -10,7 +10,9 @@ linear or polynomial; threshold-difference hyperplanes (``linear``) for
 zero, two or three parameters, whose expressions must then be linear.
 ``synthesize`` and ``run_region`` share the pool, both decompositions and
 the per-cell decision loop; they differ only in what they decide at a
-valuation.
+valuation.  ``synthesize`` compiles the model and property once
+(``semantics.compile_check``) and instantiates that one program at each
+cell's valuation, one ``decide`` call per cell.
 
 Scope: exactly one parametric clock, and no other constrained clocks
 (models with extra concretely constrained clocks are accepted by the

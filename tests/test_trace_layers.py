@@ -11,6 +11,8 @@ import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -45,20 +47,27 @@ def test_tracer_wraps_and_restores_every_layer_function():
     assert _globals(spans) == before
 
 
-def test_one_traced_decision_per_decided_cell():
-    # the benchmark counts one ``decide`` span per decided cell, each with
-    # one search under it, however the engines share work between cells
-    from ptasynth import synthesis
-    from ptasynth.parser import parse_model, parse_property
-
-    pta = parse_model("""
+MODEL = """
 clocks: x
 params: p
+domain: time=%s param=%s
 loc q0 init inv: x <= p^2
 loc q1 inv: true
 edge q0 -> q1 : x >= 2 & x <= 3*p - 1 ; a ; reset x:=1
 edge q1 -> q0 : x > p ; b ;
-""")
+"""
+
+
+@pytest.mark.parametrize("time_domain, param_domain, search", [
+    ("dense", "real", "semantics.reach_dense"),
+    ("nat", "int", "semantics.reach_discrete")])
+def test_one_traced_decision_per_decided_cell(time_domain, param_domain, search):
+    # the benchmark counts one ``decide`` span per cell, each with one
+    # search under it, however the engines share work between cells
+    from ptasynth import synthesis
+    from ptasynth.parser import parse_model, parse_property
+
+    pta = parse_model(MODEL % (time_domain, param_domain))
     psi = parse_property("AG (q0 || x <= p)", pta)
     tracer = _spans().Tracer()
     tracer.install()
@@ -69,6 +78,5 @@ edge q1 -> q0 : x > p ; b ;
     counts = tracer.snapshot_counts()
     decided = len(region.cells)
     assert decided > 5
-    assert counts["semantics.decide.calls"] == decided
-    assert counts["semantics.reach_dense.calls"] == decided
+    assert counts["semantics.decide.calls"] == counts[search + ".calls"] == decided
     assert counts["synthesis.synthesize.calls"] == 1
