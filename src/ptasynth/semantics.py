@@ -1,21 +1,26 @@
 """Concrete semantics under a fixed parameter valuation.
 
-Three complete decision engines live here:
+One search decides reachability at a valuation: :func:`_search`, a
+breadth-first search over (location, tracked values, pairwise
+differences) in which every atom is the integer test ``sign * value <=
+top``.  The tracked values are one of two things:
 
-* :func:`reach_discrete` — nat-time BFS over capped clock vectors.  Clocks
-  are capped at C = M+1+maxReset (M = largest absolute evaluated bound);
-  pairwise clock differences are carried alongside, clamped to +-(M+1),
-  because per-clock capping alone cannot evaluate difference atoms once a
-  clock saturates.  Every atom check on the abstract state is exactly the
-  truth value on the concrete states it represents, so verdicts are exact
-  and witnesses replay.
+* :func:`reach_discrete` — nat time: integer clock values, capped at
+  C = M+1+maxReset (M = largest absolute evaluated bound); pairwise clock
+  differences are carried alongside, clamped to +-(M+1), because
+  per-clock capping alone cannot evaluate difference atoms once a clock
+  saturates.  Every atom check on the abstract state is exactly the truth
+  value on the concrete states it represents, so verdicts are exact and
+  witnesses replay.
 * :func:`reach_dense_one_clock` — dense time, single constrained clock:
-  reachability over the finitely many point/interval regions induced by
-  the evaluated guard bounds.
-* interval-propagation oracles over single runs, used as independent
-  cross-checks by the test harness.
+  the index of the clock's region among the finitely many points and open
+  intervals induced by the evaluated bounds, each atom being a bound on
+  that index.
 
-The first two work in two steps.  :func:`compile_reach` (and
+The interval-propagation oracles over single runs at the end of the
+module stay as independent cross-checks for the test harness.
+
+Both engines work in two steps.  :func:`compile_reach` (and
 :func:`compile_check` for a system property) runs once per model,
 property and time domain: it gathers the distinct atoms, turns every
 bound into integer monomials, and builds the location and edge tables
@@ -25,8 +30,8 @@ every bound becomes one int, scaled by a common power of the parameter
 denominators' lcm; at an algebraic one it is the exact value.  The
 discrete engine rounds each bound to an integer bound on integer clock
 values (``floor``/``ceil``, by int division or exactly), and the dense
-engine ranks the split values and turns every atom into an int bitmap
-over the region list, so the search compares small integers only.
+engine ranks the split values and bounds every atom's region index, so
+the search compares small integers only.
 
 Satisfaction of an exists-eventually property is decided over all
 LTS-reachable states, including states reached partway through a delay.
@@ -141,10 +146,12 @@ class ReachProgram:
     the model and the property, each finite bound as integer monomials
     ``(coeff, degree, ((parameter index, exponent), ...))`` (None for an
     infinite bound), every invariant and guard as a tuple of atom indices,
-    and the property compiled over them.  ``holds(state, table)`` reads
-    the per-valuation table of the engine (tops or bitmaps, one per atom);
-    the table is passed in, never stored, so one program serves every cell,
-    grid point or parameter value.
+    the search tables of :func:`_compile_tables` (each atom's shape, the
+    number of tracked clocks, the clock pairs and the edges out of each
+    location) and the property compiled over them.  ``holds(state, tops)``
+    reads the per-valuation tops of the engine, one int per atom; they are
+    passed in, never stored, so one program serves every cell, grid point
+    or parameter value.
     """
 
     pta: Pta
@@ -157,33 +164,34 @@ class ReachProgram:
     guards: Tuple[Tuple[int, ...], ...]          # per edge index
     initial: int
     holds: Callable
+    shapes: tuple
+    n_clocks: int
+    pairs: Tuple[Tuple[int, int], ...]
+    out_edges: tuple
 
 
 @dataclass(frozen=True, eq=False)
 class DiscreteProgram(ReachProgram):
-    """Nat time: ``shapes`` gives each atom's left-hand side on a search
-    state as ``(part, index, sign)`` (see :func:`_compile_discrete`);
-    ``out_edges`` per location ``(edge, target, ((clock index, value), ...))``."""
+    """Nat time: the tracked values are integer clock values, and a reset
+    in ``out_edges`` stores its constant."""
 
-    shapes: tuple
-    n_clocks: int
-    pairs: Tuple[Tuple[int, int], ...]
     max_reset: int
-    out_edges: tuple
 
 
 @dataclass(frozen=True, eq=False)
 class DenseProgram(ReachProgram):
-    """Dense time, one constrained clock: ``profiles`` per atom is True
-    (infinite bound), None (clock-free) or ``(split index, strict,
-    upper)``, where split value 0 is 0, the next ``len(resets)`` are the
-    distinct reset constants and then one threshold per clock atom;
-    ``out_edges`` per location ``(edge, target, reset index or None)``."""
+    """Dense time, one constrained clock, tracked as the index of its
+    region (see :func:`clock_regions`).  A reset in ``out_edges`` stores
+    the index of its constant in ``resets``, which the engine maps to the
+    constant's point region at each valuation.  ``profiles`` per atom is
+    None (no threshold: a clock-free atom or an infinite bound) or ``(split
+    index, strict, upper)``, where split value 0 is 0, the next
+    ``len(resets)`` are the distinct reset constants and then one
+    threshold per clock atom."""
 
     clock: Optional[str]
     resets: Tuple[int, ...]
     profiles: tuple
-    out_edges: tuple
 
 
 def _monomials(expr, params) -> Optional[tuple]:
@@ -243,6 +251,55 @@ def compile_reach(pta: Pta, phi, time_domain: Optional[str] = None) -> ReachProg
     return compile_engine(pta, phi, index, loc_index, common)
 
 
+def _compile_tables(pta, phi, index, loc_index, common, tracked, reset_value) -> dict:
+    """The search tables over the ``tracked`` clocks, shared by both engines.
+
+    A search state is ``(location, tracked values, pairwise differences)``
+    and an atom holds on it when ``sign * state[part][index] <= top``, with
+    ``top`` the engine's per-valuation int for the atom.  The shape
+    ``(part, index, sign)`` of ``x_i`` is ``(1, i, 1)``, of ``-x_i`` is
+    ``(1, i, -1)``, of a diagonal the ``k``-th stored difference ``(2, k,
+    +-1)`` and of a clock-free atom ``(1, 0, 0)``, the constant 0.  A reset
+    of a tracked clock to ``b`` is stored as ``reset_value(b)``.
+    """
+    atoms = common["atoms"]
+    clock_index = {c: i for i, c in enumerate(tracked)}
+    need_diffs = any(a.pos is not None and a.neg is not None for a in atoms)
+    pairs = tuple((i, j) for i in range(len(tracked)) for j in range(i + 1, len(tracked))) \
+        if need_diffs else ()
+    pair_index = {p: k for k, p in enumerate(pairs)}
+
+    def shape(atom):
+        if atom.pos is not None and atom.neg is not None:
+            i, j = clock_index[atom.pos], clock_index[atom.neg]
+            return (2, pair_index[(i, j)], 1) if i < j else (2, pair_index[(j, i)], -1)
+        if atom.pos is not None:
+            return (1, clock_index[atom.pos], 1)
+        if atom.neg is not None:
+            return (1, clock_index[atom.neg], -1)
+        return (1, 0, 0)
+
+    shapes = tuple(shape(a) for a in atoms)
+
+    def atom_test(atom):
+        k = index[atom]
+        part, i, sign = shapes[k]
+        if common["bounds"][k] is None:
+            return lambda state, tops: True
+        if sign == 0:
+            return lambda state, tops: 0 <= tops[k]
+        return lambda state, tops: sign * state[part][i] <= tops[k]
+
+    out_edges = [[] for _ in pta.locations]
+    for eidx, e in enumerate(pta.edges):
+        resets = tuple((clock_index[c], reset_value(int(b))) for c, b in sorted(e.updates.items())
+                       if c in clock_index)
+        out_edges[loc_index[e.source]].append((eidx, loc_index[e.target], resets))
+    return dict(holds=_compile_state_prop(phi, atom_test, loc_index.__getitem__),
+                shapes=shapes, n_clocks=len(tracked), pairs=pairs,
+                out_edges=tuple(map(tuple, out_edges)))
+
+
 def _bound_values(program: ReachProgram, gamma):
     """Every atom bound at ``gamma``, and the scale they are given in.
 
@@ -292,59 +349,7 @@ def _ceil(value, scale) -> int:
     return -_floor(-value, scale)
 
 
-# -- discrete (nat-time) reachability ---------------------------------------
-
-def _compile_discrete(pta, phi, index, loc_index, common) -> DiscreteProgram:
-    """Each atom's test on integer clock values, fixed up to its ``top``.
-
-    Over integers ``v ~ b`` (``~`` being ``<`` or ``<=``) is ``v <= top``
-    with ``top`` the largest integer that satisfies it: ``floor(b)`` for
-    ``<=`` and ``ceil(b) - 1`` for ``<``.  A search state is ``(location,
-    clock values, pairwise differences)``, and an atom's left-hand side is
-    ``sign * state[part][index]``: ``x_i`` is ``(1, i, 1)``, ``-x_i`` is
-    ``(1, i, -1)``, a diagonal is the ``k``-th stored difference
-    ``(2, k, +-1)``, and a clock-free atom ``(1, 0, 0)``, the constant 0.
-    """
-    atoms = common["atoms"]
-    tracked = [c for c in pta.clocks if any(c in a.clocks() for a in atoms)
-               or any(c in e.updates for e in pta.edges)]
-    clock_index = {c: i for i, c in enumerate(tracked)}
-    need_diffs = any(a.pos is not None and a.neg is not None for a in atoms)
-    pairs = tuple((i, j) for i in range(len(tracked)) for j in range(i + 1, len(tracked))) \
-        if need_diffs else ()
-    pair_index = {p: k for k, p in enumerate(pairs)}
-
-    def shape(atom):
-        if atom.pos is not None and atom.neg is not None:
-            i, j = clock_index[atom.pos], clock_index[atom.neg]
-            return (2, pair_index[(i, j)], 1) if i < j else (2, pair_index[(j, i)], -1)
-        if atom.pos is not None:
-            return (1, clock_index[atom.pos], 1)
-        if atom.neg is not None:
-            return (1, clock_index[atom.neg], -1)
-        return (1, 0, 0)
-
-    shapes = tuple(shape(a) for a in atoms)
-
-    def atom_test(atom):
-        k = index[atom]
-        part, i, sign = shapes[k]
-        if common["bounds"][k] is None:
-            return lambda state, tops: True
-        if sign == 0:
-            return lambda state, tops: 0 <= tops[k]
-        return lambda state, tops: sign * state[part][i] <= tops[k]
-
-    out_edges = [[] for _ in pta.locations]
-    for eidx, e in enumerate(pta.edges):
-        resets = tuple((clock_index[c], int(b)) for c, b in sorted(e.updates.items())
-                       if c in clock_index)
-        out_edges[loc_index[e.source]].append((eidx, loc_index[e.target], resets))
-    return DiscreteProgram(
-        holds=_compile_state_prop(phi, atom_test, loc_index.__getitem__), shapes=shapes,
-        n_clocks=len(tracked), pairs=pairs, max_reset=pta.max_reset(),
-        out_edges=tuple(map(tuple, out_edges)), **common)
-
+# -- the search --------------------------------------------------------------
 
 def _checks(shapes, tops, indices):
     """The tests ``(part, index, sign, top)`` of one conjunction at the
@@ -371,9 +376,114 @@ def _holds(checks, state) -> bool:
     return True
 
 
+def _search(program: ReachProgram, tops, out_edges, cap: int, dmax: int = 0):
+    """Breadth-first search for a state satisfying the program's property.
+
+    A delay adds 1 to every tracked value, up to ``cap``; an edge of
+    ``out_edges`` stores its resets' values and updates the pairwise
+    differences, clamped to ``+-dmax``.  Returns ``(parents, hit)``: the
+    parent ``(state, "delay" | "edge", edge index)`` of every state found
+    (None for the initial one; no state at all when the initial invariant
+    fails) and the first state satisfying the property, or None.
+    """
+    shapes, pairs = program.shapes, program.pairs
+    invariants = [_checks(shapes, tops, inv) for inv in program.invariants]
+    guards = [_checks(shapes, tops, guard) for guard in program.guards]
+    phi_holds = program.holds
+
+    def clamp(d):
+        if d > dmax:
+            return dmax
+        if d < -dmax:
+            return -dmax
+        return d
+
+    start = (program.initial, (0,) * program.n_clocks, (0,) * len(pairs))
+    if not _holds(invariants[start[0]], start):
+        return {}, None
+
+    parents: Dict[tuple, tuple] = {start: None}
+    order = [start]
+    head = 0
+    hit = start if phi_holds(start, tops) else None
+    while hit is None and head < len(order):
+        source = order[head]
+        loc, values, diffs = source
+        head += 1
+        for eidx, dst, resets in out_edges[loc]:
+            if not _holds(guards[eidx], source):
+                continue
+            new_values, new_diffs = values, diffs
+            if resets:
+                new_values = list(values)
+                for ci, b in resets:
+                    new_values[ci] = b
+                new_values = tuple(new_values)
+                if pairs:
+                    reset_map = dict(resets)
+                    nd = list(diffs)
+                    for k, (i, j) in enumerate(pairs):
+                        ri, rj = i in reset_map, j in reset_map
+                        if ri and rj:
+                            nd[k] = clamp(reset_map[i] - reset_map[j])
+                        elif ri:
+                            nd[k] = clamp(reset_map[i] - values[j]) if values[j] < cap else -dmax
+                        elif rj:
+                            nd[k] = clamp(values[i] - reset_map[j]) if values[i] < cap else dmax
+                    new_diffs = tuple(nd)
+            state = (dst, new_values, new_diffs)
+            if state in parents or not _holds(invariants[dst], state):
+                continue
+            parents[state] = (source, "edge", eidx)
+            if phi_holds(state, tops):
+                hit = state
+                break
+            order.append(state)
+        if hit is not None:
+            break
+        state = (loc, tuple([v + 1 if v < cap else cap for v in values]), diffs)
+        if state not in parents and _holds(invariants[loc], state):
+            parents[state] = (source, "delay", None)
+            if phi_holds(state, tops):
+                hit = state
+            else:
+                order.append(state)
+    return parents, hit
+
+
+def _moves(parents, hit) -> List[tuple]:
+    """The moves ``(kind, edge index, state reached)`` from the initial
+    state to ``hit``, in order."""
+    moves = []
+    cur = hit
+    while parents[cur] is not None:
+        prev, kind, eidx = parents[cur]
+        moves.append((kind, eidx, cur))
+        cur = prev
+    moves.reverse()
+    return moves
+
+
+# -- discrete (nat-time) reachability ---------------------------------------
+
+def _compile_discrete(pta, phi, index, loc_index, common) -> DiscreteProgram:
+    """Track every clock an atom mentions or an edge resets; an atom's
+    ``top`` (see :func:`_discrete_tops`) bounds integer clock values."""
+    atoms = common["atoms"]
+    tracked = [c for c in pta.clocks if any(c in a.clocks() for a in atoms)
+               or any(c in e.updates for e in pta.edges)]
+    tables = _compile_tables(pta, phi, index, loc_index, common, tracked, lambda b: b)
+    return DiscreteProgram(max_reset=pta.max_reset(), **tables, **common)
+
+
 def _discrete_tops(program: DiscreteProgram, gamma):
     """Each atom's ``top`` at ``gamma`` (None for an infinite bound), and
-    M, the largest ``ceil(|bound|)``; each bound is evaluated once."""
+    M, the largest ``ceil(|bound|)``; each bound is evaluated once.
+
+    Over integers ``v ~ b`` (``~`` being ``<`` or ``<=``) is ``v <= top``
+    with ``top`` the largest integer that satisfies it: ``floor(b)`` for
+    ``<=`` and ``ceil(b) - 1`` for ``<``.
+    """
     values, scale = _bound_values(program, gamma)
     tops = []
     m_bound = 0
@@ -395,84 +505,13 @@ def reach_discrete(program: DiscreteProgram, gamma, min_cap: int = 0) -> Reachab
     """
     tops, m_bound = _discrete_tops(program, gamma)
     cap = max(m_bound + 1 + program.max_reset, min_cap, 1)
-    dmax = m_bound + 1
-
-    shapes, pairs, out_edges = program.shapes, program.pairs, program.out_edges
-    invariants = [_checks(shapes, tops, inv) for inv in program.invariants]
-    guards = [_checks(shapes, tops, guard) for guard in program.guards]
-    phi_holds = program.holds
-
-    def clamp(d):
-        if d > dmax:
-            return dmax
-        if d < -dmax:
-            return -dmax
-        return d
-
-    start = (program.initial, (0,) * program.n_clocks, (0,) * len(pairs))
-    if not _holds(invariants[start[0]], start):
-        return ReachabilityVerdict(False, info={"cap": cap, "states": 0})
-
-    parents: Dict[tuple, tuple] = {start: None}
-    order = [start]
-    head = 0
-    hit = start if phi_holds(start, tops) else None
-    while hit is None and head < len(order):
-        source = order[head]
-        loc, values, diffs = source
-        head += 1
-        for eidx, dst, resets in out_edges[loc]:
-            if not _holds(guards[eidx], source):
-                continue
-            new_values = list(values)
-            for ci, b in resets:
-                new_values[ci] = b
-            new_diffs = diffs
-            if pairs and resets:
-                reset_map = dict(resets)
-                nd = list(diffs)
-                for k, (i, j) in enumerate(pairs):
-                    ri, rj = i in reset_map, j in reset_map
-                    if ri and rj:
-                        nd[k] = clamp(reset_map[i] - reset_map[j])
-                    elif ri:
-                        nd[k] = clamp(reset_map[i] - values[j]) if values[j] < cap else -dmax
-                    elif rj:
-                        nd[k] = clamp(values[i] - reset_map[j]) if values[i] < cap else dmax
-                new_diffs = tuple(nd)
-            state = (dst, tuple(new_values), new_diffs)
-            if state in parents or not _holds(invariants[dst], state):
-                continue
-            parents[state] = (source, "edge", eidx)
-            if phi_holds(state, tops):
-                hit = state
-                break
-            order.append(state)
-        if hit is not None:
-            break
-        new_values = tuple(min(v + 1, cap) for v in values)
-        state = (loc, new_values, diffs)
-        if state not in parents and _holds(invariants[loc], state):
-            parents[state] = (source, "delay", None)
-            if phi_holds(state, tops):
-                hit = state
-            else:
-                order.append(state)
-
+    parents, hit = _search(program, tops, program.out_edges, cap, m_bound + 1)
     info = {"cap": cap, "states": len(parents)}
     if hit is None:
         return ReachabilityVerdict(False, info=info)
-
-    moves = []
-    cur = hit
-    while parents[cur] is not None:
-        prev, kind, eidx = parents[cur]
-        moves.append((kind, eidx))
-        cur = prev
-    moves.reverse()
     steps: List[Tuple[Fraction, int]] = []
     pending = Fraction(0)
-    for kind, eidx in moves:
+    for kind, eidx, _ in _moves(parents, hit):
         if kind == "delay":
             pending += 1
         else:
@@ -496,6 +535,8 @@ def _single_constrained_clock(atoms) -> Optional[str]:
 
 
 def _compile_dense(pta, phi, index, loc_index, common) -> DenseProgram:
+    """Track the one constrained clock (a placeholder when there is none,
+    so that the search still tells 0 from later values)."""
     atoms = common["atoms"]
     clock = _single_constrained_clock(atoms)
     resets = tuple(dict.fromkeys(int(e.updates[clock]) for e in pta.edges
@@ -503,48 +544,38 @@ def _compile_dense(pta, phi, index, loc_index, common) -> DenseProgram:
     profiles = []
     split = 1 + len(resets)
     for atom, bound in zip(atoms, common["bounds"]):
-        if bound is None:
-            profiles.append(True)
-        elif atom.is_clock_free():
+        if bound is None or atom.is_clock_free():
             profiles.append(None)
         else:
             profiles.append((split, atom.strict, atom.pos == clock))
             split += 1
-
-    def atom_test(atom):
-        k = index[atom]
-        return lambda state, masks: (masks[k] >> state[1]) & 1 == 1
-
-    reset_index = {b: i for i, b in enumerate(resets)}
-    out_edges = [[] for _ in pta.locations]
-    for eidx, e in enumerate(pta.edges):
-        reset = reset_index[int(e.updates[clock])] if clock in e.updates else None
-        out_edges[loc_index[e.source]].append((eidx, loc_index[e.target], reset))
-    return DenseProgram(
-        holds=_compile_state_prop(phi, atom_test, loc_index.__getitem__), clock=clock,
-        resets=resets, profiles=tuple(profiles), out_edges=tuple(map(tuple, out_edges)),
-        **common)
+    tables = _compile_tables(pta, phi, index, loc_index, common, [clock], resets.index)
+    return DenseProgram(clock=clock, resets=resets, profiles=tuple(profiles), **tables, **common)
 
 
 def clock_regions(values: Sequence, profiles: Sequence, n_resets: int):
-    """Rank the split values of one clock and compile each atom to a bitmap.
+    """Rank the split values of one clock and bound each atom's region index.
 
     ``values`` are the split values: 0, then ``n_resets`` reset constants,
     then the clock atoms' thresholds (``t`` of ``x ~ t`` and of ``t ~ x``),
     all in one scale.  They are sorted once and equal neighbours merged,
     keeping the first occurrence; the ranks at or above the rank of 0 are
-    the points ``v0 = 0 < v1 < ... < vk`` of the regions ``v0, (v0, v1),
-    v1, ..., vk, (vk, inf)``, so point ``i`` is region ``2i``.  An atom's
-    profile is a bool (a constant) or ``(value index, strict, upper)``,
-    and its bitmap (bit ``r`` is its truth in region ``r``) follows from
-    its threshold's rank alone: for ``x ~ t`` the regions before ``t``
-    are true, ``t`` itself is ``not strict`` and the regions after it are
-    false; ``t ~ x`` is the mirror image, and a threshold below 0 gives a
-    constant bitmap.
+    the ``k`` points ``v0 = 0 < v1 < ... < v(k-1)`` of the regions ``v0,
+    (v0, v1), v1, ..., v(k-1), (v(k-1), inf)``, numbered 0 to ``2k - 1``,
+    so point ``r`` is region ``2r``.  The regions are numbered in the order
+    of the clock values in them and every atom has one truth value on each,
+    so an atom on the clock is a bound on the region index, ``sign * region
+    <= top``: with ``r`` the rank of its threshold counted from 0's, ``x <=
+    t`` is ``region <= 2r``, ``x < t`` is ``region <= 2r - 1``, ``x >= t``
+    is ``-region <= -2r`` and ``x > t`` is ``-region <= -(2r + 1)``.  A
+    threshold below 0 has ``r < 0``, which makes the first two false and
+    the last two true in every region.  An atom's profile is None (no test;
+    top None), a bool (a constant; top 0 or -1, for the test ``0 <= top``)
+    or ``(value index, strict, upper)``.
 
-    Returns ``(points, masks, reset_regions)``: the point values, the
-    bitmap of each atom as an int in the order given, and the point region
-    of each reset constant.
+    Returns ``(points, tops, reset_regions)``: the point values, the top of
+    each atom in the order given, and the point region of each reset
+    constant.
     """
     order = sorted(range(len(values)), key=values.__getitem__)
     rank = [0] * len(values)
@@ -555,23 +586,19 @@ def clock_regions(values: Sequence, profiles: Sequence, n_resets: int):
         rank[i] = len(reps) - 1
     zero = rank[0]
     points = [values[i] for i in reps[zero:]]
-    full = (1 << 2 * len(points)) - 1
 
-    masks = []
+    tops = []
     for prof in profiles:
-        if isinstance(prof, bool):
-            masks.append(full if prof else 0)
-            continue
-        index, strict, upper = prof
-        r = 2 * (rank[index] - zero)
-        if r < 0:
-            masks.append(0 if upper else full)
-            continue
-        at = 0 if strict else 1 << r
-        below = (1 << r) - 1
-        masks.append(below | at if upper else (full & ~below & ~(1 << r)) | at)
+        if prof is None:
+            tops.append(None)
+        elif isinstance(prof, bool):
+            tops.append(0 if prof else -1)
+        else:
+            index, strict, upper = prof
+            r = 2 * (rank[index] - zero)
+            tops.append(r - strict if upper else -r - strict)
     reset_regions = [2 * (rank[1 + k] - zero) for k in range(n_resets)]
-    return points, masks, reset_regions
+    return points, tops, reset_regions
 
 
 def _dense_regions(program: DenseProgram, gamma):
@@ -580,12 +607,13 @@ def _dense_regions(program: DenseProgram, gamma):
     split = [0] + [b * scale for b in program.resets]
     profiles = []
     for atom, prof, value in zip(program.atoms, program.profiles, bounds):
-        if prof is None:
+        if value is None:
+            profiles.append(None)
+        elif prof is None:
             profiles.append(0 < value if atom.strict else 0 <= value)
         else:
             profiles.append(prof)
-            if prof is not True:
-                split.append(value if prof[2] else -value)
+            split.append(value if prof[2] else -value)
     return clock_regions(split, profiles, len(program.resets)) + (scale,)
 
 
@@ -594,74 +622,29 @@ def reach_dense_one_clock(program: DenseProgram, gamma) -> ReachabilityVerdict:
 
     The bounds at ``gamma`` (plus 0 and the reset constants, all in the
     scale of :func:`_bound_values`) split the clock axis into points and
-    open intervals on which every atom has a fixed truth value
-    (:func:`clock_regions` ranks them and compiles every atom to an int
-    bitmap over the regions); reachability runs over (location, region)
-    pairs, testing bits only.  Witness delays use interval midpoints and
-    are emitted only when every bound is rational.
+    open intervals on which every atom has a fixed truth value;
+    :func:`clock_regions` numbers them and turns every atom into a bound on
+    the region index.  The nat engine's search then runs with the region
+    index as the one tracked value: a delay moves to the next region, up to
+    the last, and a reset to its constant's point region.  Witness delays
+    use interval midpoints and are emitted only when every bound is
+    rational.
     """
-    points, masks, reset_regions, scale = _dense_regions(program, gamma)
+    points, tops, reset_regions, scale = _dense_regions(program, gamma)
     n_regions = 2 * len(points)
-    full = (1 << n_regions) - 1
-
-    def bitmap(indices) -> int:
-        out = full
-        for k in indices:
-            out &= masks[k]
-        return out
-
-    inv_maps = [bitmap(inv) for inv in program.invariants]
-    guard_maps = [bitmap(guard) for guard in program.guards]
     out_edges = program.out_edges
-    phi_holds = program.holds
-
-    start = (program.initial, 0)
-    if not inv_maps[start[0]] & 1:
+    if reset_regions:
+        out_edges = [tuple((eidx, dst, tuple((ci, reset_regions[k]) for ci, k in resets))
+                           for eidx, dst, resets in edges) for edges in out_edges]
+    parents, hit = _search(program, tops, out_edges, n_regions - 1)
+    if not parents:
         return ReachabilityVerdict(False, info={"regions": n_regions})
-    parents = {start: None}
-    order = [start]
-    head = 0
-    hit = start if phi_holds(start, masks) else None
-    while hit is None and head < len(order):
-        loc, region = order[head]
-        head += 1
-        for eidx, dst, reset in out_edges[loc]:
-            if not (guard_maps[eidx] >> region) & 1:
-                continue
-            target_region = region if reset is None else reset_regions[reset]
-            state = (dst, target_region)
-            if state in parents or not (inv_maps[dst] >> target_region) & 1:
-                continue
-            parents[state] = ((loc, region), "edge", eidx)
-            if phi_holds(state, masks):
-                hit = state
-                break
-            order.append(state)
-        if hit is not None:
-            break
-        if region + 1 < n_regions:
-            state = (loc, region + 1)
-            if state not in parents and (inv_maps[loc] >> (region + 1)) & 1:
-                parents[state] = ((loc, region), "delay", None)
-                if phi_holds(state, masks):
-                    hit = state
-                else:
-                    order.append(state)
-
     info = {"regions": n_regions, "states": len(parents)}
     if hit is None:
         return ReachabilityVerdict(False, info=info)
     if any(not isinstance(v, (int, Fraction)) for v in points):
         return ReachabilityVerdict(True, None, info)
     points = [Fraction(v, scale) for v in points]
-
-    moves = []
-    cur = hit
-    while parents[cur] is not None:
-        prev, kind, eidx = parents[cur]
-        moves.append((kind, eidx, cur))
-        cur = prev
-    moves.reverse()
 
     def representative(region, at_least):
         a = points[region // 2]
@@ -676,16 +659,16 @@ def reach_dense_one_clock(program: DenseProgram, gamma) -> ReachabilityVerdict:
     steps = []
     x = Fraction(0)
     pending = Fraction(0)
-    for kind, eidx, state in moves:
+    for kind, eidx, state in _moves(parents, hit):
         if kind == "delay":
-            nx = representative(state[1], x)
+            nx = representative(state[1][0], x)
             pending += nx - x
             x = nx
         else:
             steps.append((pending, eidx))
             pending = Fraction(0)
             e = program.pta.edges[eidx]
-            if clock is not None and clock in e.updates:
+            if clock in e.updates:
                 x = Fraction(e.updates[clock])
     witness = ConcreteRun(tuple(steps), final_delay=pending)
     return ReachabilityVerdict(True, witness, info)

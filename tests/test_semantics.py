@@ -12,7 +12,15 @@ from ptasynth.harness import (
     shipped_two_one_models,
     suite_lu_monotonicity,
 )
-from ptasynth.model import ConcreteRun, Edge, PropLoc, Pta, SystemProperty, UnsupportedError
+from ptasynth.model import (
+    ConcreteRun,
+    Edge,
+    PropLoc,
+    Pta,
+    SystemProperty,
+    UnsupportedError,
+    eval_state_property,
+)
 from ptasynth.parser import parse_constraint, parse_model, parse_property
 from ptasynth.polynomials import AlgebraicNumber, isolate_real_roots
 from ptasynth.scalars import INF
@@ -201,6 +209,51 @@ def test_discrete_dense_agreement_on_closed_integer_models():
         checked += 1
 
 
+OPEN_INTERVAL_MODEL = """
+clocks: x
+params: p1
+loc q0 init inv: x < 3*p1
+loc q1 inv: true
+edge q0 -> q1 : x > p1 & x < 2*p1 ; a ;
+edge q1 -> q0 : x > p1 + 1 ; b ; reset x:=1
+"""
+
+
+def test_dense_witnesses_replay_at_non_integer_rational_valuations():
+    # the region representatives of a dense witness (midpoints between
+    # non-integer thresholds, one past the last point) give a run that
+    # replays and ends in a state satisfying the property (violating it, for
+    # a forall-always counterexample).  Random models rarely fire an edge
+    # strictly between two strict bounds, so a hand-written one does;
+    # catches a representative on either end of an open interval
+    rng = random.Random(1809)
+    open_interval = parse_model(OPEN_INTERVAL_MODEL)
+    corpus = [(open_interval, parse_property(text, open_interval).phi)
+              for text in ("EF q1", "EF (q0 && x > p1 + 1 && x < 3*p1)", "AG !(q1 && x >= 2*p1)")]
+    for _ in range(100):
+        pta = rand_pta_one_clock(rng, 1, "dense", "real")
+        corpus.append((pta, rand_state_property(rng, pta)))
+    replayed = strict_models = 0
+    for pta, phi in corpus:
+        strict = any(a.strict for a in pta.atoms())
+        for mode in ("EF", "AG"):
+            program = compile_check(pta, SystemProperty(mode, phi))
+            for d in (3, 7, 10**6 + 3):
+                n = rng.randint(-2 * d, 6 * d)
+                gamma = {"p1": Fraction(n + (n % d == 0), d)}
+                result = decide(program, gamma)
+                if result.witness is None:
+                    continue
+                replay = replay_run(pta, gamma, result.witness, "dense")
+                assert replay, (pta.render(), mode, phi, gamma, replay.reason)
+                loc, omega = replay.states[-1]
+                assert eval_state_property(phi, loc, omega, gamma) == (mode == "EF"), \
+                    (pta.render(), mode, phi, gamma)
+                replayed += 1
+                strict_models += strict
+    assert replayed > 250 and strict_models > 150
+
+
 def test_diagonal_atoms_with_saturated_clock():
     # per-clock saturation must not corrupt difference atoms: y resets while
     # x grows far past every bound, then a diagonal guard asks x - y <= p
@@ -320,8 +373,10 @@ def region_point(points, r):
 @pytest.mark.parametrize("p", [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1),
                                Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(5)])
 def test_clock_region_bitmaps_match_holds(p):
-    # equal thresholds from different expressions, thresholds below 0,
-    # resets onto a threshold, and clock-free atoms
+    # every atom is a bound on the region index: ``sign * r <= top`` is its
+    # truth at the points of region ``r``.  Cases: equal thresholds from
+    # different expressions, thresholds below 0, resets onto a threshold,
+    # and clock-free atoms (sign 0)
     texts = ["x <= p", "x < 2*p - p", "x > p", "x >= p - 5", "x <= p - 4", "x < -3",
              "x >= 1", "x > 1", "x <= 2*p - 1", "x = 2", "x >= p^2 - 2", "x < 3*p"]
     atoms = [a for t in texts for a in parse_constraint(t, ("x",), ("p",))]
@@ -330,14 +385,15 @@ def test_clock_region_bitmaps_match_holds(p):
     gamma = {"p": p}
     resets = [1, 2, 0]
     values, profiles = fraction_split(atoms, gamma, "x", resets)
-    points, masks, reset_regions = clock_regions(values, profiles, len(resets))
+    points, tops, reset_regions = clock_regions(values, profiles, len(resets))
     assert points[0] == 0 and all(a < b for a, b in zip(points, points[1:]))
     for b, r in zip(resets, reset_regions):
         assert points[r // 2] == b and r % 2 == 0
+    signs = [0 if isinstance(prof, bool) else 1 if prof[2] else -1 for prof in profiles]
     for r in range(2 * len(points)):
         omega = {"x": region_point(points, r)}
-        for atom, mask in zip(atoms, masks):
-            assert ((mask >> r) & 1 == 1) == SimpleConstraint.of(atom).holds(omega, gamma), \
+        for atom, sign, top in zip(atoms, signs, tops):
+            assert (sign * r <= top) == SimpleConstraint.of(atom).holds(omega, gamma), \
                 (atom, r, omega)
 
 
@@ -365,7 +421,7 @@ def outcome(result):
 @pytest.mark.parametrize("time_domain", ["dense", "nat"])
 def test_one_program_serves_every_valuation(time_domain):
     # a program reused across valuations answers like a fresh compile at
-    # each; catches per-valuation tops or masks kept in the program (a
+    # each; catches per-valuation tops kept in the program (a
     # state leak between cells)
     rng = random.Random(88)
     values = one_param_values()
@@ -414,7 +470,7 @@ def rational_points(rng, params):
 @pytest.mark.parametrize("n_params", [1, 2])
 def test_scaled_ints_rank_and_round_like_fractions(n_params):
     # the scaled-int instantiation gives the tops, the region points, the
-    # atom bitmaps and the reset regions of Fraction evaluation; catches a
+    # atoms' region tops and the reset regions of Fraction evaluation; catches a
     # wrong scale (a power of the lcm too few) and rounding by truncation
     # instead of floor division
     rng = random.Random(5 + n_params)
@@ -426,9 +482,9 @@ def test_scaled_ints_rank_and_round_like_fractions(n_params):
             tops, m_bound = _discrete_tops(nat, gamma)
             assert tops == fraction_tops(nat.atoms, gamma)
             assert m_bound == max([math.ceil(abs(a.rhs.evaluate(gamma))) for a in nat.atoms], default=0)
-            points, masks, reset_regions, scale = _dense_regions(dense, gamma)
+            points, tops, reset_regions, scale = _dense_regions(dense, gamma)
             values, profiles = fraction_split(dense.atoms, gamma, "x", dense.resets)
-            assert ([Fraction(v, scale) for v in points], masks, reset_regions) == \
+            assert ([Fraction(v, scale) for v in points], tops, reset_regions) == \
                 clock_regions(values, profiles, len(dense.resets))
 
 
