@@ -325,18 +325,7 @@ def cmd_analyze2(args):
     print("thresholds: S0=%d S1=%d" % (s0, s1))
     report = periodicity_probe(two_one, psi, args.probe_horizon)
     print(report.render())
-    if args.out:
-        payload = {
-            "s0": report.s0, "s1": report.s1, "horizon": report.horizon,
-            "experimental": True,
-            "verdicts": list(report.verdicts),
-        }
-        if report.found:
-            payload["progression"] = {"start": report.found[0], "period": report.found[1],
-                                      "constant_false_tail": report.tail_constant_false}
-        if report.counterexample_window is not None:
-            payload["counterexample_window"] = list(report.counterexample_window)
-        _write_out(args, payload)
+    _write_out(args, jsonio.probe_to_json(report))
     return EXIT_OK
 
 

@@ -5,13 +5,14 @@ A guard over one clock splits into lower-bound conjuncts (-x < e or
 ``usup`` are the tightest induced nonnegative bounds.  A reset-free run
 is realizable exactly when, for every ordered pair of steps i <= j, the
 interval between the i-th lower bound and the j-th upper bound contains
-an admissible clock value (an integer one in nat time).  Runs with
-resets reduce to reset-free segments: the prefix up to the first reset
-is solved with the reset relaxed, the post-reset value is pinned by an
-equality-shaped pair of atoms, and the suffix recurses.
+an admissible clock value (an integer one in nat time).  A reset of
+the clock to b ends a segment and starts the next one: its steps are
+checked the same way, and the reset value b, as a closed lower bound,
+against every upper bound of the segment.
 
 Witness construction follows the midpoint rule on the cumulative
-lower/upper envelopes.  Open endpoints are first shrunk inward by
+lower/upper envelopes of each segment, the lower one starting at 0 or at
+the reset value.  Open endpoints are first shrunk inward by
 min(1, gap)/4, the candidate is clamped to be monotone in the step
 index, and nat time takes the least admissible integer instead.
 """
@@ -19,14 +20,14 @@ index, and nat time takes the least admissible integer instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .constraints import AtomicConstraint, SimpleConstraint
 from .model import ConcreteRun, TIME_DENSE, TIME_NAT, UnsupportedError
 from .scalars import INF
-from .transforms import GuardOnlyRun, GuardStep
+from .transforms import GuardOnlyRun
 
 
 @dataclass(frozen=True)
@@ -171,17 +172,6 @@ def _pick_value(lo: Bound, hi: Bound, time_domain: str):
     return (a + b) / 2
 
 
-def _check_param_conditions(run: GuardOnlyRun, gamma) -> Optional[str]:
-    if not run.initial_condition.holds({}, gamma):
-        return "initial parameter condition fails: %s" % run.initial_condition.render()
-    for idx, step in enumerate(run.steps, start=1):
-        _, _, free = split_guard(step.guard)
-        for atom in free:
-            if not atom.holds({}, gamma):
-                return "parameter condition at step %d fails: %s" % (idx, atom.render())
-    return None
-
-
 def _clock_of(run: GuardOnlyRun) -> Optional[str]:
     for step in run.steps:
         for atom in step.guard:
@@ -191,6 +181,64 @@ def _clock_of(run: GuardOnlyRun) -> Optional[str]:
         if step.updates:
             return sorted(step.updates)[0]
     return run.clocks[0] if run.clocks else None
+
+
+def _feasible(run: GuardOnlyRun, gamma, time_domain: str,
+              clock: Optional[str]) -> FeasibilityResult:
+    """The per-run test and witness, one reset-free segment at a time.
+
+    A segment ends at a step that resets ``clock`` (its guard is tested
+    before the reset) or at the end of the run.  Steps are 0-based here
+    and 1-based in the result.
+    """
+    if not run.initial_condition.holds({}, gamma):
+        return FeasibilityResult(False, reason="initial parameter condition fails: %s"
+                                 % run.initial_condition.render())
+    guards = []
+    for idx, step in enumerate(run.steps, start=1):
+        lb, up, free = split_guard(step.guard)
+        for atom in free:
+            if not atom.holds({}, gamma):
+                return FeasibilityResult(False, reason="parameter condition at step %d fails: %s"
+                                         % (idx, atom.render()))
+        guards.append((lb, up))
+    lows = [linf(lb, gamma) for lb, _ in guards]
+    highs = [usup(up, gamma) for _, up in guards]
+
+    # (first step, one past the last step, start bound, resetting step or None)
+    segments = []
+    first, start, reset_at = 0, Bound(Fraction(0)), None
+    for k, step in enumerate(run.steps):
+        if clock is not None and clock in step.updates:
+            segments.append((first, k + 1, start, reset_at))
+            first, start, reset_at = k + 1, Bound(Fraction(int(step.updates[clock]))), k
+    segments.append((first, len(run.steps), start, reset_at))
+
+    for first, stop, start, reset_at in segments:
+        pairs = [] if reset_at is None else [(reset_at, start, j) for j in range(first, stop)]
+        pairs += [(i, lows[i], j) for i in range(first, stop) for j in range(i, stop)]
+        for i, lo, j in pairs:
+            if not _interval_nonempty(lo, highs[j], time_domain):
+                return FeasibilityResult(False, failing_pair=(i + 1, j + 1),
+                                         reason="no admissible value between the lower bound "
+                                                "of step %d and the upper bound of step %d"
+                                                % (i + 1, j + 1))
+
+    steps = []
+    for first, stop, start, _ in segments:
+        tops = highs[first:stop]            # suffix minima within the segment
+        for k in range(len(tops) - 2, -1, -1):
+            tops[k] = _bound_min(tops[k + 1], tops[k])
+        lo, x = start, start.value
+        for k in range(first, stop):
+            lo = _bound_max(lo, lows[k])
+            value = _pick_value(lo, tops[k - first], time_domain)
+            if value is None:
+                return FeasibilityResult(True)
+            value = max(x, value)
+            steps.append((value - x, k))
+            x = value
+    return FeasibilityResult(True, witness=ConcreteRun(tuple(steps)))
 
 
 def feasible_no_reset(run: GuardOnlyRun, gamma, time_domain: str = TIME_DENSE,
@@ -206,115 +254,17 @@ def feasible_no_reset(run: GuardOnlyRun, gamma, time_domain: str = TIME_DENSE,
     for step in run.steps:
         if clock is not None and clock in step.updates:
             raise UnsupportedError("reset-free feasibility called on a run with resets")
-    bad = _check_param_conditions(run, gamma)
-    if bad is not None:
-        return FeasibilityResult(False, reason=bad)
-    ell = len(run.steps)
-    if ell == 0:
-        return FeasibilityResult(True, witness=ConcreteRun(()))
-    lows, highs = [], []
-    for step in run.steps:
-        lb, up, _ = split_guard(step.guard)
-        lows.append(linf(lb, gamma))
-        highs.append(usup(up, gamma))
-    for i in range(1, ell + 1):
-        for j in range(i, ell + 1):
-            if not _interval_nonempty(lows[i - 1], highs[j - 1], time_domain):
-                return FeasibilityResult(False, failing_pair=(i, j),
-                                         reason="no admissible value between the lower bound "
-                                                "of step %d and the upper bound of step %d" % (i, j))
-    cum_low = []
-    acc = Bound(Fraction(0), False)
-    for b in lows:
-        acc = _bound_max(acc, b)
-        cum_low.append(acc)
-    cum_high = [None] * ell
-    acc = Bound(INF, True)
-    for i in range(ell - 1, -1, -1):
-        acc = _bound_min(acc, highs[i])
-        cum_high[i] = acc
-    values = []
-    prev = Fraction(0)
-    for i in range(ell):
-        candidate = _pick_value(cum_low[i], cum_high[i], time_domain)
-        if candidate is None:
-            return FeasibilityResult(True, witness=None)
-        value = max(prev, candidate)
-        values.append(value)
-        prev = value
-    steps = []
-    x = Fraction(0)
-    for i, value in enumerate(values):
-        steps.append((value - x, i))
-        x = values[i]
-    return FeasibilityResult(True, witness=ConcreteRun(tuple(steps)))
-
-
-def _pin_step(clock: str, value: int, target: str) -> GuardStep:
-    from .expressions import Expression
-
-    pin = SimpleConstraint.of(
-        AtomicConstraint(clock, None, False, Expression.constant(value)),
-        AtomicConstraint(None, clock, False, Expression.constant(-value)),
-    )
-    return GuardStep(pin, "pin", {}, "pin0", target)
+    return _feasible(run, gamma, time_domain, clock)
 
 
 def feasible_with_reset(run: GuardOnlyRun, gamma, time_domain: str = TIME_DENSE,
                         clock: Optional[str] = None) -> FeasibilityResult:
-    """Feasibility with clock resets, by segment recursion at the first reset.
+    """Feasibility with clock resets, one reset-free segment after another.
 
-    The returned witness is stitched from the segment witnesses; failing
-    pairs are reported in the original run's 1-based step indices, with a
-    failure of the synthetic pinning step attributed to the reset step.
+    Failing pairs and reasons use the run's 1-based step numbers; after a
+    reset at step h, the reset value failing step j's upper bound is the
+    pair (h, j).  The witness sets the clock to the reset value after h.
     """
-    bad = _check_param_conditions(run, gamma)
-    if bad is not None:
-        return FeasibilityResult(False, reason=bad)
     if clock is None:
         clock = _clock_of(run)
-    h = None
-    for idx, step in enumerate(run.steps, start=1):
-        if clock is not None and clock in step.updates:
-            h = idx
-            break
-    if h is None:
-        return feasible_no_reset(run, gamma, time_domain, clock)
-
-    prefix_steps = []
-    for step in run.steps[:h]:
-        cleaned = dict(step.updates)
-        cleaned.pop(clock, None)
-        prefix_steps.append(replace(step, updates=cleaned))
-    prefix = GuardOnlyRun(tuple(prefix_steps), SimpleConstraint.true(),
-                          run.clocks, run.params)
-    head = feasible_no_reset(prefix, gamma, time_domain, clock)
-    if not head.feasible:
-        return FeasibilityResult(False, failing_pair=head.failing_pair, reason=head.reason)
-
-    reset_value = int(run.steps[h - 1].updates[clock])
-    tail_steps = (_pin_step(clock, reset_value, "pin1"),) + run.steps[h:]
-    tail = GuardOnlyRun(tail_steps, SimpleConstraint.true(), run.clocks, run.params)
-    rest = feasible_with_reset(tail, gamma, time_domain, clock)
-    if not rest.feasible:
-        pair = rest.failing_pair
-        if pair is not None:
-            pair = tuple(h if k == 1 else h + k - 1 for k in pair)
-        return FeasibilityResult(False, failing_pair=pair, reason=rest.reason)
-
-    if head.witness is None or rest.witness is None:
-        return FeasibilityResult(True, witness=None)
-    # replay the tail witness to recover absolute clock values, then restate
-    # the post-pin steps relative to the original run
-    steps = list(head.witness.steps)
-    x_tail = Fraction(0)
-    prev = Fraction(reset_value)
-    for delay, idx in rest.witness.steps:
-        fired_at = x_tail + delay
-        step = tail.steps[idx]
-        post = Fraction(step.updates[clock]) if clock in step.updates else fired_at
-        if idx != 0:
-            steps.append((fired_at - prev, h + idx - 1))
-            prev = post
-        x_tail = post
-    return FeasibilityResult(True, witness=ConcreteRun(tuple(steps)))
+    return _feasible(run, gamma, time_domain, clock)

@@ -788,8 +788,8 @@ def _revalidate_drift(two_one, run, gamma, s0, witness: StructuralWitness,
 
 def suite_decomposition_props(seed: int, n_cases: int) -> SuiteReport:
     """Cover/disjointness of 1D cells, the real-root delineability proxy for
-    the projection, an independent census for the hyperplane cells, and the
-    slack rewriting round-trip."""
+    the projection, and an independent census for the hyperplane cells,
+    whose samples must lie in their cells."""
     rng = random.Random(seed)
     report = SuiteReport("decomposition-props")
     from .decomposition import decompose_1d, decompose_linear, project_clock

@@ -15,6 +15,7 @@ from .polynomials import AlgebraicNumber
 from .scalars import INF, NEG_INF, format_fraction
 from .synthesis import FeasibleRegion
 from .model import ConcreteRun, render_system_property
+from .twoclock import PeriodicityReport
 
 
 def scalar_to_json(v):
@@ -90,6 +91,18 @@ def check_to_json(satisfied: bool, witness, kind: str, gamma, time_domain) -> di
     if witness is not None:
         out["witness_kind"] = kind
         out["witness"] = run_to_json(witness)
+    return out
+
+
+def probe_to_json(report: PeriodicityReport) -> dict:
+    """The ``probe`` payload ``analyze2 --out`` writes."""
+    out = {"s0": report.s0, "s1": report.s1, "horizon": report.horizon,
+           "experimental": True, "verdicts": list(report.verdicts)}
+    if report.found:
+        out["progression"] = {"start": report.found[0], "period": report.found[1],
+                              "constant_false_tail": report.tail_constant_false}
+    if report.counterexample_window is not None:
+        out["counterexample_window"] = list(report.counterexample_window)
     return out
 
 

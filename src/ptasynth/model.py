@@ -7,7 +7,7 @@ model's parameters when applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Tuple
 
@@ -56,9 +56,6 @@ class Pta:
     edges: Tuple[Edge, ...]
     time_domain: str = TIME_DENSE
     param_domain: str = PARAM_REAL
-    # which domains the source text declared explicitly (CLI overrides of a
-    # declared domain require --force); not part of structural equality
-    declared_domains: frozenset = field(default=frozenset(), compare=False)
 
     def validate(self) -> "Pta":
         if self.initial not in self.locations:
@@ -126,8 +123,7 @@ class Pta:
             lines.append("clocks: " + ", ".join(self.clocks))
         if self.params:
             lines.append("params: " + ", ".join(self.params))
-        if self.declared_domains or self.time_domain != TIME_DENSE \
-                or self.param_domain != PARAM_REAL:
+        if self.time_domain != TIME_DENSE or self.param_domain != PARAM_REAL:
             lines.append("domain: time=%s param=%s" % (self.time_domain, self.param_domain))
         for loc in self.locations:
             tag = " init" if loc == self.initial else ""

@@ -101,6 +101,31 @@ def test_feasible_and_runs(workdir):
     assert res2.stdout.splitlines() == ["-  (q0)", "0  (q0 -> q1)"]
 
 
+RESET_RUN = """clocks: x
+loc q0 init inv: true
+loc q1 inv: true
+loc q2 inv: true
+loc q3 inv: true
+loc q4 inv: true
+edge q0 -> q1 : true ; a ;
+edge q1 -> q2 : true ; b ; reset x:=4
+edge q2 -> q3 : true ; c ;
+edge q3 -> q4 : x <= 3 ; d ;
+"""
+
+
+def test_feasible_reason_names_the_failing_pair(tmp_path):
+    (tmp_path / "reset.pta").write_text(RESET_RUN)
+    (tmp_path / "run.txt").write_text("0 1 2 3\n")
+    res = cli("feasible", "--model", str(tmp_path / "reset.pta"), "--run",
+              str(tmp_path / "run.txt"))
+    assert res.returncode == 0
+    lines = res.stdout.splitlines()
+    assert "failing pair: steps 2 and 4" in lines
+    assert ("reason: no admissible value between the lower bound of step 2 "
+            "and the upper bound of step 4") in lines
+
+
 def test_missing_set_is_usage_error(workdir):
     res = cli("check", "--model", str(workdir / "gate.pta"), "--prop",
               str(workdir / "ef.prop"))

@@ -1,4 +1,6 @@
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -112,27 +114,83 @@ def test_feasible_no_reset_failing_pair():
     assert guard_run_reachable_set(run, gamma, TIME_DENSE) is None
 
 
+def assert_reset_witnesses(run, gamma, dense, nat):
+    for domain, expected in ((TIME_DENSE, dense), (TIME_NAT, nat)):
+        res = feasible_with_reset(run, gamma, domain)
+        assert res.feasible
+        assert res.witness.steps == expected
+        assert replay_run(linearize_guard_run(run, domain)[0], gamma, res.witness, domain)
+
+
 def test_feasible_with_reset_examples():
     # reset lets a later lower bound be met afresh
     run = mkrun(step(upper(1), reset=0), step(lower(2), upper(3)))
-    res = feasible_with_reset(run, {})
-    assert res.feasible
-    chain, _ = linearize_guard_run(run)
-    assert replay_run(chain, {}, res.witness, TIME_DENSE)
+    assert_reset_witnesses(run, {},
+                           ((Fraction(1, 2), 0), (Fraction(5, 2), 1)),
+                           ((Fraction(0), 0), (Fraction(2), 1)))
 
     # reset to zero satisfies an upper bound of zero
-    gamma = {"p": Fraction(0)}
     run2 = mkrun(step(lower(5), reset=0), step(upper_p()))
-    res2 = feasible_with_reset(run2, gamma)
-    assert res2.feasible
-    chain2, _ = linearize_guard_run(run2)
-    assert replay_run(chain2, gamma, res2.witness, TIME_DENSE)
+    assert_reset_witnesses(run2, {"p": Fraction(0)},
+                           ((Fraction(5), 0), (Fraction(0), 1)),
+                           ((Fraction(5), 0), (Fraction(0), 1)))
 
     # squeeze after a reset to 4: next guard demands x <= 3
     run3 = mkrun(step(reset=4), step(upper(3)))
     res3 = feasible_with_reset(run3, {})
     assert not res3.feasible
     assert guard_run_reachable_set(run3, {}, TIME_DENSE) is None
+
+    # after a reset to 2 the clock reads 2, not 0 and not the 1/2 it was
+    run4 = mkrun(step(upper(1), reset=2), step(lower(3), upper(4)))
+    assert_reset_witnesses(run4, {},
+                           ((Fraction(1, 2), 0), (Fraction(3, 2), 1)),
+                           ((Fraction(0), 0), (Fraction(1), 1)))
+
+    # two resets: to 3, then to 1
+    run5 = mkrun(step(lower(1), reset=3), step(upper(5)), step(lower(4), reset=1), step(upper(2)))
+    assert_reset_witnesses(run5, {},
+                           ((Fraction(1), 0), (Fraction(1), 1), (Fraction(0), 2), (Fraction(1, 2), 3)),
+                           ((Fraction(1), 0), (Fraction(0), 1), (Fraction(1), 2), (Fraction(0), 3)))
+
+
+def _named_steps(reason):
+    return tuple(int(n) for n in re.findall(r"step (\d+)", reason))
+
+
+@pytest.mark.parametrize("steps, pair", [
+    ([step(), step(reset=4), step(), step(upper(3))], (2, 4)),
+    ([step(), step(), step(reset=0), step(lower(5)), step(upper(3))], (4, 5)),
+])
+def test_reason_names_the_failing_pair_after_a_reset(steps, pair):
+    for domain in (TIME_DENSE, TIME_NAT):
+        res = feasible_with_reset(mkrun(*steps), {}, domain)
+        assert not res.feasible
+        assert res.failing_pair == pair
+        assert _named_steps(res.reason) == pair
+
+
+def test_segment_pairs_and_witnesses_on_random_runs_with_resets():
+    rng = random.Random(1107)
+    infeasible = 0
+    for case in range(300):
+        grun = rand_guard_only_run(rng, rng.randint(1, 2), max_len=7, reset_prob=0.35)
+        gamma = {p: Fraction(rng.randint(-3, 12)) for p in grun.params}
+        for domain in (TIME_DENSE, TIME_NAT):
+            res = feasible_with_reset(grun, gamma, domain)
+            reachable = guard_run_reachable_set(grun, gamma, domain) is not None
+            assert res.feasible == reachable, (case, domain)
+            if res.feasible:
+                chain, _ = linearize_guard_run(grun, domain)
+                assert replay_run(chain, gamma, res.witness, domain), (case, domain)
+            elif res.failing_pair is not None:
+                i, j = res.failing_pair
+                assert 1 <= i <= j <= len(grun.steps)
+                assert _named_steps(res.reason) == (i, j)
+                cut = replace(grun, steps=grun.steps[:j])
+                assert guard_run_reachable_set(cut, gamma, domain) is None, (case, domain)
+                infeasible += 1
+    assert infeasible > 100
 
 
 def test_degenerate_run_feasible_iff_initial_condition():
