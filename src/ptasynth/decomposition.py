@@ -167,13 +167,27 @@ def decompose_1d(polys: Sequence[IntPoly]) -> List[Cell1D]:
     interval.  Interval samples are rational; point samples are the roots
     themselves (rational when possible).
     """
+    # A rational root never equals an irrational one, and comparing the two
+    # refines neither: rational roots are deduplicated by value, and each
+    # irrational one is compared with the earlier irrational ones only, in
+    # the order they were found, so the intervals refine as in a pairwise
+    # comparison with every earlier root.
     roots: List[AlgebraicNumber] = []
+    rational = set()
+    irrational: List[AlgebraicNumber] = []
     for f in polys:
         if poly_is_zero(f) or poly_degree(f) < 1:
             continue
         for r in isolate_real_roots(f):
-            if not any(r == seen for seen in roots):
-                roots.append(r)
+            if r.is_rational():
+                if r.lo in rational:
+                    continue
+                rational.add(r.lo)
+            elif any(r == seen for seen in irrational):
+                continue
+            else:
+                irrational.append(r)
+            roots.append(r)
     roots.sort()
     if not roots:
         return [Cell1D("interval", NEG_INF, INF, Fraction(0))]

@@ -147,11 +147,12 @@ class ReachProgram:
     ``(coeff, degree, ((parameter index, exponent), ...))`` (None for an
     infinite bound), every invariant and guard as a tuple of atom indices,
     the search tables of :func:`_compile_tables` (each atom's shape, the
-    number of tracked clocks, the clock pairs and the edges out of each
-    location) and the property compiled over them.  ``holds(state, tops)``
-    reads the per-valuation tops of the engine, one int per atom; they are
-    passed in, never stored, so one program serves every cell, grid point
-    or parameter value.
+    number of tracked clocks, the clock pairs, the edges out of each
+    location and the split of each guard that lets :func:`_search` leave
+    out states that can only delay) and the property compiled over them.
+    ``holds(state, tops)`` reads the per-valuation tops of the engine, one
+    int per atom; they are passed in, never stored, so one program serves
+    every cell, grid point or parameter value.
     """
 
     pta: Pta
@@ -168,6 +169,9 @@ class ReachProgram:
     n_clocks: int
     pairs: Tuple[Tuple[int, int], ...]
     out_edges: tuple
+    permanent: Tuple[Tuple[int, ...], ...]       # per edge index
+    delay_stable: bool
+    prunable: Tuple[bool, ...]                   # per location index
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,7 +236,17 @@ def _compile_state_prop(phi, atom_test, loc_of):
 
 def compile_reach(pta: Pta, phi, time_domain: Optional[str] = None) -> ReachProgram:
     """Compile the reachability of ``phi`` for :func:`reach_discrete` (nat
-    time) or :func:`reach_dense_one_clock` (dense time)."""
+    time) or :func:`reach_dense_one_clock` (dense time).
+
+    Besides the tables the search reads, it splits each guard.  Its
+    ``permanent`` part is the finite atoms that no delay can make true
+    again once false: upper bounds on a tracked value, differences and
+    clock-free atoms; the rest are lower bounds on a tracked value.  The
+    program is ``delay_stable`` when no delay changes the truth of ``phi``:
+    every atom of ``phi`` is clock-free, a difference or has an infinite
+    bound.  A location is ``prunable`` when the program is delay-stable and
+    each edge out of it has a permanent atom; see :func:`_search`.
+    """
     domain = time_domain or pta.time_domain
     index: Dict[AtomicConstraint, int] = {}
     for atom in list(pta.atoms()) + list(prop_atoms(phi)):
@@ -260,7 +274,9 @@ def _compile_tables(pta, phi, index, loc_index, common, tracked, reset_value) ->
     ``(part, index, sign)`` of ``x_i`` is ``(1, i, 1)``, of ``-x_i`` is
     ``(1, i, -1)``, of a diagonal the ``k``-th stored difference ``(2, k,
     +-1)`` and of a clock-free atom ``(1, 0, 0)``, the constant 0.  A reset
-    of a tracked clock to ``b`` is stored as ``reset_value(b)``.
+    of a tracked clock to ``b`` is stored as ``reset_value(b)``.  The
+    permanent parts of the guards, the delay stability of ``phi`` and the
+    prunable locations are those of :func:`compile_reach`.
     """
     atoms = common["atoms"]
     clock_index = {c: i for i, c in enumerate(tracked)}
@@ -295,9 +311,21 @@ def _compile_tables(pta, phi, index, loc_index, common, tracked, reset_value) ->
         resets = tuple((clock_index[c], reset_value(int(b))) for c, b in sorted(e.updates.items())
                        if c in clock_index)
         out_edges[loc_index[e.source]].append((eidx, loc_index[e.target], resets))
+
+    # a delay raises the tracked values and leaves the differences as they
+    # are; an infinite bound is always true
+    bounds = common["bounds"]
+    permanent = tuple(tuple(k for k in guard if bounds[k] is not None and
+                            (shapes[k][0] == 2 or shapes[k][2] != -1))
+                      for guard in common["guards"])
+    delay_stable = all(bounds[k] is None or shapes[k][0] == 2 or shapes[k][2] == 0
+                       for k in (index[a] for a in prop_atoms(phi)))
+    prunable = tuple(delay_stable and all(permanent[eidx] for eidx, _, _ in edges)
+                     for edges in out_edges)
     return dict(holds=_compile_state_prop(phi, atom_test, loc_index.__getitem__),
                 shapes=shapes, n_clocks=len(tracked), pairs=pairs,
-                out_edges=tuple(map(tuple, out_edges)))
+                out_edges=tuple(map(tuple, out_edges)), permanent=permanent,
+                delay_stable=delay_stable, prunable=prunable)
 
 
 def _bound_values(program: ReachProgram, gamma):
@@ -385,10 +413,24 @@ def _search(program: ReachProgram, tops, out_edges, cap: int, dmax: int = 0):
     parent ``(state, "delay" | "edge", edge index)`` of every state found
     (None for the initial one; no state at all when the initial invariant
     fails) and the first state satisfying the property, or None.
+
+    A state in a prunable location (see :func:`compile_reach`) on which the
+    permanent part of no out-edge's guard holds is dead: it is recorded and
+    tested against the property when found, but gets no delay successor.
+    This is exact.  A delay never lowers a tracked value (``cap`` is at
+    least every value an edge stores) and changes no difference, clock-free
+    atom or location, so every delay successor of a dead state is dead and,
+    the program being delay-stable, fails the property as well; a dead
+    state has no edge successor.  So no live state and no hit is ever found
+    first from a dead one: the breadth-first order of the live states,
+    their parents, the hit and :func:`_moves` are those of the search that
+    delays every state, and only dead states are left out.
     """
-    shapes, pairs = program.shapes, program.pairs
+    shapes, pairs, prunable = program.shapes, program.pairs, program.prunable
     invariants = [_checks(shapes, tops, inv) for inv in program.invariants]
     guards = [_checks(shapes, tops, guard) for guard in program.guards]
+    if program.delay_stable:
+        permanent = [_checks(shapes, tops, atoms) for atoms in program.permanent]
     phi_holds = program.holds
 
     def clamp(d):
@@ -410,9 +452,13 @@ def _search(program: ReachProgram, tops, out_edges, cap: int, dmax: int = 0):
         source = order[head]
         loc, values, diffs = source
         head += 1
+        live = not prunable[loc]
         for eidx, dst, resets in out_edges[loc]:
             if not _holds(guards[eidx], source):
+                if not live:
+                    live = _holds(permanent[eidx], source)
                 continue
+            live = True
             new_values, new_diffs = values, diffs
             if resets:
                 new_values = list(values)
@@ -441,6 +487,8 @@ def _search(program: ReachProgram, tops, out_edges, cap: int, dmax: int = 0):
             order.append(state)
         if hit is not None:
             break
+        if not live:
+            continue
         state = (loc, tuple([v + 1 if v < cap else cap for v in values]), diffs)
         if state not in parents and _holds(invariants[loc], state):
             parents[state] = (source, "delay", None)
@@ -502,6 +550,8 @@ def reach_discrete(program: DiscreteProgram, gamma, min_cap: int = 0) -> Reachab
 
     Parameter values may be rationals or exact algebraic values; the
     search compares integer clock values with the integer tops only.
+    ``info["states"]`` counts the states found, dead ones that were not
+    expanded included (see :func:`_search`).
     """
     tops, m_bound = _discrete_tops(program, gamma)
     cap = max(m_bound + 1 + program.max_reset, min_cap, 1)
@@ -510,14 +560,14 @@ def reach_discrete(program: DiscreteProgram, gamma, min_cap: int = 0) -> Reachab
     if hit is None:
         return ReachabilityVerdict(False, info=info)
     steps: List[Tuple[Fraction, int]] = []
-    pending = Fraction(0)
+    pending = 0
     for kind, eidx, _ in _moves(parents, hit):
         if kind == "delay":
             pending += 1
         else:
-            steps.append((pending, eidx))
-            pending = Fraction(0)
-    witness = ConcreteRun(tuple(steps), final_delay=pending)
+            steps.append((Fraction(pending), eidx))
+            pending = 0
+    witness = ConcreteRun(tuple(steps), final_delay=Fraction(pending))
     return ReachabilityVerdict(True, witness, info)
 
 
@@ -628,7 +678,8 @@ def reach_dense_one_clock(program: DenseProgram, gamma) -> ReachabilityVerdict:
     index as the one tracked value: a delay moves to the next region, up to
     the last, and a reset to its constant's point region.  Witness delays
     use interval midpoints and are emitted only when every bound is
-    rational.
+    rational.  ``info["states"]`` counts the states found, dead ones that
+    were not expanded included (see :func:`_search`).
     """
     points, tops, reset_regions, scale = _dense_regions(program, gamma)
     n_regions = 2 * len(points)

@@ -6,11 +6,14 @@ names to do so, some of them private (``ClockSet``,
 library breaks ``perfbench/run.py --trace 0``; this test, unlike
 ``perfbench``'s own, runs with the library's tests.  It also checks that
 ``jsonio.probe_to_json`` and the benchmark's copy of it,
-``workloads.analyze2_payload``, build the same payload.  It changes
-nothing under ``perfbench/``.
+``workloads.analyze2_payload``, build the same payload, and runs every
+``analyze2-shipped`` item, whose payload must equal the one recorded in
+``perfbench/analyze2_reference.json``.  It changes nothing under
+``perfbench/``.
 """
 
 import importlib
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,6 +37,22 @@ def test_first_item_of_each_corpus_runs_and_passes_the_gate(corpus):
     item = workloads.CORPORA[corpus](1)[0]
     answer, detail = workloads.run_item(item)
     workloads.check(item, answer, detail)
+
+
+def test_every_analyze2_item_passes_the_gate_and_matches_the_reference():
+    # the analyze2-shipped items are few and fast: all twelve run, and the
+    # library's own payload builder gives the recorded verdicts and
+    # progression of each
+    from ptasynth import jsonio
+
+    workloads = _workloads()
+    reference = json.loads((PERFBENCH / "analyze2_reference.json").read_text())
+    items = workloads.CORPORA["analyze2-shipped"](1)
+    assert sorted(item.label for item in items) == sorted(reference)
+    for item in items:
+        answer, report = workloads.run_item(item)
+        workloads.check(item, answer, report)
+        assert jsonio.probe_to_json(report) == reference[item.label], item.label
 
 
 def test_probe_payload_matches_the_benchmark_copy():

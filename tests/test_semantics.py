@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ptasynth import semantics
 from ptasynth.constraints import AtomicConstraint, SimpleConstraint
 from ptasynth.expressions import Expression
 from ptasynth.harness import (
@@ -15,7 +16,11 @@ from ptasynth.harness import (
 from ptasynth.model import (
     ConcreteRun,
     Edge,
+    PropAnd,
+    PropAtom,
     PropLoc,
+    PropNot,
+    PropOr,
     Pta,
     SystemProperty,
     UnsupportedError,
@@ -27,6 +32,7 @@ from ptasynth.scalars import INF
 from ptasynth.semantics import (
     _dense_regions,
     _discrete_tops,
+    _moves,
     clock_regions,
     compile_check,
     compile_reach,
@@ -532,3 +538,204 @@ edge q0 -> q1 : x >= p*q - 1 & x <= p^2*q ; a ;
             assert result.satisfied == (lo <= hi), gamma
             if result.satisfied:
                 assert replay_run(pta, gamma, result.witness, time_domain)
+
+
+# -- states that can only delay ------------------------------------------------
+
+SINK_MODEL = """
+clocks: x
+params: p
+loc q0 init inv: true
+loc q1 inv: true
+edge q0 -> q1 : x <= 2 ; a ;
+"""
+
+
+@pytest.mark.parametrize("time_domain", ["nat", "dense"])
+def test_a_clock_property_keeps_delaying_states_no_edge_leaves(time_domain):
+    # once x > 2 no edge leaves q0, but delaying there still reaches
+    # x >= 5: a property with a clock atom turns pruning off.  Catches
+    # pruning that ignores what the property reads
+    pta = parse_model(SINK_MODEL)
+    ef = compile_check(pta, parse_property("EF (q0 && x >= 5)", pta), time_domain)
+    ag = compile_check(pta, parse_property("AG !(q0 && x >= 5)", pta), time_domain)
+    assert not ef.reach.delay_stable and not ag.reach.delay_stable
+    assert compile_check(pta, parse_property("EF q1", pta), time_domain).reach.delay_stable
+    for p in (0, 1, 3):
+        sat, violated = decide(ef, g(p)), decide(ag, g(p))
+        assert sat.satisfied and not violated.satisfied
+        for result in (sat, violated):
+            replay = replay_run(pta, g(p), result.witness, time_domain)
+            assert replay and replay.states[-1][0] == "q0"
+            assert replay.states[-1][1]["x"] >= 5
+
+
+def test_a_violated_difference_atom_disables_its_edge_for_good():
+    # x - y stays 0 without resets, so the first guard never holds and the
+    # initial state is the only one found; the second one holds at x = p
+    pta = parse_model("""
+clocks: x, y
+params: p
+domain: time=nat param=nat
+loc q0 init inv: true
+loc q1 inv: true
+loc q2 inv: true
+edge q0 -> q1 : x - y >= 1 & x >= p ; go ;
+edge q1 -> q2 : x - y <= 0 & x >= p ; go ;
+""")
+    program = compile_reach(pta, PropLoc("q1"), "nat")
+    diagonal, lower = program.guards[0]
+    assert program.permanent == ((diagonal,), (program.guards[1][0],))
+    assert program.delay_stable and program.prunable == (True, True, True)
+    for p in range(0, 5):
+        v = reach_discrete(program, g(p))
+        assert not v.reachable and v.info["states"] == 1, p
+    edge = Edge("q0", parse_constraint("x - y <= 0 & x >= p", ("x", "y"), ("p",)), "go", {}, "q1")
+    reachable = Pta(pta.clocks, pta.params, pta.locations, "q0", pta.invariants, (edge,), "nat", "nat")
+    for p in range(0, 5):
+        v = reach_discrete(compile_reach(reachable, PropLoc("q1"), "nat"), g(p))
+        assert v.reachable and replay_run(reachable, g(p), v.witness, "nat"), p
+
+
+def test_even_pacer_states_grow_linearly_with_the_parameter():
+    # past y = 2 no edge of the pacer can fire again; without pruning the
+    # search delays every such state up to the cap, about cap**2 states
+    (pta, psi), = [(pta, psi) for name, pta, psi in shipped_two_one_models()
+                   if name == "m03_even_pacer"]
+    v = reach_discrete(compile_check(pta, psi, "nat").reach, g(40))
+    assert v.info["states"] < 10 * v.info["cap"]
+
+
+def unpruned_search(program, tops, out_edges, cap, dmax=0):
+    """The breadth-first search of ``semantics._search`` with a delay
+    successor for every state; atoms are tested one by one from the
+    program's shapes."""
+
+    def holds(indices, state):
+        for k in indices:
+            if tops[k] is None:
+                continue
+            part, i, sign = program.shapes[k]
+            if (sign * state[part][i] if sign else 0) > tops[k]:
+                return False
+        return True
+
+    def clamp(d):
+        return max(-dmax, min(dmax, d))
+
+    start = (program.initial, (0,) * program.n_clocks, (0,) * len(program.pairs))
+    if not holds(program.invariants[start[0]], start):
+        return {}, None
+    parents = {start: None}
+    if program.holds(start, tops):
+        return parents, start
+    order = [start]
+    for source in order:
+        loc, values, diffs = source
+        successors = []
+        for eidx, dst, resets in out_edges[loc]:
+            if not holds(program.guards[eidx], source):
+                continue
+            reset = dict(resets)
+            new_values = tuple(reset.get(c, v) for c, v in enumerate(values))
+            new_diffs = list(diffs)
+            for k, (i, j) in enumerate(program.pairs):
+                if i in reset and j in reset:
+                    new_diffs[k] = clamp(reset[i] - reset[j])
+                elif i in reset:
+                    new_diffs[k] = clamp(reset[i] - values[j]) if values[j] < cap else -dmax
+                elif j in reset:
+                    new_diffs[k] = clamp(values[i] - reset[j]) if values[i] < cap else dmax
+            successors.append(((dst, new_values, tuple(new_diffs)), "edge", eidx))
+        successors.append(((loc, tuple(min(v + 1, cap) for v in values), diffs), "delay", None))
+        for state, kind, eidx in successors:
+            if state in parents or not holds(program.invariants[state[0]], state):
+                continue
+            parents[state] = (source, kind, eidx)
+            if program.holds(state, tops):
+                return parents, state
+            order.append(state)
+    return parents, None
+
+
+@pytest.fixture
+def against_unpruned(monkeypatch):
+    """Run every search also without pruning: the same hit and moves, never
+    more states.  Counts the searches and those that found fewer states."""
+    counts = {"searches": 0, "fewer": 0}
+    search = semantics._search
+
+    def both(program, tops, out_edges, cap, dmax=0):
+        parents, hit = search(program, tops, out_edges, cap, dmax)
+        ref_parents, ref_hit = unpruned_search(program, tops, out_edges, cap, dmax)
+        assert hit == ref_hit
+        if hit is not None:
+            assert _moves(parents, hit) == _moves(ref_parents, ref_hit)
+        assert len(parents) <= len(ref_parents)
+        counts["searches"] += 1
+        counts["fewer"] += len(parents) < len(ref_parents)
+        return parents, hit
+
+    monkeypatch.setattr(semantics, "_search", both)
+    return counts
+
+
+def rand_multi_clock(rng):
+    """One to three clocks, two to four locations, up to five edges with any
+    endpoints, resets to 0-2 and invariants; atoms are upper and lower
+    bounds, diagonals and clock-free ones.  The property mixes locations
+    and atoms of every shape under !, && and ||."""
+    clocks = ("x", "y", "z")[:rng.choice((1, 2, 2, 3))]
+    locs = tuple("q%d" % i for i in range(rng.randint(2, 4)))
+
+    def atom():
+        roll = rng.random()
+        strict = rng.random() < 0.3
+        if roll < 0.15:
+            return AtomicConstraint(None, None, strict, Expression.linear(rng.randint(-2, 3), {"p": rng.choice((-1, 0, 1))}))
+        if roll < 0.35 and len(clocks) > 1:
+            pos, neg = rng.sample(clocks, 2)
+            return AtomicConstraint(pos, neg, strict, Expression.linear(rng.randint(-3, 3), {"p": rng.choice((-1, 0, 1))}))
+        clock = rng.choice(clocks)
+        if rng.random() < 0.5:
+            return AtomicConstraint(clock, None, strict, Expression.linear(rng.randint(-1, 4), {"p": rng.choice((0, 1, 2))}))
+        return AtomicConstraint(None, clock, strict, Expression.linear(-rng.randint(0, 5), {"p": rng.choice((-1, 0))}))
+
+    def conj(n):
+        return SimpleConstraint(tuple(atom() for _ in range(n)))
+
+    def prop(depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.4:
+            return PropLoc(rng.choice(locs)) if rng.random() < 0.5 else PropAtom(atom())
+        if roll < 0.55:
+            return PropNot(prop(depth - 1))
+        return rng.choice((PropAnd, PropOr))(prop(depth - 1), prop(depth - 1))
+
+    invariants = {q: conj(rng.choice((0, 0, 0, 1))) for q in locs}
+    edges = tuple(Edge(rng.choice(locs), conj(rng.randint(0, 3)), "a%d" % i,
+                       {c: rng.choice((0, 0, 1, 2)) for c in clocks if rng.random() < 0.3},
+                       rng.choice(locs))
+                  for i in range(rng.randint(1, 5)))
+    pta = Pta(clocks, ("p",), locs, "q0", invariants, edges, "nat", "real")
+    return pta, SystemProperty(rng.choice(("EF", "AG")), prop(2))
+
+
+def test_pruned_search_matches_an_unpruned_one(against_unpruned):
+    # seeded random models: nat time with one to three clocks, and dense
+    # time with one.  Catches pruning of a state with an edge that fires
+    # after a delay, and pruning under a property that a delay can make
+    # true (pruning without the delay-stable condition fails here)
+    rng = random.Random(1996)
+    for _ in range(1000):
+        pta, psi = rand_multi_clock(rng)
+        program = compile_check(pta, psi, "nat")
+        for p in rng.sample(range(0, 6), 2):
+            decide(program, g(p))
+    for _ in range(1000):
+        pta = rand_pta_one_clock(rng, 1, "dense", "real")
+        program = compile_check(pta, SystemProperty(rng.choice(("EF", "AG")), rand_state_property(rng, pta)))
+        for _ in range(2):
+            decide(program, {"p1": Fraction(rng.randint(-4, 16), rng.choice((1, 2, 3)))})
+    assert against_unpruned["searches"] == 4000
+    assert against_unpruned["fewer"] > 400
