@@ -18,7 +18,8 @@ every linear system here: the cell samples, ``LinearCellSampler`` and the
 least integer point of a cell.
 
 Every cell carries an exact sample point: rational in open cells,
-algebraic only at irrational 1D point cells.
+algebraic only at irrational 1D point cells.  A 1D point cell also
+carries the polynomials that vanish at its root.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .expressions import Expression, ExpressionError
 from .model import UnsupportedError
@@ -57,12 +59,17 @@ Row = Tuple[Fraction, ...]               # the same, exact, for elimination
 
 @dataclass
 class Cell1D:
-    """A point or open interval on the parameter line."""
+    """A point or open interval on the parameter line.
+
+    A point cell's ``vanishing`` is its root's provenance: the polynomials
+    given to :func:`decompose_1d` that vanish at it (empty on an interval).
+    """
 
     kind: str                      # "point" | "interval"
     lo: object                     # Fraction | AlgebraicNumber | NEG_INF
     hi: object                     # Fraction | AlgebraicNumber | INF
     sample: object                 # Fraction | AlgebraicNumber
+    vanishing: FrozenSet[IntPoly] = frozenset()
 
     def contains(self, value) -> bool:
         if self.kind == "point":
@@ -165,30 +172,35 @@ def decompose_1d(polys: Sequence[IntPoly]) -> List[Cell1D]:
 
     Cells come back ordered: interval, point, interval, ..., point,
     interval.  Interval samples are rational; point samples are the roots
-    themselves (rational when possible).
+    themselves (rational when possible).  Each point cell records the
+    polynomials that vanish at its root: every polynomial that has the root
+    among its isolated roots, found by the deduplication at no extra cost.
     """
     # A rational root never equals an irrational one, and comparing the two
     # refines neither: rational roots are deduplicated by value, and each
     # irrational one is compared with the earlier irrational ones only, in
     # the order they were found, so the intervals refine as in a pairwise
     # comparison with every earlier root.
-    roots: List[AlgebraicNumber] = []
-    rational = set()
-    irrational: List[AlgebraicNumber] = []
+    roots: List[Tuple[AlgebraicNumber, List[IntPoly]]] = []
+    rational: Dict[Fraction, List[IntPoly]] = {}
+    irrational: List[Tuple[AlgebraicNumber, List[IntPoly]]] = []
     for f in polys:
         if poly_is_zero(f) or poly_degree(f) < 1:
             continue
         for r in isolate_real_roots(f):
             if r.is_rational():
-                if r.lo in rational:
-                    continue
-                rational.add(r.lo)
-            elif any(r == seen for seen in irrational):
-                continue
+                zeros = rational.get(r.lo)
+                if zeros is None:
+                    zeros = rational[r.lo] = []
+                    roots.append((r, zeros))
             else:
-                irrational.append(r)
-            roots.append(r)
-    roots.sort()
+                zeros = next((z for seen, z in irrational if r == seen), None)
+                if zeros is None:
+                    zeros = []
+                    irrational.append((r, zeros))
+                    roots.append((r, zeros))
+            zeros.append(f)
+    roots.sort(key=itemgetter(0))
     if not roots:
         return [Cell1D("interval", NEG_INF, INF, Fraction(0))]
 
@@ -196,16 +208,16 @@ def decompose_1d(polys: Sequence[IntPoly]) -> List[Cell1D]:
         return r.to_fraction() if r.is_rational() else r
 
     cells: List[Cell1D] = []
-    first = roots[0]
+    first = roots[0][0]
     cells.append(Cell1D("interval", NEG_INF, as_value(first),
                         Fraction(math.floor(first) - 1)))
-    for i, r in enumerate(roots):
-        cells.append(Cell1D("point", as_value(r), as_value(r), as_value(r)))
+    for i, (r, zeros) in enumerate(roots):
+        cells.append(Cell1D("point", as_value(r), as_value(r), as_value(r), frozenset(zeros)))
         if i + 1 < len(roots):
-            nxt = roots[i + 1]
+            nxt = roots[i + 1][0]
             cells.append(Cell1D("interval", as_value(r), as_value(nxt),
                                 _between(r, nxt)))
-    last = roots[-1]
+    last = roots[-1][0]
     cells.append(Cell1D("interval", as_value(last), INF,
                         Fraction(math.ceil(last) + 1)))
     return cells

@@ -326,7 +326,8 @@ def suite_synthesis_oracle(seed: int, n_models: int, nat_fraction=0.25,
 
 def suite_sign_invariance(seed: int, n_models: int, samples_per_cell=100) -> SuiteReport:
     """Every cell of the decomposition corpus: random interior points give
-    the same sign assignment as the cell's sample.
+    the same sign assignment as the cell's sample, and a 1D point cell's
+    ``vanishing`` set is exactly the polynomials that are 0 at its root.
 
     The corpus models are kept small (few guard atoms) so that every cell
     of every decomposition gets the full number of interior samples."""
@@ -355,6 +356,11 @@ def suite_sign_invariance(seed: int, n_models: int, samples_per_cell=100) -> Sui
                 pta.params[0]))
             for cv in region.cells:
                 base = signs_at_1d(pool, cv.cell.sample)
+                # a point cell's provenance is exactly the pool's zeros there
+                zeros = {f for f, sign in base.items() if sign == 0}
+                if cv.cell.kind == "point" and cv.cell.vanishing != zeros:
+                    report.fail("model %d cell %s: vanishing set %s, zeros %s"
+                                % (model_no, cv.cell, sorted(cv.cell.vanishing), sorted(zeros)))
                 for _ in range(samples_per_cell):
                     report.cases += 1
                     if cv.cell.kind == "point" and not isinstance(cv.cell.sample, Fraction):

@@ -10,7 +10,9 @@ that support exact comparison and sign evaluation.  They and the values
 :class:`ExactValue`, which gives them Python's comparison operators and
 ``math.floor``/``math.ceil``: they sort, take ``min``/``max`` and mix
 with ints, ``Fraction``s and the infinity sentinels of
-:mod:`ptasynth.scalars` like any other number.
+:mod:`ptasynth.scalars` like any other number.  An :class:`AnchoredRoot`
+is a root that also carries what a one-parameter decomposition knows
+about it, so that values at it can be compared without refinement.
 
 All arithmetic inside is on Python ints.  A sign at a rational n/d is the
 sign of the homogenised value d^deg f(n/d); an interval enclosure runs
@@ -442,6 +444,27 @@ class AlgebraicNumber(ExactValue):
         if self.is_rational():
             return "AlgebraicNumber(%s)" % self.lo
         return "AlgebraicNumber(%s, (%s, %s))" % (list(self.poly), self.lo, self.hi)
+
+
+class AnchoredRoot(AlgebraicNumber):
+    """An irrational root of a one-parameter decomposition, with what its
+    cell's neighbour knows: ``below``, the rational sample of the interval
+    cell on its left, and ``vanishing``, the decomposition's polynomials
+    that vanish at the root.
+
+    Each of those polynomials keeps one sign from ``below`` up to the root
+    and is 0 at the root exactly when it is in ``vanishing``.  So values
+    whose differences are such polynomials (times a nonzero int) compare at
+    the root as they compare at ``below``, except for the differences in
+    ``vanishing``, which are 0 there.  Elsewhere it is the root itself.
+    """
+
+    __slots__ = ("below", "vanishing")
+
+    def __init__(self, root: AlgebraicNumber, below: Fraction, vanishing: frozenset):
+        super().__init__(root.poly, root.lo, root.hi)
+        self.below = below
+        self.vanishing = vanishing
 
 
 def interval_eval(g: IntPoly, lo: Fraction, hi: Fraction) -> Tuple[Fraction, Fraction]:

@@ -31,7 +31,10 @@ denominators' lcm; at an algebraic one it is the exact value.  The
 discrete engine rounds each bound to an integer bound on integer clock
 values (``floor``/``ceil``, by int division or exactly), and the dense
 engine ranks the split values and bounds every atom's region index, so
-the search compares small integers only.
+the search compares small integers only.  At an irrational root of the
+one-parameter decomposition (an ``AnchoredRoot``) the dense engine ranks
+in ints too: at the rational sample left of the root, merging the values
+whose difference vanishes at the root.
 
 Satisfaction of an exists-eventually property is decided over all
 LTS-reachable states, including states reached partway through a delay.
@@ -64,6 +67,15 @@ from .model import (
     TIME_NAT,
     UnsupportedError,
     prop_atoms,
+)
+from .polynomials import (
+    AnchoredRoot,
+    IntPoly,
+    poly_degree,
+    poly_neg,
+    poly_primitive,
+    poly_sub,
+    poly_trim,
 )
 from .scalars import INF
 from .transforms import GuardOnlyRun, negate_property
@@ -191,11 +203,22 @@ class DenseProgram(ReachProgram):
     None (no threshold: a clock-free atom or an infinite bound) or ``(split
     index, strict, upper)``, where split value 0 is 0, the next
     ``len(resets)`` are the distinct reset constants and then one
-    threshold per clock atom."""
+    threshold per clock atom.
+
+    When the bounds mention at most one parameter, ``split_polys`` holds
+    each split value as an integer polynomial in it and ``free_polys`` the
+    primitive form of each clock-free atom's bound (None for a constant or
+    another atom), for the valuations of :func:`_anchored_regions`; both
+    are None otherwise.  ``ties`` memoises the primitive differences of the
+    split values that valuation compares.
+    """
 
     clock: Optional[str]
     resets: Tuple[int, ...]
     profiles: tuple
+    split_polys: Optional[Tuple[IntPoly, ...]]
+    free_polys: Optional[tuple]
+    ties: dict = field(default_factory=dict, repr=False)
 
 
 def _monomials(expr, params) -> Optional[tuple]:
@@ -599,11 +622,36 @@ def _compile_dense(pta, phi, index, loc_index, common) -> DenseProgram:
         else:
             profiles.append((split, atom.strict, atom.pos == clock))
             split += 1
+    split_polys = free_polys = None
+    if len(common["params"]) <= 1:
+        polys = [None if b is None else _univariate(b, common["degree"])
+                 for b in common["bounds"]]
+        split_polys = ((), *(poly_trim((b,)) for b in resets),
+                       *(f if prof[2] else poly_neg(f) for f, prof in zip(polys, profiles) if prof))
+        free_polys = tuple(_vanishing_key(f) if f is not None and atom.is_clock_free() else None
+                           for atom, f in zip(atoms, polys))
     tables = _compile_tables(pta, phi, index, loc_index, common, [clock], resets.index)
-    return DenseProgram(clock=clock, resets=resets, profiles=tuple(profiles), **tables, **common)
+    return DenseProgram(clock=clock, resets=resets, profiles=tuple(profiles),
+                        split_polys=split_polys, free_polys=free_polys, **tables, **common)
 
 
-def clock_regions(values: Sequence, profiles: Sequence, n_resets: int):
+def _univariate(bound, degree: int) -> IntPoly:
+    """A bound's monomials over at most one parameter as a polynomial in it."""
+    coeffs = [0] * (degree + 1)
+    for c, d, _ in bound:
+        coeffs[d] += c
+    return poly_trim(coeffs)
+
+
+def _vanishing_key(f: IntPoly) -> Optional[IntPoly]:
+    """The primitive form of ``f``, the form ``project_clock`` keeps, or
+    None for a constant, which vanishes nowhere or everywhere."""
+    f = poly_primitive(f)
+    return f if poly_degree(f) >= 1 else None
+
+
+def clock_regions(values: Sequence, profiles: Sequence, n_resets: int,
+                  tied: Optional[Callable[[int, int], bool]] = None):
     """Rank the split values of one clock and bound each atom's region index.
 
     ``values`` are the split values: 0, then ``n_resets`` reset constants,
@@ -623,6 +671,12 @@ def clock_regions(values: Sequence, profiles: Sequence, n_resets: int):
     top None), a bool (a constant; top 0 or -1, for the test ``0 <= top``)
     or ``(value index, strict, upper)``.
 
+    ``tied(i, j)``, when given, is asked about the values ``i`` before ``j``
+    of every two distinct neighbours in the order, and merges them when it
+    says that they are equal after all (see :func:`_anchored_regions`).  A
+    merged point keeps the first occurrence by index, the one a sort of the
+    equal values would put first.
+
     Returns ``(points, tops, reset_regions)``: the point values, the top of
     each atom in the order given, and the point region of each reset
     constant.
@@ -632,7 +686,10 @@ def clock_regions(values: Sequence, profiles: Sequence, n_resets: int):
     reps = [order[0]]                   # first occurrence of each distinct value
     for prev, i in zip(order, order[1:]):
         if values[prev] != values[i]:
-            reps.append(i)
+            if tied is None or not tied(prev, i):
+                reps.append(i)
+            elif i < reps[-1]:
+                reps[-1] = i
         rank[i] = len(reps) - 1
     zero = rank[0]
     points = [values[i] for i in reps[zero:]]
@@ -652,19 +709,72 @@ def clock_regions(values: Sequence, profiles: Sequence, n_resets: int):
 
 
 def _dense_regions(program: DenseProgram, gamma):
-    """:func:`clock_regions` of the bounds at ``gamma``, and their scale."""
+    """:func:`clock_regions` of the bounds at ``gamma``, and their scale,
+    or None for the scale when a point is irrational (then no witness is
+    built).
+
+    At an :class:`AnchoredRoot` the program's bounds take the int path of
+    :func:`_anchored_regions`; at any other valuation they are the scaled
+    ints or exact values of :func:`_bound_values`.
+    """
+    root = gamma.get(program.params[0]) if len(program.params) == 1 else None
+    if isinstance(root, AnchoredRoot):
+        return _anchored_regions(program, root)
     bounds, scale = _bound_values(program, gamma)
+    split, profiles = _split(program, bounds, scale)
+    points, tops, reset_regions = clock_regions(split, profiles, len(program.resets))
+    exact = all(isinstance(v, (int, Fraction)) for v in points)
+    return points, tops, reset_regions, scale if exact else None
+
+
+def _split(program: DenseProgram, bounds, scale, vanishing=frozenset()):
+    """The split values and atom profiles of :func:`clock_regions`; a
+    clock-free bound whose primitive form is in ``vanishing`` counts as 0."""
     split = [0] + [b * scale for b in program.resets]
     profiles = []
-    for atom, prof, value in zip(program.atoms, program.profiles, bounds):
+    for k, (atom, prof, value) in enumerate(zip(program.atoms, program.profiles, bounds)):
         if value is None:
             profiles.append(None)
         elif prof is None:
+            if vanishing and program.free_polys[k] in vanishing:
+                value = 0
             profiles.append(0 < value if atom.strict else 0 <= value)
         else:
             profiles.append(prof)
             split.append(value if prof[2] else -value)
-    return clock_regions(split, profiles, len(program.resets)) + (scale,)
+    return split, profiles
+
+
+def _anchored_regions(program: DenseProgram, root: AnchoredRoot):
+    """:func:`_dense_regions` at an irrational root, in ints.
+
+    The split values are ranked at ``root.below`` in scaled ints, and two
+    distinct neighbours merge when their primitive difference is in
+    ``root.vanishing``.  That is exact when every difference of two split
+    values and every clock-free bound is a constant or, in primitive form,
+    one of the decomposition's polynomials, as ``project_clock`` makes
+    them: such a difference keeps its sign from ``below`` up to the root,
+    where it vanishes exactly when it is in ``vanishing``.  So values
+    ordered ``a < b`` at ``below`` have ``a <= b`` at the root, and only
+    neighbours can become equal.  A clock-free bound is 0 at the root when
+    it is in ``vanishing`` and keeps its sign at ``below`` otherwise.  A
+    point is rational at the root exactly when its value is a constant.
+    """
+    bounds, scale = _bound_values(program, {program.params[0]: root.below})
+    split, profiles = _split(program, bounds, scale, root.vanishing)
+    polys, ties, vanishing = program.split_polys, program.ties, root.vanishing
+
+    def tied(i, j):
+        try:
+            diff = ties[i, j]
+        except KeyError:
+            diff = ties[i, j] = _vanishing_key(poly_sub(polys[j], polys[i]))
+        return diff in vanishing
+
+    points, tops, reset_regions = clock_regions(split, profiles, len(program.resets), tied)
+    constant = {v for v, f in zip(split, polys) if len(f) <= 1}
+    exact = all(v in constant for v in points)
+    return points, tops, reset_regions, scale if exact else None
 
 
 def reach_dense_one_clock(program: DenseProgram, gamma) -> ReachabilityVerdict:
@@ -676,9 +786,11 @@ def reach_dense_one_clock(program: DenseProgram, gamma) -> ReachabilityVerdict:
     :func:`clock_regions` numbers them and turns every atom into a bound on
     the region index.  The nat engine's search then runs with the region
     index as the one tracked value: a delay moves to the next region, up to
-    the last, and a reset to its constant's point region.  Witness delays
-    use interval midpoints and are emitted only when every bound is
-    rational.  ``info["states"]`` counts the states found, dead ones that
+    the last, and a reset to its constant's point region.  At an
+    :class:`AnchoredRoot` the regions come from :func:`_anchored_regions`
+    in ints; at any other irrational valuation (a bare ``AlgebraicNumber``)
+    from sorting the exact values.  Witness delays use interval midpoints
+    and are emitted only when every point is rational.  ``info["states"]`` counts the states found, dead ones that
     were not expanded included (see :func:`_search`).
     """
     points, tops, reset_regions, scale = _dense_regions(program, gamma)
@@ -693,7 +805,7 @@ def reach_dense_one_clock(program: DenseProgram, gamma) -> ReachabilityVerdict:
     info = {"regions": n_regions, "states": len(parents)}
     if hit is None:
         return ReachabilityVerdict(False, info=info)
-    if any(not isinstance(v, (int, Fraction)) for v in points):
+    if scale is None:
         return ReachabilityVerdict(True, None, info)
     points = [Fraction(v, scale) for v in points]
 

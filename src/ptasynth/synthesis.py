@@ -27,6 +27,7 @@ nat-time form ``x <= t - 1``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
@@ -54,7 +55,7 @@ from .model import (
     UnsupportedError,
     prop_atoms,
 )
-from .polynomials import AlgebraicNumber
+from .polynomials import AlgebraicNumber, AnchoredRoot
 from .semantics import compile_check, decide
 from .feasibility import feasible_with_reset
 from .transforms import encode_run_property, invariants_to_guards
@@ -86,6 +87,21 @@ class FeasibleRegion:
     def signs_index(self) -> dict:
         """Verdict by sign vector, for the cells of a linear region."""
         return {cv.cell.signs: cv.verdict for cv in self.cells}
+
+    @cached_property
+    def root_keys(self) -> List[int]:
+        """For a cad1 region, one int per root in order: ``2n`` for a root
+        that is the integer ``n``, ``2 floor(root) + 1`` for any other.  The
+        floor of an irrational root is taken on a copy, so the cells keep
+        the intervals the decomposition isolated."""
+        keys = []
+        for cv in self.cells[1::2]:
+            root = cv.cell.lo
+            if isinstance(root, Fraction) and root.denominator == 1:
+                keys.append(2 * root.numerator)
+            else:
+                keys.append(2 * math.floor(_detached(root)) + 1)
+        return keys
 
 
 def _atom_pool(pta: Pta, psi: Optional[SystemProperty]) -> List[AtomicConstraint]:
@@ -200,7 +216,9 @@ def _decide_cells(cells, params, decide_at, domain, pdomain, integer_of) -> List
 
     Under int/nat parameters each cell's least integer point in the box
     (``integer_of(cell, (lo, hi))``) is recorded; in nat time the cell is
-    decided there when it has one, and at its exact sample otherwise.
+    decided there when it has one, and at its exact sample otherwise.  A 1D
+    point cell at an irrational root is decided at an :class:`AnchoredRoot`
+    that carries its left neighbour's sample and its ``vanishing`` set.
     Both look at copies of algebraic values: comparisons refine a root's
     interval in place, and the cell's endpoints share the root object, so
     the reported intervals stay the ones the decomposition isolated.
@@ -208,16 +226,20 @@ def _decide_cells(cells, params, decide_at, domain, pdomain, integer_of) -> List
     box = (0 if pdomain == PARAM_NAT else -DEFAULT_INT_BOX, DEFAULT_INT_BOX)
     integral = pdomain in (PARAM_INT, PARAM_NAT)
     out = []
+    left = None
     for cell in cells:
         integer = integer_of(cell, box) if integral else None
         if domain == TIME_NAT and integer is not None:
             values, decided = [Fraction(v) for v in integer], "integer-point"
+        elif isinstance(cell.sample, tuple):
+            values, decided = cell.sample, "sample"
+        elif isinstance(cell.sample, AlgebraicNumber):
+            values, decided = [AnchoredRoot(cell.sample, left.sample, cell.vanishing)], "sample"
         else:
-            values = cell.sample if isinstance(cell.sample, tuple) else (cell.sample,)
-            values = [_detached(v) for v in values]
-            decided = "sample"
+            values, decided = [cell.sample], "sample"
         gamma = dict(zip(params, values))
         out.append(CellVerdict(cell, decide_at(gamma), decided, integer))
+        left = cell
     return out
 
 
@@ -275,17 +297,31 @@ def region_query(region: FeasibleRegion, gamma) -> bool:
     """Locate the cell containing the valuation and return its verdict.
 
     1D regions bisect the ordered roots: ``decompose_1d`` cells alternate
-    interval and point, so ``cells[2k+1]`` is the k-th root and the query
-    takes O(log n) exact comparisons.  Linear regions index cells by the
-    sign vector of the canonical hyperplanes at the query point; the
-    cells share the arrangement's int plane vectors, and the point is
-    scaled by the lcm of its denominators, so every sign is that of an
-    int dot product.
+    interval and point, so ``cells[2k+1]`` is the k-th root.  The bisection
+    runs over the ints of ``root_keys``, which order an integer query
+    against every root; a non-integer query compares exactly only with the
+    roots that share its floor.  Linear regions index cells by the sign
+    vector of the canonical hyperplanes at the query point; the cells share
+    the arrangement's int plane vectors, and the point is scaled by the lcm
+    of its denominators, so every sign is that of an int dot product.
+    Values are ints or ``Fraction``s; anything else goes through
+    ``Fraction`` first.
     """
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v)
+              for v in map(gamma.__getitem__, region.params)]
+    cells = region.cells
     if region.method == "cad1":
-        value = Fraction(gamma[region.params[0]])
-        cells = region.cells
-        lo, hi = 0, len(cells) // 2
+        value = values[0]
+        keys = region.root_keys
+        if value.denominator == 1:
+            key = 2 * value.numerator
+            k = bisect_left(keys, key)
+            if k < len(keys) and keys[k] == key:
+                return cells[2 * k + 1].verdict
+            return cells[2 * k].verdict
+        key = 2 * (value.numerator // value.denominator) + 1
+        lo = bisect_left(keys, key)
+        hi = bisect_right(keys, key, lo)
         while lo < hi:
             mid = (lo + hi) // 2
             root = cells[2 * mid + 1].cell.lo
@@ -296,12 +332,12 @@ def region_query(region: FeasibleRegion, gamma) -> bool:
             else:
                 lo = mid + 1
         return cells[2 * lo].verdict
-    point = [Fraction(gamma[p]) for p in region.params]
-    scale = math.lcm(*(x.denominator for x in point))
-    scaled = [x.numerator * (scale // x.denominator) for x in point] + [scale]
+    scale = math.lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (scale // v.denominator) for v in values]
+    scaled.append(scale)
     signs = []
-    for vec in region.cells[0].cell.planes:
-        v = sum(c * x for c, x in zip(vec, scaled))
+    for vec in cells[0].cell.planes:
+        v = sum(map(int.__mul__, vec, scaled))
         signs.append((v > 0) - (v < 0))
     try:
         return region.signs_index[tuple(signs)]

@@ -1,4 +1,7 @@
+import importlib
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +32,23 @@ loc q2 inv: true
 edge q0 -> q1 : x >= p1 ; a ; reset x:=0
 edge q1 -> q2 : x >= 1 & x <= p2 ; b ;
 """
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="session")
+def synth_pools():
+    """``(time domain, class, model, state property)`` for every model of
+    the benchmark's two synth pools, as ``perfbench/workloads.py`` draws
+    them; the class is ``lin1``, ``lin2`` or ``poly``."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return [(domain, cls, pta, phi) for domain in ("dense", "nat")
+            for cls, pta, phi in workloads.synth_models(domain)]
 
 
 @pytest.fixture

@@ -57,6 +57,19 @@ def test_decompose_1d_sign_on_middle_cell():
     assert signs_at_1d([f], cells[2].sample)[f] == -1
 
 
+def test_decompose_1d_records_the_polynomials_vanishing_at_each_root():
+    # p^2 - 2, (p^2 - 2)(p - 1) and (p - 1)(p + 3) share the roots
+    # +-sqrt(2) and 1, one irrational and one rational duplicate; catches
+    # provenance kept only for the polynomial that found a root first
+    square, cubic, quadratic = (-2, 0, 1), (2, -2, -1, 1), (-3, 2, 1)
+    cells = decompose_1d([square, cubic, quadratic])
+    points = [(c.sample, c.vanishing) for c in cells if c.kind == "point"]
+    assert [v for _, v in points] == [
+        {quadratic}, {square, cubic}, {cubic, quadratic}, {square, cubic}]
+    assert points[0][0] == -3 and points[2][0] == 1
+    assert all(not c.vanishing for c in cells if c.kind == "interval")
+
+
 def test_project_clock_examples():
     # x - 2p: constant leading coefficient, nothing to project
     assert project_clock([((0, -2), (1,))]) == []

@@ -1,13 +1,16 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from ptasynth import semantics
 from ptasynth.constraints import AtomicConstraint, SimpleConstraint
+from ptasynth.decomposition import decompose_1d, project_clock
 from ptasynth.expressions import Expression
 from ptasynth.harness import (
+    _polynomial_example,
     rand_pta_one_clock,
     rand_state_property,
     shipped_two_one_models,
@@ -27,12 +30,19 @@ from ptasynth.model import (
     eval_state_property,
 )
 from ptasynth.parser import parse_constraint, parse_model, parse_property
-from ptasynth.polynomials import AlgebraicNumber, isolate_real_roots
+from ptasynth.polynomials import (
+    AlgValue,
+    AlgebraicNumber,
+    AnchoredRoot,
+    isolate_real_roots,
+    poly_sub,
+)
 from ptasynth.scalars import INF
 from ptasynth.semantics import (
     _dense_regions,
     _discrete_tops,
     _moves,
+    _vanishing_key,
     clock_regions,
     compile_check,
     compile_reach,
@@ -42,6 +52,13 @@ from ptasynth.semantics import (
     reach_discrete,
     replay_run,
     valuation_key,
+)
+from ptasynth.synthesis import (
+    _atom_pool,
+    _clock_polynomials,
+    _reset_constants,
+    synthesize,
+    threshold_pool,
 )
 
 
@@ -378,7 +395,7 @@ def region_point(points, r):
 
 @pytest.mark.parametrize("p", [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1),
                                Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(5)])
-def test_clock_region_bitmaps_match_holds(p):
+def test_clock_region_tops_match_holds(p):
     # every atom is a bound on the region index: ``sign * r <= top`` is its
     # truth at the points of region ``r``.  Cases: equal thresholds from
     # different expressions, thresholds below 0, resets onto a threshold,
@@ -538,6 +555,127 @@ edge q0 -> q1 : x >= p*q - 1 & x <= p^2*q ; a ;
             assert result.satisfied == (lo <= hi), gamma
             if result.satisfied:
                 assert replay_run(pta, gamma, result.witness, time_domain)
+
+
+# -- irrational roots in ints --------------------------------------------------
+
+FREE_BOUND_MODEL = """
+clocks: x
+params: p
+loc q0 init inv: true
+loc q1 inv: true
+edge q0 -> q1 : x >= 1 ; a ;
+"""
+
+
+def free_bound_model():
+    """EF q1 with the clock-free guard atom ``0 <= 2 - p^2`` (the parser
+    reads no clock-free atoms): sat exactly on [-sqrt 2, sqrt 2]."""
+    pta = parse_model(FREE_BOUND_MODEL)
+    free = AtomicConstraint(None, None, False, Expression.polynomial({(("p", 2),): -1, (): 2}))
+    edge = pta.edges[0]
+    guard = SimpleConstraint(edge.guard.conjuncts + (free,))
+    return replace(pta, edges=(replace(edge, guard=guard),)), PropLoc("q1")
+
+
+def test_clock_free_bound_that_vanishes_at_a_root():
+    # 0 <= 2 - p^2 holds at p = -sqrt(2) but not left of it; catches a
+    # vanishing clock-free bound read with its left neighbour's sign
+    pta, phi = free_bound_model()
+    region = synthesize(pta, SystemProperty("EF", phi))
+    assert [(cv.cell.kind, cv.verdict) for cv in region.cells] == [
+        ("interval", False), ("point", True), ("interval", True), ("point", True),
+        ("interval", False)]
+    assert all(isinstance(cv.cell.sample, AlgebraicNumber) for cv in region.cells[1::2])
+
+
+def one_parameter_models(synth_pools):
+    """The one-parameter models of both synth pools, criterion 3's
+    polynomial examples and the clock-free bound model."""
+    models = [(pta, phi) for _, _, pta, phi in synth_pools if len(pta.params) == 1]
+    rng = random.Random(3)
+    for _ in range(6):
+        pta, psi = _polynomial_example(rng)
+        models.append((pta, psi.phi))
+    models.append(free_bound_model())
+    return models
+
+
+def dense_decomposition(pta, psi):
+    """The projected polynomials of dense-time ``synthesize`` and the
+    irrational point cells of their decomposition, each with its left
+    neighbour."""
+    pool = threshold_pool(_atom_pool(pta, psi), _reset_constants(pta), False)
+    polys = project_clock(_clock_polynomials(pool, pta.params[0]))
+    cells = decompose_1d(polys)
+    return polys, [(left, cell) for left, cell in zip(cells, cells[1:])
+                   if cell.kind == "point" and isinstance(cell.sample, AlgebraicNumber)]
+
+
+def regions_summary(regions):
+    """Region count, tops, reset regions and the exact points (None when
+    one is irrational) of :func:`_dense_regions`."""
+    points, tops, reset_regions, scale = regions
+    exact = None if scale is None else [Fraction(v, scale) for v in points]
+    return len(points), tops, reset_regions, exact
+
+
+def test_anchored_roots_rank_like_algebraic_values(synth_pools):
+    # at every irrational point cell of both synth pools (read in dense
+    # time), of criterion 3's polynomial examples and of a clock-free bound
+    # that vanishes at the root, the left neighbour's int ranks with the
+    # vanishing neighbours merged give what sorting AlgValues gives, and
+    # so does decide.  Catches merging no neighbours or every neighbour,
+    # and a vanishing clock-free bound read with its neighbour's sign
+    cells = 0
+    for pta, phi in one_parameter_models(synth_pools):
+        p = pta.params[0]
+        for mode in ("EF", "AG"):
+            psi = SystemProperty(mode, phi)
+            program = compile_check(pta, psi, "dense")
+            for left, cell in dense_decomposition(pta, psi)[1]:
+                anchored = {p: AnchoredRoot(cell.sample, left.sample, cell.vanishing)}
+                bare = {p: copy_value(cell.sample)}
+                assert regions_summary(_dense_regions(program.reach, anchored)) == \
+                    regions_summary(_dense_regions(program.reach, bare)), (pta.render(), cell)
+                assert outcome(decide(program, anchored)) == outcome(decide(program, bare))
+                cells += 1
+    assert cells >= 300
+
+
+def test_every_difference_read_at_a_root_is_projected(synth_pools):
+    # the int path at an irrational root is exact only if each difference
+    # of two split values and each clock-free bound is a constant or, in
+    # primitive form, one of the projected polynomials; catches a pool
+    # that misses a comparison the compiled program makes
+    for pta, phi in one_parameter_models(synth_pools):
+        for mode in ("EF", "AG"):
+            psi = SystemProperty(mode, phi)
+            program = compile_check(pta, psi, "dense").reach
+            projected = set(dense_decomposition(pta, psi)[0])
+            splits = program.split_polys
+            diffs = [_vanishing_key(poly_sub(b, a)) for i, a in enumerate(splits)
+                     for b in splits[i + 1:]]
+            for key in diffs + list(program.free_polys):
+                assert key is None or key in projected, (pta.render(), key)
+
+
+def test_dense_synthesis_compares_no_algebraic_value(synth_pools, monkeypatch):
+    # every irrational point cell of the dense pool's polynomial models is
+    # decided in ints; catches a decision that falls back to sorting
+    # AlgValues
+    def refuse(self, other):
+        raise AssertionError("an AlgValue was compared")
+
+    monkeypatch.setattr(AlgValue, "compare_scalar", refuse)
+    irrational = 0
+    for domain, cls, pta, phi in synth_pools:
+        if domain != "dense" or cls != "poly":
+            continue
+        for mode in ("EF", "AG"):
+            region = synthesize(pta, SystemProperty(mode, phi))
+            irrational += sum(isinstance(cv.cell.sample, AlgebraicNumber) for cv in region.cells)
+    assert irrational >= 150
 
 
 # -- states that can only delay ------------------------------------------------

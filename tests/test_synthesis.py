@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -27,6 +28,7 @@ from ptasynth.model import (
     UnsupportedError,
 )
 from ptasynth.parser import parse_model, parse_property
+from ptasynth.polynomials import AlgebraicNumber
 from ptasynth.semantics import compile_check, decide
 from ptasynth.synthesis import (
     FeasibleRegion,
@@ -460,3 +462,61 @@ def test_region_query_linear_matches_cell_scan():
             assert region_query(region, gamma) == scan_verdict(region, point), point
             checked += 1
     assert checked == 12 * len(points)
+
+
+def test_region_query_equals_cell_lookup_on_synth_pools(synth_pools):
+    # random integer (some as ints) and rational points, and for 1D
+    # regions the integers and rationals next to every root; catches a root
+    # key off by one, an integer root keyed as a non-integer one and a
+    # plane sign taken at a wrongly scaled point
+    rng = random.Random(13)
+    queried = 0
+    for _, _, pta, phi in synth_pools:
+        region = synthesize(pta, SystemProperty("EF", phi))
+        points = [tuple(rng.randint(-8, 24) if rng.random() < 0.5 else
+                        Fraction(rng.randint(-80, 240), rng.randint(1, 12)) for _ in pta.params)
+                  for _ in range(6)]
+        if region.method == "cad1":
+            for cv in region.cells[1::2]:
+                root = cv.cell.lo
+                near = root if isinstance(root, Fraction) else (root.lo + root.hi) / 2
+                floor = math.floor(near)
+                points += [(floor,), (Fraction(floor + 1),), (near,), (near + Fraction(1, 7),)]
+        for point in points:
+            gamma = dict(zip(region.params, point))
+            want = scan_verdict(region, Fraction(point[0]) if region.method == "cad1" else
+                                tuple(map(Fraction, point)))
+            assert region_query(region, gamma) == want, (pta.render(), point)
+            queried += 1
+    assert queried >= 1000
+
+
+TIE_MODEL = """
+clocks: x
+params: p
+loc q0 init inv: true
+loc q1 inv: true
+edge q0 -> q1 : x >= p^2 & x <= 2 & x >= 2 ; a ;
+"""
+
+
+def test_point_cell_where_two_thresholds_tie():
+    # only x = 2 passes the guard, and only when p^2 <= 2: at p = -sqrt(2)
+    # the thresholds p^2 and 2 tie, so the point cell is sat while its left
+    # neighbour is not.  Catches a point cell decided on its neighbour's
+    # ranks without merging the tie
+    pta = parse_model(TIE_MODEL)
+    for prop, inside in (("EF q1", True), ("AG q0", False)):
+        region = synthesize(pta, parse_property(prop, pta))
+        verdicts = [(cv.cell.kind, cv.verdict) for cv in region.cells]
+        assert verdicts == [("interval", not inside), ("point", inside), ("interval", inside),
+                            ("point", inside), ("interval", inside), ("point", inside),
+                            ("interval", not inside)], prop
+        root = region.cells[1].cell.sample
+        assert isinstance(root, AlgebraicNumber) and root.poly == (-2, 0, 1) and root < 0
+        program = compile_check(pta, parse_property(prop, pta))
+        for cv in region.cells:
+            bare = cv.cell.sample
+            if isinstance(bare, AlgebraicNumber):
+                bare = AlgebraicNumber(bare.poly, bare.lo, bare.hi)
+            assert decide(program, {"p": bare}).satisfied == cv.verdict
