@@ -12,10 +12,11 @@ numeric epsilon.
 
 A linear cell is its sign vector over the arrangement's canonical integer
 plane vectors, one tuple that every cell of the arrangement shares.
-``_row`` turns one plane and sign into the exact row of one Fourier-Motzkin
+``_row`` turns one plane and sign into the int row of one Fourier-Motzkin
 core (``_fm_levels``, ``_fm_eliminate``, ``_fm_bounds``), which projects
 every linear system here: the cell samples, ``LinearCellSampler`` and the
-least integer point of a cell.
+least integer point of a cell.  Rows stay primitive int vectors through
+the elimination; only bounds and samples are ``Fraction``s.
 
 Every cell carries an exact sample point: rational in open cells,
 algebraic only at irrational 1D point cells.  A 1D point cell also
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .expressions import Expression, ExpressionError
@@ -54,7 +55,6 @@ REL_GE = ">="
 REL_EQ = "="
 
 Vector = Tuple[int, ...]                 # coefficients then constant
-Row = Tuple[Fraction, ...]               # the same, exact, for elimination
 
 
 @dataclass
@@ -242,7 +242,7 @@ def expr_to_vector(e: Expression, params: Sequence[str]) -> Vector:
     return tuple(e.cf(p) for p in params) + (e.con(),)
 
 
-def vector_to_expr(vec: Row, params: Sequence[str]) -> Expression:
+def vector_to_expr(vec: Vector, params: Sequence[str]) -> Expression:
     coeffs = {p: int(vec[i]) for i, p in enumerate(params)}
     return Expression.linear(int(vec[-1]), coeffs)
 
@@ -260,36 +260,41 @@ def _sign(v) -> int:
     return (v > 0) - (v < 0)
 
 
-def _row(vec: Vector, sign: int) -> Tuple[Row, str]:
-    """The exact Fourier-Motzkin row saying plane ``vec`` has ``sign``:
-    ``vec = 0``, ``vec > 0`` or ``-vec > 0``, with ``Fraction`` entries so
-    the elimination divides exactly."""
+def _row(vec: Vector, sign: int) -> Tuple[Vector, str]:
+    """The Fourier-Motzkin row saying plane ``vec`` has ``sign``:
+    ``vec = 0``, ``vec > 0`` or ``-vec > 0``."""
     if sign < 0:
-        return tuple(Fraction(-c) for c in vec), REL_GT
-    return tuple(map(Fraction, vec)), REL_GT if sign else REL_EQ
+        return tuple(-c for c in vec), REL_GT
+    return vec, REL_GT if sign else REL_EQ
 
 
-def _substitute(vec: Row, var: int, solution: Row) -> Row:
-    """Replace variable ``var`` by an affine expression of the others."""
+def _primitive(vec: Vector) -> Vector:
+    """An int vector divided by the gcd of its entries; a positive
+    multiple, so a row keeps its relation (the zero vector as it is)."""
+    g = math.gcd(*vec)
+    return tuple(c // g for c in vec) if g > 1 else vec
+
+
+def _substitute(vec: Vector, var: int, eq: Vector) -> Vector:
+    """Eliminate variable ``var`` from ``vec`` by the equality ``eq = 0``:
+    a positive multiple of ``vec`` plus a multiple of ``eq``."""
     coeff = vec[var]
-    out = list(vec)
-    out[var] = Fraction(0)
-    if coeff:
-        for i in range(len(vec)):
-            if i != var:
-                out[i] += coeff * solution[i]
-    return tuple(out)
+    if not coeff:
+        return vec
+    pivot = eq[var]
+    factor = coeff if pivot > 0 else -coeff
+    return _primitive(tuple(abs(pivot) * c - factor * e for c, e in zip(vec, eq)))
 
 
 def _fm_prepare(constraints, nvars):
     """Project a system down to its lowest variable; None when infeasible.
 
     ``constraints`` are (vector, rel) with rel in {>, >=, =} meaning
-    vec . (vars, 1) rel 0.  Equalities are eliminated by exact pivoting,
-    the rest by ``_fm_levels``; the levels are kept so samples can be
-    drawn repeatedly.
+    vec . (vars, 1) rel 0.  Equalities are eliminated by pivoting, the
+    rest by ``_fm_levels``; the levels are kept so samples can be drawn
+    repeatedly.
     """
-    solved: List[Tuple[int, Row]] = []
+    solved: List[Tuple[int, Vector]] = []
     work = [(tuple(v), rel) for v, rel in constraints]
 
     changed = True
@@ -304,12 +309,9 @@ def _fm_prepare(constraints, nvars):
                     return None
                 work.pop(idx)
             else:
-                coeff = vec[pivot]
-                solution = tuple(-c / coeff if i != pivot else Fraction(0)
-                                 for i, c in enumerate(vec))
                 work.pop(idx)
-                work = [(_substitute(v, pivot, solution), r) for v, r in work]
-                solved.append((pivot, solution))
+                work = [(_substitute(v, pivot, vec), r) for v, r in work]
+                solved.append((pivot, vec))
             changed = True
             break
 
@@ -336,23 +338,25 @@ def _fm_levels(work, nvars):
 
 def _fm_eliminate(work, var):
     """The rows without ``var`` plus every lower bound combined with every
-    upper bound; strict when either side is."""
+    upper bound, cross-multiplied and primitive; strict when either side
+    is."""
     lowers = [(v, r) for v, r in work if v[var] > 0]
     uppers = [(v, r) for v, r in work if v[var] < 0]
     out = [(v, r) for v, r in work if v[var] == 0]
     for lv, lr in lowers:
-        scale_l = tuple(c / lv[var] for c in lv)
+        a = lv[var]
         for uv, ur in uppers:
-            scale_u = tuple(c / -uv[var] for c in uv)
-            out.append((tuple(sl + su for sl, su in zip(scale_l, scale_u)),
+            b = -uv[var]
+            out.append((_primitive(tuple(b * cl + a * cu for cl, cu in zip(lv, uv))),
                         REL_GE if (lr == REL_GE and ur == REL_GE) else REL_GT))
     return out
 
 
 def _fm_bounds(rows, var, values):
-    """Bounds ``(lo, lo_strict, hi, hi_strict)`` on ``var`` with the
-    variables in ``values`` fixed (None for a missing side); None when a
-    row without ``var`` fails or the interval is empty."""
+    """Exact ``Fraction`` bounds ``(lo, lo_strict, hi, hi_strict)`` on
+    ``var`` with the variables in ``values`` fixed (None for a missing
+    side); None when a row without ``var`` fails or the interval is
+    empty."""
     lo, lo_strict = None, False
     hi, hi_strict = None, False
     for vec, rel in rows:
@@ -362,7 +366,7 @@ def _fm_bounds(rows, var, values):
             if rest < 0 or (rest == 0 and rel == REL_GT):
                 return None
             continue
-        bound = -rest / coeff
+        bound = Fraction(-rest, coeff)
         if coeff > 0:
             if lo is None or bound > lo or (bound == lo and rel == REL_GT):
                 lo, lo_strict = bound, rel == REL_GT
@@ -382,8 +386,9 @@ def _fm_draw(prepared, nvars, choose=None):
     values: Dict[int, Fraction] = {}
     for var, rows in reversed(levels):
         values[var] = picker(*_fm_bounds(rows, var, values))
-    for var, solution in reversed(solved):
-        values[var] = solution[-1] + sum(solution[i] * x for i, x in values.items())
+    for var, eq in reversed(solved):
+        values[var] = Fraction(-(eq[-1] + sum(eq[i] * x for i, x in values.items())),
+                               eq[var])
     return tuple(values.get(i, Fraction(0)) for i in range(nvars))
 
 
@@ -474,8 +479,10 @@ def decompose_linear(exprs: Sequence[Expression], params: Sequence[str]) -> List
 
     Up to two parameters, cells are carried as exact convex polytopes
     clipped inside a bounding box that provably contains a point of every
-    cell, so no elimination runs in the enumeration loop; three parameters
-    fall back to a depth-first search with Fourier-Motzkin pruning.
+    cell, so no elimination runs in the enumeration loop; their vertices
+    are homogeneous int tuples, and only the samples are ``Fraction``s.
+    Three parameters fall back to a depth-first search with
+    Fourier-Motzkin pruning over int rows.
     """
     params = tuple(params)
     m = len(params)
@@ -517,30 +524,40 @@ def _plane_value(vec, point):
     return vec[-1] + sum(c * x for c, x in zip(vec, point))
 
 
-def _box_radius(planes, m) -> Fraction:
+def _box_radius(planes, m) -> int:
     """A radius such that every cell of the arrangement meets the open box.
 
     All vertices of the arrangement have coordinates bounded via Cramer's
     rule by (sum of |entries|)^2; doubling that and adding slack keeps a
-    point of every unbounded cell strictly inside as well.
+    point of every unbounded cell strictly inside as well.  The box's
+    corners are the splitter's first homogeneous int vertices.
     """
-    worst = Fraction(1)
-    for vec in planes:
-        size = sum(abs(c) for c in vec)
-        worst = max(worst, Fraction(size))
+    worst = max((sum(map(abs, vec)) for vec in planes), default=1)
     return (worst * worst + 1) * 4
 
 
-def _split_polytope(vertices, vec):
-    """Split a convex polytope (point/segment/CCW polygon of exact points)
-    by a hyperplane into its negative, zero, and positive parts.
+def _cut(a, b, va, vb):
+    """The point between homogeneous vertices ``a`` and ``b`` where a plane
+    with the values ``va`` and ``vb`` of opposite signs there vanishes:
+    ``vb*a - va*b``, signed so that its ``w`` is positive, made primitive."""
+    if va > 0:
+        a, b, va, vb = b, a, vb, va
+    return _primitive(tuple(vb * x - va * y for x, y in zip(a, b)))
 
-    Parts are closures; a part counts as present only when its relative
-    interior meets the open side, which for the zero part means it must
-    have the parent's dimension minus one (a mere touch at the boundary
-    belongs to neighbouring sign vectors, not to this cell).
+
+def _split_polytope(vertices, vec):
+    """Split a convex polytope (point/segment/CCW polygon) by a hyperplane
+    into its negative, zero, and positive parts.
+
+    A vertex is a primitive homogeneous int tuple ``(x_1, ..., x_m, w)``
+    with ``w > 0`` for the point ``x / w``, so the plane's side is an int
+    dot product and equal points are equal tuples.  Parts are closures; a
+    part counts as present only when its relative interior meets the open
+    side, which for the zero part means it must have the parent's
+    dimension minus one (a mere touch at the boundary belongs to
+    neighbouring sign vectors, not to this cell).
     """
-    values = [_plane_value(vec, v) for v in vertices]
+    values = [sum(map(mul, vec, v)) for v in vertices]
     if len(vertices) == 1:
         s = (values[0] > 0) - (values[0] < 0)
         return (
@@ -559,8 +576,7 @@ def _split_polytope(vertices, vec):
             # boundary, hence not in the open cell
             side = vb if va == 0 else va
             return (vertices if side < 0 else None, None, vertices if side > 0 else None)
-        t = va / (va - vb)
-        cut = tuple(ai + t * (bi - ai) for ai, bi in zip(a, b))
+        cut = _cut(a, b, va, vb)
         lo_part = [a, cut] if va < 0 else [cut, b]
         hi_part = [cut, b] if vb > 0 else [a, cut]
         return (lo_part, [cut], hi_part)
@@ -577,8 +593,7 @@ def _split_polytope(vertices, vec):
         if va == 0:
             zero_pts.append(a)
         if (va < 0 < vb) or (vb < 0 < va):
-            t = va / (va - vb)
-            cut = tuple(ai + t * (bi - ai) for ai, bi in zip(a, b))
+            cut = _cut(a, b, va, vb)
             neg.append(cut)
             pos.append(cut)
             zero_pts.append(cut)
@@ -603,20 +618,23 @@ def _dedupe_ring(points):
 
 
 def _ring_area_positive(ring) -> bool:
+    """Whether a convex ring of homogeneous points encloses an area: some
+    point lies off the line through the first two (an int orientation
+    determinant)."""
     if len(ring) < 3:
         return False
-    area = Fraction(0)
-    for i in range(len(ring)):
-        x1, y1 = ring[i]
-        x2, y2 = ring[(i + 1) % len(ring)]
-        area += x1 * y2 - x2 * y1
-    return area != 0
+    (x0, y0, w0), (x1, y1, w1) = ring[0], ring[1]
+    a, b, c = y0 * w1 - w0 * y1, w0 * x1 - x0 * w1, x0 * y1 - y0 * x1
+    return any(a * x + b * y + c * w for x, y, w in ring[2:])
 
 
 def _polytope_sample(vertices):
-    n = len(vertices)
-    dims = len(vertices[0])
-    return tuple(sum(v[d] for v in vertices) / n for d in range(dims))
+    """The mean of the vertices, in ``Fraction`` coordinates."""
+    denom = math.lcm(*(v[-1] for v in vertices))
+    scales = [denom // v[-1] for v in vertices]
+    total = denom * len(vertices)
+    return tuple(Fraction(sum(v[d] * k for v, k in zip(vertices, scales)), total)
+                 for d in range(len(vertices[0]) - 1))
 
 
 def _enumerate_boxed(planes, m):
@@ -624,9 +642,10 @@ def _enumerate_boxed(planes, m):
         return [((), ())]
     radius = _box_radius(planes, m)
     if m == 1:
-        box = [(-radius,), (radius,)]
+        box = [(-radius, 1), (radius, 1)]
     else:
-        box = [(-radius, -radius), (radius, -radius), (radius, radius), (-radius, radius)]
+        box = [(-radius, -radius, 1), (radius, -radius, 1), (radius, radius, 1),
+               (-radius, radius, 1)]
     regions = [((), box)]
     for vec in planes:
         nxt = []
@@ -649,8 +668,8 @@ def integer_point(cell: LinearCell, box) -> Optional[Tuple[int, ...]]:
 
     ``box`` is an inclusive integer (lo, hi) range for every parameter.
     The cell and the box are projected once by ``_fm_levels``; the search
-    then scans each variable ascending between its exact bounds given the
-    values fixed before it.
+    then scans each variable ascending over its integer range given the
+    values fixed before it, read from the int rows by floor division.
     """
     m = len(cell.params)
     rows = []
@@ -661,21 +680,26 @@ def integer_point(cell: LinearCell, box) -> Optional[Tuple[int, ...]]:
         else:
             rows.append((row, rel))
     for i in range(m):
-        unit = tuple(Fraction(j == i) for j in range(m))
-        rows.append((unit + (Fraction(-box[0]),), REL_GE))
-        rows.append((tuple(-c for c in unit) + (Fraction(box[1]),), REL_GE))
+        unit = tuple(int(j == i) for j in range(m))
+        rows.append((unit + (-box[0],), REL_GE))
+        rows.append((tuple(-c for c in unit) + (box[1],), REL_GE))
     levels = dict(_fm_levels(rows, m))
 
     def search(prefix):
         depth = len(prefix)
         if depth == m:
             return tuple(prefix)
-        bounds = _fm_bounds(levels[depth], depth, dict(enumerate(prefix)))
-        if bounds is None:
-            return None
-        lo, lo_strict, hi, hi_strict = bounds
-        first = math.floor(lo) + 1 if lo_strict else math.ceil(lo)
-        last = math.ceil(hi) - 1 if hi_strict else math.floor(hi)
+        first, last = box
+        for vec, rel in levels[depth]:
+            coeff = vec[depth]
+            rest = vec[-1] + sum(map(mul, vec, prefix))
+            # coeff * v + rest > 0 (or >= 0)
+            if coeff > 0:
+                first = max(first, -rest // coeff + 1 if rel == REL_GT else -(rest // coeff))
+            elif coeff < 0:
+                last = min(last, -(rest // coeff) - 1 if rel == REL_GT else rest // -coeff)
+            elif rest < 0 or (rest == 0 and rel == REL_GT):
+                return None
         for v in range(first, last + 1):
             found = search(prefix + [v])
             if found is not None:

@@ -171,9 +171,11 @@ def rand_state_property(rng: random.Random, pta: Pta, depth=2):
 
 
 def int_grid(n_params: int, lo: int, hi: int) -> List[dict]:
+    """Every integer point of ``[lo, hi]^n``; the grid points share one
+    ``Fraction`` per coordinate value."""
     params = ["p%d" % i for i in range(1, n_params + 1)]
-    return [dict(zip(params, (Fraction(v) for v in point)))
-            for point in product(range(lo, hi + 1), repeat=n_params)]
+    values = [Fraction(v) for v in range(lo, hi + 1)]
+    return [dict(zip(params, point)) for point in product(values, repeat=n_params)]
 
 
 # -- feasibility vs exhaustive oracle (criteria 1 and 5) -------------------------

@@ -874,7 +874,8 @@ def decide(program: CheckProgram, gamma) -> CheckResult:
 
 
 def valuation_key(gamma) -> tuple:
-    return tuple(sorted((p, Fraction(v)) for p, v in gamma.items()))
+    return tuple(sorted((p, v if type(v) is Fraction else Fraction(v))
+                        for p, v in gamma.items()))
 
 
 def grid_oracle(pta: Pta, psi: SystemProperty, grid: Sequence[Mapping[str, Fraction]],

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -189,14 +190,14 @@ def test_fm_enumeration_matches_polytope_splitting():
 
 
 def test_fm_bounds_strictness_and_fixed_values():
-    F = Fraction
-    rows = [((F(1), F(0)), ">="), ((F(1), F(0)), ">"), ((F(-1), F(2)), ">=")]
-    assert _fm_bounds(rows, 0, {}) == (0, True, 2, False)
-    assert _fm_bounds(rows + [((F(-1), F(0)), ">=")], 0, {}) is None
-    assert _fm_bounds(rows[:1] + [((F(-1), F(0)), ">=")], 0, {}) == (0, False, 0, False)
-    without = [((F(0), F(1), F(-1)), ">")]             # b - 1 > 0, no a
-    assert _fm_bounds(without, 0, {1: 1}) is None
-    assert _fm_bounds(without, 0, {1: 2}) == (None, False, None, False)
+    for F in (int, Fraction):                          # int rows, as the core keeps them
+        rows = [((F(1), F(0)), ">="), ((F(1), F(0)), ">"), ((F(-1), F(2)), ">=")]
+        assert _fm_bounds(rows, 0, {}) == (0, True, 2, False)
+        assert _fm_bounds(rows + [((F(-1), F(0)), ">=")], 0, {}) is None
+        assert _fm_bounds(rows[:1] + [((F(-1), F(0)), ">=")], 0, {}) == (0, False, 0, False)
+        without = [((F(0), F(1), F(-1)), ">")]         # b - 1 > 0, no a
+        assert _fm_bounds(without, 0, {1: 1}) is None
+        assert _fm_bounds(without, 0, {1: 2}) == (None, False, None, False)
 
 
 def test_decompose_linear_three_params():
@@ -220,29 +221,51 @@ def brute_integer_point(cell, box):
 
 def test_integer_point_is_least_box_point():
     rng = random.Random(11)
-    box = (-3, 3)
-    seen_equality = seen_empty = 0
+    cases = []
     for case in range(12):
         m = 1 + case % 3
         exprs, params = random_arrangement(rng, m, rng.randint(1, 4 if m < 3 else 3))
+        cases.append((exprs, params, (-3, 3)))
+    # non-unit coefficients, boxes with negative ends, and lines such as
+    # 3p - 301 = 0 that cross the box between two integers
+    cases += [([lin(-301, p=3)], ("p",), (95, 105)),
+              ([lin(-301, a=3), lin(-1, a=3, b=-2)], ("a", "b"), (95, 105)),
+              ([lin(-1, a=3, b=-2), lin(4, a=2, b=5)], ("a", "b"), (-7, -1))]
+    wide = random.Random(12)
+    for case in range(9):
+        m = 1 + case % 3
+        params = ("a", "b", "c")[:m]
+        exprs = [lin(wide.randint(-9, 9), **{p: wide.choice((-3, -2, 0, 2, 3, 5)) for p in params})
+                 for _ in range(2 if m == 3 else 3)]
+        cases.append((exprs, params, (wide.randint(-6, -2), wide.randint(-1, 3))))
+    seen_equality = seen_empty = 0
+    for exprs, params, box in cases:
         for cell in decompose_linear(exprs, params):
             expected = brute_integer_point(cell, box)
-            assert integer_point(cell, box) == expected, (exprs, cell.signs)
+            assert integer_point(cell, box) == expected, (exprs, cell.signs, box)
             seen_equality += 0 in cell.signs
             seen_empty += expected is None
     assert seen_equality and seen_empty
+    on_line = next(c for c in decompose_linear([lin(-301, p=3)], ("p",)) if c.signs == (0,))
+    assert integer_point(on_line, (95, 105)) is None
 
 
 def test_linear_cells_compute_in_fractions():
-    # the planes are ints, and int / int is a float in Python: every row
-    # the elimination divides must be a Fraction row, so that samples,
-    # random draws and the bounds at every level stay exact
+    # rows are primitive int vectors through the elimination, and int / int
+    # is a float in Python: samples, random draws and the bounds at every
+    # level must still be Fractions, the bound of an int row with no fixed
+    # value included
+    half = _fm_bounds([((2, -1), ">")], 0, {})             # 2a - 1 > 0
+    assert half == (Fraction(1, 2), True, None, False) and type(half[0]) is Fraction
     rng = random.Random(13)
     bounds = []
 
     def record(*args):
         bounds.extend(b for b in (args[0], args[2]) if b is not None)
         return _pick_interior(*args)
+
+    def primitive_int(row):
+        return all(type(c) is int for c in row) and math.gcd(*row) in (0, 1)
 
     for case in range(18):
         m = 2 + case % 2
@@ -251,9 +274,212 @@ def test_linear_cells_compute_in_fractions():
         for cell in decompose_linear(exprs, params):
             assert all(type(c) is int for vec in cell.planes for c in vec)
             rows = list(map(_row, cell.planes, cell.signs))
-            assert all(type(c) is Fraction for row, _ in rows for c in row)
+            assert all(primitive_int(row) for row, _ in rows)
+            prepared = _fm_prepare(rows, m)
+            solved, levels = prepared
+            assert all(primitive_int(row) for _, row in solved)
+            assert all(primitive_int(row) for _, level in levels for row, _ in level)
             assert all(type(x) is Fraction for x in cell.sample)
             assert all(type(x) is Fraction for x in LinearCellSampler(cell).draw(rng))
-            assert all(type(x) is Fraction for x in _fm_draw(_fm_prepare(rows, m), m, record))
+            assert all(type(x) is Fraction for x in _fm_draw(prepared, m, record))
     assert bounds and all(type(b) is Fraction for b in bounds)
     assert any(b.denominator > 1 for b in bounds)
+
+
+# -- the Fraction reference: the polytope splitter and the Fourier-Motzkin
+# elimination computed in Fractions, which the int linear layer must match
+# cell for cell
+
+def ref_row(vec, sign):
+    if sign < 0:
+        return tuple(Fraction(-c) for c in vec), ">"
+    return tuple(map(Fraction, vec)), ">" if sign else "="
+
+
+def ref_substitute(vec, var, solution):
+    coeff = vec[var]
+    out = list(vec)
+    out[var] = Fraction(0)
+    if coeff:
+        for i in range(len(vec)):
+            if i != var:
+                out[i] += coeff * solution[i]
+    return tuple(out)
+
+
+def ref_fm_eliminate(work, var):
+    lowers = [(v, r) for v, r in work if v[var] > 0]
+    uppers = [(v, r) for v, r in work if v[var] < 0]
+    out = [(v, r) for v, r in work if v[var] == 0]
+    for lv, lr in lowers:
+        scale_l = tuple(c / lv[var] for c in lv)
+        for uv, ur in uppers:
+            scale_u = tuple(c / -uv[var] for c in uv)
+            out.append((tuple(sl + su for sl, su in zip(scale_l, scale_u)),
+                        ">=" if (lr == ">=" and ur == ">=") else ">"))
+    return out
+
+
+def ref_fm_levels(work, nvars):
+    levels = []
+    for var in range(nvars - 1, -1, -1):
+        if any(v[var] != 0 for v, _ in work):
+            levels.append((var, work))
+            if var:
+                work = ref_fm_eliminate(work, var)
+    return levels
+
+
+def ref_fm_bounds(rows, var, values):
+    lo, lo_strict, hi, hi_strict = None, False, None, False
+    for vec, rel in rows:
+        coeff = vec[var]
+        rest = vec[-1] + sum(vec[i] * x for i, x in values.items())
+        if coeff == 0:
+            if rest < 0 or (rest == 0 and rel == ">"):
+                return None
+            continue
+        bound = -rest / coeff
+        if coeff > 0:
+            if lo is None or bound > lo or (bound == lo and rel == ">"):
+                lo, lo_strict = bound, rel == ">"
+        elif hi is None or bound < hi or (bound == hi and rel == ">"):
+            hi, hi_strict = bound, rel == ">"
+    if lo is not None and hi is not None and (
+            lo > hi or (lo == hi and (lo_strict or hi_strict))):
+        return None
+    return lo, lo_strict, hi, hi_strict
+
+
+def ref_fm_sample(constraints, nvars):
+    """The midpoint sample of a system, or None when it is infeasible."""
+    solved, work = [], list(constraints)
+    while any(rel == "=" for _, rel in work):
+        idx, vec = next((i, v) for i, (v, rel) in enumerate(work) if rel == "=")
+        work.pop(idx)
+        pivot = next((i for i in range(nvars) if vec[i] != 0), None)
+        if pivot is None:
+            if vec[-1] != 0:
+                return None
+            continue
+        solution = tuple(-c / vec[pivot] if i != pivot else Fraction(0)
+                         for i, c in enumerate(vec))
+        work = [(ref_substitute(v, pivot, solution), r) for v, r in work]
+        solved.append((pivot, solution))
+    levels = ref_fm_levels(work, nvars)
+    var, rows = levels[-1] if levels else (0, work)
+    if ref_fm_bounds(rows, var, {}) is None:
+        return None
+    values = {}
+    for var, rows in reversed(levels):
+        values[var] = _pick_interior(*ref_fm_bounds(rows, var, values))
+    for var, solution in reversed(solved):
+        values[var] = solution[-1] + sum(solution[i] * x for i, x in values.items())
+    return tuple(values.get(i, Fraction(0)) for i in range(nvars))
+
+
+def ref_enumerate_fm(planes, m):
+    out = []
+
+    def descend(idx, system, signs, sample):
+        if idx == len(planes):
+            out.append((tuple(signs), sample))
+            return
+        vec = planes[idx]
+        sample_sign = sign(_plane_value(vec, sample))
+        for s in (-1, 0, 1):
+            extended = system + [ref_row(vec, s)]
+            drawn = sample if s == sample_sign else ref_fm_sample(extended, m)
+            if drawn is not None:
+                descend(idx + 1, extended, signs + [s], drawn)
+
+    descend(0, [], [], tuple(Fraction(0) for _ in range(m)))
+    return out
+
+
+def ref_dedupe_ring(points):
+    out = []
+    for p in points:
+        if not out or p != out[-1]:
+            out.append(p)
+    if len(out) > 1 and out[0] == out[-1]:
+        out.pop()
+    return out
+
+
+def ref_area_positive(ring):
+    if len(ring) < 3:
+        return False
+    return sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2)
+               in zip(ring, ring[1:] + ring[:1])) != 0
+
+
+def ref_split(vertices, vec):
+    values = [_plane_value(vec, v) for v in vertices]
+    if len(vertices) == 1:
+        s = sign(values[0])
+        return tuple(vertices if s == want else None for want in (-1, 0, 1))
+    if len(vertices) == 2:
+        (a, b), (va, vb) = vertices, values
+        if va * vb > 0:
+            return (vertices if va < 0 else None, None, vertices if va > 0 else None)
+        if va == 0 and vb == 0:
+            return (None, vertices, None)
+        if va == 0 or vb == 0:
+            side = vb if va == 0 else va
+            return (vertices if side < 0 else None, None, vertices if side > 0 else None)
+        t = va / (va - vb)
+        cut = tuple(ai + t * (bi - ai) for ai, bi in zip(a, b))
+        return ([a, cut] if va < 0 else [cut, b], [cut], [cut, b] if vb > 0 else [a, cut])
+    neg, pos, zero = [], [], []
+    for a, b, va, vb in zip(vertices, vertices[1:] + vertices[:1],
+                            values, values[1:] + values[:1]):
+        if va <= 0:
+            neg.append(a)
+        if va >= 0:
+            pos.append(a)
+        if va == 0:
+            zero.append(a)
+        if va * vb < 0:
+            t = va / (va - vb)
+            cut = tuple(ai + t * (bi - ai) for ai, bi in zip(a, b))
+            neg.append(cut)
+            pos.append(cut)
+            zero.append(cut)
+    neg, pos, zero = map(ref_dedupe_ring, (neg, pos, zero))
+    return (neg if ref_area_positive(neg) else None, zero if len(zero) == 2 else None,
+            pos if ref_area_positive(pos) else None)
+
+
+def ref_enumerate_boxed(planes, m):
+    if m == 0:
+        return [((), ())]
+    worst = max([Fraction(1)] + [Fraction(sum(map(abs, vec))) for vec in planes])
+    r = (worst * worst + 1) * 4
+    box = [(-r,), (r,)] if m == 1 else [(-r, -r), (r, -r), (r, r), (-r, r)]
+    regions = [((), box)]
+    for vec in planes:
+        regions = [(signs + (s,), part) for signs, verts in regions
+                   for s, part in zip((-1, 0, 1), ref_split(verts, vec)) if part is not None]
+    return [(signs, tuple(sum(v[d] for v in verts) / len(verts) for d in range(m)))
+            for signs, verts in regions]
+
+
+def ref_decompose_linear(exprs, params):
+    planes = canonical_planes(exprs, params)
+    enumerate_cells = ref_enumerate_boxed if len(params) <= 2 else ref_enumerate_fm
+    return planes, sorted(enumerate_cells(planes, len(params)), key=lambda cell: cell[0])
+
+
+def test_decompose_linear_matches_fraction_reference():
+    rng = random.Random(23)
+    for case in range(60):
+        m = 1 + case % 3
+        params = ("a", "b", "c")[:m]
+        exprs = [lin(rng.randint(-6, 6), **{p: rng.randint(-4, 4) for p in params})
+                 for _ in range(rng.randint(1, 5 if m < 3 else 3))]
+        planes, want = ref_decompose_linear(exprs, params)
+        cells = decompose_linear(exprs, params)
+        assert all(cell.planes == planes for cell in cells)
+        assert [(cell.signs, cell.sample) for cell in cells] == want, exprs
+        assert all(type(x) is Fraction for cell in cells for x in cell.sample)
