@@ -1,9 +1,9 @@
 """Concrete semantics under a fixed parameter valuation.
 
 One search decides reachability at a valuation: :func:`_search`, a
-breadth-first search over (location, tracked values, pairwise
-differences) in which every atom is the integer test ``sign * value <=
-top``.  The tracked values are one of two things:
+breadth-first search over flat int tuples ``(location, tracked values...,
+pairwise differences...)`` in which every atom is the integer test
+``sign * state[pos] <= top``.  The tracked values are one of two things:
 
 * :func:`reach_discrete` — nat time: integer clock values, capped at
   C = M+1+maxReset (M = largest absolute evaluated bound); pairwise clock
@@ -23,13 +23,16 @@ module stay as independent cross-checks for the test harness.
 Both engines work in two steps.  :func:`compile_reach` (and
 :func:`compile_check` for a system property) runs once per model,
 property and time domain: it gathers the distinct atoms, turns every
-bound into integer monomials, and builds the location and edge tables
-and the state property over atom indices.  The engine then instantiates
-that program at each valuation and searches.  At a rational valuation
-every bound becomes one int, scaled by a common power of the parameter
-denominators' lcm; at an algebraic one it is the exact value.  The
-discrete engine rounds each bound to an integer bound on integer clock
-values (``floor``/``ceil``, by int division or exactly), and the dense
+bound into integer monomials, compiles every invariant and guard to a
+row of ``(atom, position, sign)`` tests and every location's edges to
+rows that build the successor state, and compiles the state property
+over the same tests.  The engine then instantiates only the tops at
+each valuation and searches.  At a rational valuation every bound
+becomes one int, scaled by a common power of the parameter
+denominators' lcm (at an integer one, the bound itself); at an
+algebraic one it is the exact value.  The discrete engine rounds each
+bound to an integer bound on integer clock values (``floor``/``ceil``,
+by int division or exactly; an int bound needs none), and the dense
 engine ranks the split values and bounds every atom's region index, so
 the search compares small integers only.  At an irrational root of the
 one-parameter decomposition (an ``AnchoredRoot``) the dense engine ranks
@@ -158,13 +161,17 @@ class ReachProgram:
     the model and the property, each finite bound as integer monomials
     ``(coeff, degree, ((parameter index, exponent), ...))`` (None for an
     infinite bound), every invariant and guard as a tuple of atom indices,
-    the search tables of :func:`_compile_tables` (each atom's shape, the
-    number of tracked clocks, the clock pairs, the edges out of each
-    location and the split of each guard that lets :func:`_search` leave
-    out states that can only delay) and the property compiled over them.
-    ``holds(state, tops)`` reads the per-valuation tops of the engine, one
-    int per atom; they are passed in, never stored, so one program serves
-    every cell, grid point or parameter value.
+    the search tables of :func:`_compile_tables` and the property compiled
+    over them.  A search state is one flat tuple of ints ``(location, v_0,
+    ..., v_(n-1), d_0, ..., d_(m-1))``: the location index, the values of
+    the ``n_clocks`` tracked clocks and the differences of the clock
+    ``pairs``.  Each atom has a shape ``(pos, sign)`` and holds on a state
+    when ``sign * state[pos] <= top``, with ``top`` the engine's int for the
+    atom at the valuation.  The conjunctions are compiled to rows of such
+    tests, and each location's edges to rows that build the successor
+    state.  ``holds(state, tops)`` reads the per-valuation tops, one per
+    atom; they are passed in, never stored, so one program serves every
+    cell, grid point or parameter value.
     """
 
     pta: Pta
@@ -177,11 +184,15 @@ class ReachProgram:
     guards: Tuple[Tuple[int, ...], ...]          # per edge index
     initial: int
     holds: Callable
-    shapes: tuple
+    shapes: Tuple[Tuple[int, int], ...]          # per atom
     n_clocks: int
     pairs: Tuple[Tuple[int, int], ...]
-    out_edges: tuple
+    resets: Tuple[int, ...]                      # distinct reset constants
+    out_edges: tuple                             # per location index
+    invariant_rows: tuple                        # per location index
+    guard_rows: tuple                            # per edge index
     permanent: Tuple[Tuple[int, ...], ...]       # per edge index
+    permanent_rows: tuple            # per edge index; () when no location is prunable
     delay_stable: bool
     prunable: Tuple[bool, ...]                   # per location index
 
@@ -189,7 +200,7 @@ class ReachProgram:
 @dataclass(frozen=True, eq=False)
 class DiscreteProgram(ReachProgram):
     """Nat time: the tracked values are integer clock values, and a reset
-    in ``out_edges`` stores its constant."""
+    sets its clock to its constant."""
 
     max_reset: int
 
@@ -197,9 +208,8 @@ class DiscreteProgram(ReachProgram):
 @dataclass(frozen=True, eq=False)
 class DenseProgram(ReachProgram):
     """Dense time, one constrained clock, tracked as the index of its
-    region (see :func:`clock_regions`).  A reset in ``out_edges`` stores
-    the index of its constant in ``resets``, which the engine maps to the
-    constant's point region at each valuation.  ``profiles`` per atom is
+    region (see :func:`clock_regions`); a reset sets the index to its
+    constant's point region at the valuation.  ``profiles`` per atom is
     None (no threshold: a clock-free atom or an infinite bound) or ``(split
     index, strict, upper)``, where split value 0 is 0, the next
     ``len(resets)`` are the distinct reset constants and then one
@@ -214,7 +224,6 @@ class DenseProgram(ReachProgram):
     """
 
     clock: Optional[str]
-    resets: Tuple[int, ...]
     profiles: tuple
     split_polys: Optional[Tuple[IntPoly, ...]]
     free_polys: Optional[tuple]
@@ -288,66 +297,90 @@ def compile_reach(pta: Pta, phi, time_domain: Optional[str] = None) -> ReachProg
     return compile_engine(pta, phi, index, loc_index, common)
 
 
-def _compile_tables(pta, phi, index, loc_index, common, tracked, reset_value) -> dict:
+def _compile_tables(pta, phi, index, loc_index, common, tracked) -> dict:
     """The search tables over the ``tracked`` clocks, shared by both engines.
 
-    A search state is ``(location, tracked values, pairwise differences)``
-    and an atom holds on it when ``sign * state[part][index] <= top``, with
-    ``top`` the engine's per-valuation int for the atom.  The shape
-    ``(part, index, sign)`` of ``x_i`` is ``(1, i, 1)``, of ``-x_i`` is
-    ``(1, i, -1)``, of a diagonal the ``k``-th stored difference ``(2, k,
-    +-1)`` and of a clock-free atom ``(1, 0, 0)``, the constant 0.  A reset
-    of a tracked clock to ``b`` is stored as ``reset_value(b)``.  The
-    permanent parts of the guards, the delay stability of ``phi`` and the
-    prunable locations are those of :func:`compile_reach`.
+    In the flat state, position 0 is the location index, ``1 + i`` the
+    value of ``tracked[i]`` and ``1 + n + k`` (``n`` clocks) the ``k``-th
+    difference ``x_i - x_j`` of ``pairs`` (``i < j``; there are pairs only
+    when some atom is a diagonal).  The shape ``(pos, sign)`` of an atom
+    on ``x_i`` is ``(1 + i, 1)``, on ``-x_i`` ``(1 + i, -1)``, of a diagonal
+    the position of its difference with sign +-1, and of a clock-free atom
+    ``(0, 0)``, which holds when ``0 <= top``.
+
+    Each conjunction (invariant, guard, permanent part of a guard) becomes
+    a row ``(terms, free)``: its clock atoms as ``(atom index, pos, sign)``
+    and its clock-free atoms' indices, atoms with an infinite bound left
+    out (they always hold).  Each location's out-edges become rows
+    ``(edge index, target, resets, reset map)``: ``resets`` pairs the
+    position of every tracked clock the edge resets with the index of its
+    constant in the distinct constants ``resets``, which the engine maps to
+    values per valuation; the reset map holds ``(difference position, pos
+    i, pos j)`` for every pair with a reset clock.  The permanent parts of
+    the guards, the delay stability of ``phi`` and the prunable locations
+    are those of :func:`compile_reach`; the permanent parts get rows only
+    when some location is prunable, as only then does the search read them.
     """
-    atoms = common["atoms"]
-    clock_index = {c: i for i, c in enumerate(tracked)}
+    atoms, bounds = common["atoms"], common["bounds"]
+    n = len(tracked)
+    clock_pos = {c: 1 + i for i, c in enumerate(tracked)}
     need_diffs = any(a.pos is not None and a.neg is not None for a in atoms)
-    pairs = tuple((i, j) for i in range(len(tracked)) for j in range(i + 1, len(tracked))) \
-        if need_diffs else ()
-    pair_index = {p: k for k, p in enumerate(pairs)}
+    pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n)) if need_diffs else ()
+    diff_pos = {p: 1 + n + k for k, p in enumerate(pairs)}
 
     def shape(atom):
         if atom.pos is not None and atom.neg is not None:
-            i, j = clock_index[atom.pos], clock_index[atom.neg]
-            return (2, pair_index[(i, j)], 1) if i < j else (2, pair_index[(j, i)], -1)
+            i, j = clock_pos[atom.pos] - 1, clock_pos[atom.neg] - 1
+            return (diff_pos[i, j], 1) if i < j else (diff_pos[j, i], -1)
         if atom.pos is not None:
-            return (1, clock_index[atom.pos], 1)
+            return (clock_pos[atom.pos], 1)
         if atom.neg is not None:
-            return (1, clock_index[atom.neg], -1)
-        return (1, 0, 0)
+            return (clock_pos[atom.neg], -1)
+        return (0, 0)
 
     shapes = tuple(shape(a) for a in atoms)
 
+    def row(indices):
+        finite = [k for k in indices if bounds[k] is not None]
+        return (tuple((k, *shapes[k]) for k in finite if shapes[k][1]),
+                tuple(k for k in finite if not shapes[k][1]))
+
     def atom_test(atom):
         k = index[atom]
-        part, i, sign = shapes[k]
-        if common["bounds"][k] is None:
+        pos, sign = shapes[k]
+        if bounds[k] is None:
             return lambda state, tops: True
         if sign == 0:
             return lambda state, tops: 0 <= tops[k]
-        return lambda state, tops: sign * state[part][i] <= tops[k]
+        return lambda state, tops: sign * state[pos] <= tops[k]
 
+    resets = tuple(dict.fromkeys(int(b) for e in pta.edges
+                                 for c, b in sorted(e.updates.items()) if c in clock_pos))
     out_edges = [[] for _ in pta.locations]
     for eidx, e in enumerate(pta.edges):
-        resets = tuple((clock_index[c], reset_value(int(b))) for c, b in sorted(e.updates.items())
-                       if c in clock_index)
-        out_edges[loc_index[e.source]].append((eidx, loc_index[e.target], resets))
+        reset = {clock_pos[c]: resets.index(int(b)) for c, b in sorted(e.updates.items())
+                 if c in clock_pos}
+        reset_map = tuple((diff_pos[i, j], 1 + i, 1 + j) for i, j in pairs
+                          if 1 + i in reset or 1 + j in reset)
+        out_edges[loc_index[e.source]].append(
+            (eidx, loc_index[e.target], tuple(reset.items()), reset_map))
 
     # a delay raises the tracked values and leaves the differences as they
     # are; an infinite bound is always true
-    bounds = common["bounds"]
     permanent = tuple(tuple(k for k in guard if bounds[k] is not None and
-                            (shapes[k][0] == 2 or shapes[k][2] != -1))
+                            (shapes[k][0] > n or shapes[k][1] != -1))
                       for guard in common["guards"])
-    delay_stable = all(bounds[k] is None or shapes[k][0] == 2 or shapes[k][2] == 0
+    delay_stable = all(bounds[k] is None or shapes[k][0] > n or shapes[k][1] == 0
                        for k in (index[a] for a in prop_atoms(phi)))
-    prunable = tuple(delay_stable and all(permanent[eidx] for eidx, _, _ in edges)
+    prunable = tuple(delay_stable and all(permanent[eidx] for eidx, *_ in edges)
                      for edges in out_edges)
     return dict(holds=_compile_state_prop(phi, atom_test, loc_index.__getitem__),
-                shapes=shapes, n_clocks=len(tracked), pairs=pairs,
-                out_edges=tuple(map(tuple, out_edges)), permanent=permanent,
+                shapes=shapes, n_clocks=n, pairs=pairs, resets=resets,
+                out_edges=tuple(map(tuple, out_edges)),
+                invariant_rows=tuple(map(row, common["invariants"])),
+                guard_rows=tuple(map(row, common["guards"])),
+                permanent=permanent,
+                permanent_rows=tuple(map(row, permanent)) if any(prunable) else (),
                 delay_stable=delay_stable, prunable=prunable)
 
 
@@ -358,19 +391,24 @@ def _bound_values(program: ReachProgram, gamma):
     and ``D`` the largest total degree, bound ``b`` comes back as the int
     ``b * L**D`` and the scale is ``L**D``: each monomial is a product of
     the ints ``p * L``, lifted to degree ``D`` by a power of ``L``.  At an
-    algebraic point the bounds are the exact values of
-    ``Expression.evaluate``, with scale 1.  An infinite bound is None.
+    integer point (int values or ``Fraction``s with denominator 1) that is
+    ``b`` itself with scale 1.  At an algebraic point the bounds are the
+    exact values of ``Expression.evaluate`` and the scale is None.  An
+    infinite bound is None.
     """
     try:
         point = [gamma[p] for p in program.params]
     except KeyError:
         missing = sorted(set(program.params) - set(gamma))
         raise ExpressionError("missing parameter value for %s" % ", ".join(missing))
-    if not all(isinstance(v, (int, Fraction)) for v in point):
+    if all(type(v) is int for v in point):
+        lcm, scaled = 1, point
+    elif all(isinstance(v, (int, Fraction)) for v in point):
+        lcm = math.lcm(*(v.denominator for v in point))
+        scaled = [v.numerator * (lcm // v.denominator) for v in point]
+    else:
         return [None if b is None else a.rhs.evaluate(gamma)
-                for a, b in zip(program.atoms, program.bounds)], 1
-    lcm = math.lcm(*(v.denominator for v in point))
-    scaled = [v.numerator * (lcm // v.denominator) for v in point]
+                for a, b in zip(program.atoms, program.bounds)], None
     powers = [1]
     for _ in range(program.degree):
         powers.append(powers[-1] * lcm)
@@ -390,52 +428,38 @@ def _bound_values(program: ReachProgram, gamma):
     return out, powers[top]
 
 
-def _floor(value, scale) -> int:
-    """``floor(value / scale)``: int division for a scaled int, the exact
-    ``math.floor`` for a value at an algebraic point (scale 1)."""
-    return value // scale if isinstance(value, int) else math.floor(value)
-
-
-def _ceil(value, scale) -> int:
-    return -_floor(-value, scale)
-
-
 # -- the search --------------------------------------------------------------
 
-def _checks(shapes, tops, indices):
-    """The tests ``(part, index, sign, top)`` of one conjunction at the
-    valuation's tops, or None if a clock-free conjunct fails."""
+_NEVER = ((0, 0, -1),)      # one test that no state passes: 0 > -1
+
+
+def _instantiate(rows, tops) -> list:
+    """The tests ``(pos, sign, top)`` of each row at the valuation's tops;
+    a row with a failing clock-free atom becomes :data:`_NEVER`."""
     out = []
-    for k in indices:
-        top = tops[k]
-        if top is None:
-            continue
-        part, i, sign = shapes[k]
-        if sign:
-            out.append((part, i, sign, top))
-        elif top < 0:
-            return None
+    for terms, free in rows:
+        for k in free:
+            if tops[k] < 0:
+                out.append(_NEVER)
+                break
+        else:
+            out.append([(pos, sign, tops[k]) for k, pos, sign in terms] if terms else ())
     return out
 
 
-def _holds(checks, state) -> bool:
-    if checks is None:
-        return False
-    for part, i, sign, top in checks:
-        if sign * state[part][i] > top:
-            return False
-    return True
-
-
-def _search(program: ReachProgram, tops, out_edges, cap: int, dmax: int = 0):
+def _search(program: ReachProgram, tops, reset_values, cap: int, dmax: int = 0):
     """Breadth-first search for a state satisfying the program's property.
 
-    A delay adds 1 to every tracked value, up to ``cap``; an edge of
-    ``out_edges`` stores its resets' values and updates the pairwise
-    differences, clamped to ``+-dmax``.  Returns ``(parents, hit)``: the
-    parent ``(state, "delay" | "edge", edge index)`` of every state found
-    (None for the initial one; no state at all when the initial invariant
-    fails) and the first state satisfying the property, or None.
+    A delay adds 1 to every tracked value, up to ``cap``.  An edge sets
+    each clock it resets to ``reset_values`` at its constant's index and
+    recomputes the differences of the pairs with a reset clock, clamped to
+    ``+-dmax``.  The caller keeps ``cap - dmax`` at least every reset
+    value, so a difference with a clock saturated at ``cap`` clamps to
+    ``+-dmax``, as it must for every value the saturated clock stands for.
+    Returns ``(parents, hit)``: the parent ``(state, "delay" | "edge", edge
+    index)`` of every state found (None for the initial one; no state at
+    all when the initial invariant fails) and the first state satisfying
+    the property, or None.
 
     A state in a prunable location (see :func:`compile_reach`) on which the
     permanent part of no out-edge's guard holds is dead: it is recorded and
@@ -447,79 +471,80 @@ def _search(program: ReachProgram, tops, out_edges, cap: int, dmax: int = 0):
     state has no edge successor.  So no live state and no hit is ever found
     first from a dead one: the breadth-first order of the live states,
     their parents, the hit and :func:`_moves` are those of the search that
-    delays every state, and only dead states are left out.
+    delays every state, and only dead states are left out.  For the same
+    reason a delay successor in a delay-stable program is not tested
+    against the property: it agrees with its source, which was no hit.
     """
-    shapes, pairs, prunable = program.shapes, program.pairs, program.prunable
-    invariants = [_checks(shapes, tops, inv) for inv in program.invariants]
-    guards = [_checks(shapes, tops, guard) for guard in program.guards]
-    if program.delay_stable:
-        permanent = [_checks(shapes, tops, atoms) for atoms in program.permanent]
-    phi_holds = program.holds
+    invariants = _instantiate(program.invariant_rows, tops)
+    guards = _instantiate(program.guard_rows, tops)
+    permanent = _instantiate(program.permanent_rows, tops)
+    out_edges, prunable, phi_holds = program.out_edges, program.prunable, program.holds
+    retest = not program.delay_stable
+    clock_positions = range(1, 1 + program.n_clocks)
 
-    def clamp(d):
-        if d > dmax:
-            return dmax
-        if d < -dmax:
-            return -dmax
-        return d
-
-    start = (program.initial, (0,) * program.n_clocks, (0,) * len(pairs))
-    if not _holds(invariants[start[0]], start):
-        return {}, None
-
+    start = (program.initial,) + (0,) * (program.n_clocks + len(program.pairs))
+    for pos, sign, top in invariants[program.initial]:
+        if sign * start[pos] > top:
+            return {}, None
     parents: Dict[tuple, tuple] = {start: None}
+    if phi_holds(start, tops):
+        return parents, start
     order = [start]
-    head = 0
-    hit = start if phi_holds(start, tops) else None
-    while hit is None and head < len(order):
-        source = order[head]
-        loc, values, diffs = source
-        head += 1
+    for source in order:
+        loc = source[0]
         live = not prunable[loc]
-        for eidx, dst, resets in out_edges[loc]:
-            if not _holds(guards[eidx], source):
-                if not live:
-                    live = _holds(permanent[eidx], source)
+        for eidx, dst, resets, reset_map in out_edges[loc]:
+            for pos, sign, top in guards[eidx]:
+                if sign * source[pos] > top:
+                    break
+            else:
+                live = True
+                if resets:
+                    new = list(source)
+                    new[0] = dst
+                    for pos, r in resets:
+                        new[pos] = reset_values[r]
+                    for pos, i, j in reset_map:
+                        d = new[i] - new[j]
+                        new[pos] = dmax if d > dmax else -dmax if d < -dmax else d
+                    state = tuple(new)
+                else:
+                    state = (dst,) + source[1:]
+                if state in parents:
+                    continue
+                for pos, sign, top in invariants[dst]:
+                    if sign * state[pos] > top:
+                        break
+                else:
+                    parents[state] = (source, "edge", eidx)
+                    if phi_holds(state, tops):
+                        return parents, state
+                    order.append(state)
                 continue
-            live = True
-            new_values, new_diffs = values, diffs
-            if resets:
-                new_values = list(values)
-                for ci, b in resets:
-                    new_values[ci] = b
-                new_values = tuple(new_values)
-                if pairs:
-                    reset_map = dict(resets)
-                    nd = list(diffs)
-                    for k, (i, j) in enumerate(pairs):
-                        ri, rj = i in reset_map, j in reset_map
-                        if ri and rj:
-                            nd[k] = clamp(reset_map[i] - reset_map[j])
-                        elif ri:
-                            nd[k] = clamp(reset_map[i] - values[j]) if values[j] < cap else -dmax
-                        elif rj:
-                            nd[k] = clamp(values[i] - reset_map[j]) if values[i] < cap else dmax
-                    new_diffs = tuple(nd)
-            state = (dst, new_values, new_diffs)
-            if state in parents or not _holds(invariants[dst], state):
-                continue
-            parents[state] = (source, "edge", eidx)
-            if phi_holds(state, tops):
-                hit = state
-                break
-            order.append(state)
-        if hit is not None:
-            break
+            if not live:                # the guard failed: does it stay so?
+                for pos, sign, top in permanent[eidx]:
+                    if sign * source[pos] > top:
+                        break
+                else:
+                    live = True
         if not live:
             continue
-        state = (loc, tuple([v + 1 if v < cap else cap for v in values]), diffs)
-        if state not in parents and _holds(invariants[loc], state):
+        new = list(source)
+        for pos in clock_positions:
+            if new[pos] < cap:
+                new[pos] += 1
+        state = tuple(new)
+        if state in parents:
+            continue
+        for pos, sign, top in invariants[loc]:
+            if sign * state[pos] > top:
+                break
+        else:
             parents[state] = (source, "delay", None)
-            if phi_holds(state, tops):
-                hit = state
-            else:
-                order.append(state)
-    return parents, hit
+            if retest and phi_holds(state, tops):
+                return parents, state
+            order.append(state)
+    return parents, None
 
 
 def _moves(parents, hit) -> List[tuple]:
@@ -543,7 +568,7 @@ def _compile_discrete(pta, phi, index, loc_index, common) -> DiscreteProgram:
     atoms = common["atoms"]
     tracked = [c for c in pta.clocks if any(c in a.clocks() for a in atoms)
                or any(c in e.updates for e in pta.edges)]
-    tables = _compile_tables(pta, phi, index, loc_index, common, tracked, lambda b: b)
+    tables = _compile_tables(pta, phi, index, loc_index, common, tracked)
     return DiscreteProgram(max_reset=pta.max_reset(), **tables, **common)
 
 
@@ -553,17 +578,25 @@ def _discrete_tops(program: DiscreteProgram, gamma):
 
     Over integers ``v ~ b`` (``~`` being ``<`` or ``<=``) is ``v <= top``
     with ``top`` the largest integer that satisfies it: ``floor(b)`` for
-    ``<=`` and ``ceil(b) - 1`` for ``<``.
+    ``<=`` and ``ceil(b) - 1`` for ``<``.  An int bound (scale 1) needs no
+    rounding: its top is ``b - strict`` and its part of M is ``|b|``.
     """
     values, scale = _bound_values(program, gamma)
+    if scale == 1:
+        return ([None if v is None else v - a.strict for a, v in zip(program.atoms, values)],
+                max((abs(v) for v in values if v is not None), default=0))
     tops = []
     m_bound = 0
     for atom, value in zip(program.atoms, values):
         if value is None:
             tops.append(None)
             continue
-        m_bound = max(m_bound, _ceil(-value if value < 0 else value, scale))
-        tops.append(_ceil(value, scale) - 1 if atom.strict else _floor(value, scale))
+        if scale is None:
+            low, high = math.floor(value), math.ceil(value)
+        else:
+            low, high = value // scale, -(-value // scale)
+        m_bound = max(m_bound, -low if value < 0 else high)
+        tops.append(high - 1 if atom.strict else low)
     return tops, m_bound
 
 
@@ -571,14 +604,14 @@ def reach_discrete(program: DiscreteProgram, gamma, min_cap: int = 0) -> Reachab
     """Exact nat-time reachability of the program's property at ``gamma``,
     with a replayable witness.
 
-    Parameter values may be rationals or exact algebraic values; the
+    Parameter values may be ints, rationals or exact algebraic values; the
     search compares integer clock values with the integer tops only.
     ``info["states"]`` counts the states found, dead ones that were not
     expanded included (see :func:`_search`).
     """
     tops, m_bound = _discrete_tops(program, gamma)
     cap = max(m_bound + 1 + program.max_reset, min_cap, 1)
-    parents, hit = _search(program, tops, program.out_edges, cap, m_bound + 1)
+    parents, hit = _search(program, tops, program.resets, cap, m_bound + 1)
     info = {"cap": cap, "states": len(parents)}
     if hit is None:
         return ReachabilityVerdict(False, info=info)
@@ -612,8 +645,8 @@ def _compile_dense(pta, phi, index, loc_index, common) -> DenseProgram:
     so that the search still tells 0 from later values)."""
     atoms = common["atoms"]
     clock = _single_constrained_clock(atoms)
-    resets = tuple(dict.fromkeys(int(e.updates[clock]) for e in pta.edges
-                                 if clock in e.updates))
+    tables = _compile_tables(pta, phi, index, loc_index, common, [clock])
+    resets = tables["resets"]
     profiles = []
     split = 1 + len(resets)
     for atom, bound in zip(atoms, common["bounds"]):
@@ -630,9 +663,8 @@ def _compile_dense(pta, phi, index, loc_index, common) -> DenseProgram:
                        *(f if prof[2] else poly_neg(f) for f, prof in zip(polys, profiles) if prof))
         free_polys = tuple(_vanishing_key(f) if f is not None and atom.is_clock_free() else None
                            for atom, f in zip(atoms, polys))
-    tables = _compile_tables(pta, phi, index, loc_index, common, [clock], resets.index)
-    return DenseProgram(clock=clock, resets=resets, profiles=tuple(profiles),
-                        split_polys=split_polys, free_polys=free_polys, **tables, **common)
+    return DenseProgram(clock=clock, profiles=tuple(profiles), split_polys=split_polys,
+                        free_polys=free_polys, **tables, **common)
 
 
 def _univariate(bound, degree: int) -> IntPoly:
@@ -721,6 +753,7 @@ def _dense_regions(program: DenseProgram, gamma):
     if isinstance(root, AnchoredRoot):
         return _anchored_regions(program, root)
     bounds, scale = _bound_values(program, gamma)
+    scale = scale or 1                  # exact values at an algebraic point
     split, profiles = _split(program, bounds, scale)
     points, tops, reset_regions = clock_regions(split, profiles, len(program.resets))
     exact = all(isinstance(v, (int, Fraction)) for v in points)
@@ -790,16 +823,14 @@ def reach_dense_one_clock(program: DenseProgram, gamma) -> ReachabilityVerdict:
     :class:`AnchoredRoot` the regions come from :func:`_anchored_regions`
     in ints; at any other irrational valuation (a bare ``AlgebraicNumber``)
     from sorting the exact values.  Witness delays use interval midpoints
-    and are emitted only when every point is rational.  ``info["states"]`` counts the states found, dead ones that
-    were not expanded included (see :func:`_search`).
+    and are emitted only when every point is rational.
+
+    ``info["states"]`` counts the states found, dead ones that were not
+    expanded included (see :func:`_search`).
     """
     points, tops, reset_regions, scale = _dense_regions(program, gamma)
     n_regions = 2 * len(points)
-    out_edges = program.out_edges
-    if reset_regions:
-        out_edges = [tuple((eidx, dst, tuple((ci, reset_regions[k]) for ci, k in resets))
-                           for eidx, dst, resets in edges) for edges in out_edges]
-    parents, hit = _search(program, tops, out_edges, n_regions - 1)
+    parents, hit = _search(program, tops, reset_regions, n_regions - 1)
     if not parents:
         return ReachabilityVerdict(False, info={"regions": n_regions})
     info = {"regions": n_regions, "states": len(parents)}
@@ -824,7 +855,7 @@ def reach_dense_one_clock(program: DenseProgram, gamma) -> ReachabilityVerdict:
     pending = Fraction(0)
     for kind, eidx, state in _moves(parents, hit):
         if kind == "delay":
-            nx = representative(state[1][0], x)
+            nx = representative(state[1], x)
             pending += nx - x
             x = nx
         else:

@@ -230,7 +230,7 @@ def _decide_cells(cells, params, decide_at, domain, pdomain, integer_of) -> List
     for cell in cells:
         integer = integer_of(cell, box) if integral else None
         if domain == TIME_NAT and integer is not None:
-            values, decided = [Fraction(v) for v in integer], "integer-point"
+            values, decided = integer, "integer-point"
         elif isinstance(cell.sample, tuple):
             values, decided = cell.sample, "sample"
         elif isinstance(cell.sample, AlgebraicNumber):

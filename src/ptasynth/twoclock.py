@@ -416,7 +416,7 @@ def periodicity_probe(two_one: TwoOnePta, psi: SystemProperty,
     s0, s1 = thresholds(pta, psi)
     horizon = s1 + horizon_mult * s0
     program = compile_check(pta, psi, TIME_NAT)
-    verdicts = [decide(program, {param: Fraction(v)}).satisfied for v in range(horizon + 1)]
+    verdicts = [decide(program, {param: v}).satisfied for v in range(horizon + 1)]
     tail = verdicts[s1:]
     if not any(tail):
         return PeriodicityReport(s0, s1, horizon, verdicts, (s1, 1), True, None)

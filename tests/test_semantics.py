@@ -744,24 +744,26 @@ def test_even_pacer_states_grow_linearly_with_the_parameter():
     assert v.info["states"] < 10 * v.info["cap"]
 
 
-def unpruned_search(program, tops, out_edges, cap, dmax=0):
+def unpruned_search(program, tops, reset_values, cap, dmax=0):
     """The breadth-first search of ``semantics._search`` with a delay
-    successor for every state; atoms are tested one by one from the
-    program's shapes."""
+    successor for every state, over the same flat states ``(location,
+    values, differences)``; atoms are tested one by one from the program's
+    shapes, and a difference with a saturated clock is set explicitly."""
+    n = program.n_clocks
 
     def holds(indices, state):
         for k in indices:
             if tops[k] is None:
                 continue
-            part, i, sign = program.shapes[k]
-            if (sign * state[part][i] if sign else 0) > tops[k]:
+            pos, sign = program.shapes[k]
+            if (sign * state[pos] if sign else 0) > tops[k]:
                 return False
         return True
 
     def clamp(d):
         return max(-dmax, min(dmax, d))
 
-    start = (program.initial, (0,) * program.n_clocks, (0,) * len(program.pairs))
+    start = (program.initial,) + (0,) * (n + len(program.pairs))
     if not holds(program.invariants[start[0]], start):
         return {}, None
     parents = {start: None}
@@ -769,13 +771,13 @@ def unpruned_search(program, tops, out_edges, cap, dmax=0):
         return parents, start
     order = [start]
     for source in order:
-        loc, values, diffs = source
+        loc, values, diffs = source[0], source[1:1 + n], source[1 + n:]
         successors = []
-        for eidx, dst, resets in out_edges[loc]:
+        for eidx, dst, resets, _ in program.out_edges[loc]:
             if not holds(program.guards[eidx], source):
                 continue
-            reset = dict(resets)
-            new_values = tuple(reset.get(c, v) for c, v in enumerate(values))
+            reset = {pos - 1: reset_values[r] for pos, r in resets}
+            new_values = [reset.get(c, v) for c, v in enumerate(values)]
             new_diffs = list(diffs)
             for k, (i, j) in enumerate(program.pairs):
                 if i in reset and j in reset:
@@ -784,8 +786,8 @@ def unpruned_search(program, tops, out_edges, cap, dmax=0):
                     new_diffs[k] = clamp(reset[i] - values[j]) if values[j] < cap else -dmax
                 elif j in reset:
                     new_diffs[k] = clamp(values[i] - reset[j]) if values[i] < cap else dmax
-            successors.append(((dst, new_values, tuple(new_diffs)), "edge", eidx))
-        successors.append(((loc, tuple(min(v + 1, cap) for v in values), diffs), "delay", None))
+            successors.append(((dst, *new_values, *new_diffs), "edge", eidx))
+        successors.append(((loc, *(min(v + 1, cap) for v in values), *diffs), "delay", None))
         for state, kind, eidx in successors:
             if state in parents or not holds(program.invariants[state[0]], state):
                 continue
@@ -803,9 +805,9 @@ def against_unpruned(monkeypatch):
     counts = {"searches": 0, "fewer": 0}
     search = semantics._search
 
-    def both(program, tops, out_edges, cap, dmax=0):
-        parents, hit = search(program, tops, out_edges, cap, dmax)
-        ref_parents, ref_hit = unpruned_search(program, tops, out_edges, cap, dmax)
+    def both(program, tops, reset_values, cap, dmax=0):
+        parents, hit = search(program, tops, reset_values, cap, dmax)
+        ref_parents, ref_hit = unpruned_search(program, tops, reset_values, cap, dmax)
         assert hit == ref_hit
         if hit is not None:
             assert _moves(parents, hit) == _moves(ref_parents, ref_hit)

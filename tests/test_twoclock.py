@@ -5,6 +5,7 @@ import pytest
 from ptasynth.harness import shipped_two_one_models, suite_periodicity, suite_twoclock_finders
 from ptasynth.model import ConcreteRun, SyntacticRun, SystemProperty, PropLoc
 from ptasynth.parser import parse_model
+from ptasynth.semantics import compile_check, reach_discrete
 from ptasynth.twoclock import (
     TwoOneError,
     find_oneP3_indices,
@@ -209,3 +210,39 @@ def test_periodicity_suite_all_models():
     report = suite_periodicity()
     assert report.cases >= 10
     assert report.ok(), report.render()
+
+
+# Per shipped model: S0, S1, the probe's verdicts at p = 0..S1+3*S0, and the
+# states the nat search finds over that sweep, summed (43,517 in all).
+SHIPPED_SWEEPS = {
+    "m01_upward_gate": (5, 20, "001111111111111111111111111111111111", 141),
+    "m02_blocked_gate": (7, 28, "0" * 50, 197),
+    "m03_even_pacer": (9, 36, "10" * 32, 4226),
+    "m04_triple_pacer": (13, 52, "100" * 30 + "10", 7349),
+    "m05_safety_window": (3, 12, "1" + "0" * 21, 65),
+    "m06_drift_collector": (9, 36, "1" * 64, 8129),
+    "m07_bounded_lead": (13, 52, "00" + "1" * 90, 826),
+    "m08_two_phase": (9, 36, "000" + "1" * 61, 757),
+    "m09_concrete_sidecar": (7, 28, "0" + "1" * 49, 149),
+    "m10_alternating_safety": (9, 36, "01" * 32, 4226),
+    "m11_late_window": (5, 20, "1" * 36, 702),
+    "m12_reset_ladder": (13, 52, "1" * 92, 16750),
+}
+
+
+def test_shipped_sweeps_find_the_recorded_states():
+    # the verdicts and the number of states each search finds are pinned;
+    # catches a search that drops or adds a state (a pruning or successor
+    # change) even where every verdict stays the same
+    models = shipped_two_one_models()
+    assert sorted(name for name, _, _ in models) == sorted(SHIPPED_SWEEPS)
+    for name, pta, psi in models:
+        s0, s1, verdicts, states = SHIPPED_SWEEPS[name]
+        report = periodicity_probe(validate_two_one(pta), psi)
+        assert (report.s0, report.s1) == (s0, s1), name
+        assert "".join("1" if v else "0" for v in report.verdicts) == verdicts, name
+        program = compile_check(pta, psi, "nat").reach
+        found = sum(reach_discrete(program, {pta.params[0]: v}).info["states"]
+                    for v in range(s1 + 3 * s0 + 1))
+        assert found == states, name
+    assert sum(states for *_, states in SHIPPED_SWEEPS.values()) == 43517
