@@ -1,14 +1,29 @@
 """Per-run feasibility for a single parametric clock.
 
 A guard over one clock splits into lower-bound conjuncts (-x < e or
--x <= e) and upper-bound conjuncts (x < e or x <= e); ``linf`` and
-``usup`` are the tightest induced nonnegative bounds.  A reset-free run
-is realizable exactly when, for every ordered pair of steps i <= j, the
-interval between the i-th lower bound and the j-th upper bound contains
-an admissible clock value (an integer one in nat time).  A reset of
-the clock to b ends a segment and starts the next one: its steps are
-checked the same way, and the reset value b, as a closed lower bound,
-against every upper bound of the segment.
+-x <= e), upper-bound conjuncts (x < e or x <= e) and clock-free
+parameter conditions; ``linf`` and ``usup`` are the tightest induced
+nonnegative bounds.  A reset-free run is realizable exactly when its
+parameter conditions hold and, for every ordered pair of steps i <= j,
+the interval between the i-th lower bound and the j-th upper bound
+contains an admissible clock value (an integer one in nat time).  A
+reset of the clock to b ends a segment and starts the next one: its
+steps are checked the same way, and the reset value b, as a closed lower
+bound, against every upper bound of the segment.
+
+The check is compiled once per run and then decided per valuation.
+:func:`compile_run` splits the guards, lists the run's distinct atoms with
+each finite bound as integer monomials, cuts the run into segments and
+lists the pairs to test.  At a valuation, ``semantics._bound_values``
+gives every bound as a scaled int ``b * L**D`` at a rational point, or as
+its exact value at an algebraic one.  A lower bound is the key ``(b,
+open)`` and an upper bound the key ``(b, -open)``: in tuple order the
+tightest lower bound of a step is the largest key, the tightest upper
+bound the smallest, and a lower and an upper bound leave a dense value
+between them exactly when ``lower <= upper``.  In nat time the keys are
+first rounded to the least and the greatest admissible integer, by floor
+division of the scaled ints (``math.floor``/``math.ceil`` of exact
+values), and the same comparison decides the pair.
 
 Witness construction follows the midpoint rule on the cumulative
 lower/upper envelopes of each segment, the lower one starting at 0 or at
@@ -27,6 +42,7 @@ from typing import List, Optional, Tuple
 from .constraints import AtomicConstraint, SimpleConstraint
 from .model import ConcreteRun, TIME_DENSE, TIME_NAT, UnsupportedError
 from .scalars import INF
+from .semantics import _bound_table, _bound_values
 from .transforms import GuardOnlyRun
 
 
@@ -105,71 +121,40 @@ def usup(up: SimpleConstraint, gamma) -> Bound:
     return best
 
 
-def _interval_nonempty(lo: Bound, hi: Bound, time_domain: str) -> bool:
-    if time_domain == TIME_NAT:
-        return _least_integer_in(lo, hi) is not None
-    if hi.value is INF:
-        return lo.value is not INF
-    if lo.value is INF:
-        return False
-    if lo.value < hi.value:
-        return True
-    return lo.value == hi.value and not lo.open and not hi.open
+# -- the compiled run ------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class RunProgram:
+    """A guard-only run compiled for :func:`feasible_with_reset` at many
+    valuations.
 
-def _least_integer_in(lo: Bound, hi: Bound) -> Optional[int]:
-    if lo.value is INF:
-        return None
-    n = math.floor(lo.value) + 1 if lo.open else math.ceil(lo.value)
-    n = max(n, 0)
-    if hi.value is INF:
-        return n
-    top = math.ceil(hi.value) - 1 if hi.open else math.floor(hi.value)
-    return n if n <= top else None
+    Nothing here depends on the valuation.  ``atoms``, ``bounds``,
+    ``params`` and ``degree`` are the fields ``semantics._bound_values``
+    reads: the run's distinct atoms and each finite bound as integer
+    monomials (None for an infinite one).  Each step's lower and upper
+    parts are tuples of atom indices; ``conditions`` lists every clock-free
+    atom, in order, as ``(step number, atom index)``, step 0 being the
+    initial condition.
+    A segment is ``(first step, one past its last step, start value)``,
+    with start value 0 for the first segment and the reset value after.
+    A pair ``(i, lo, j)`` tests lower key ``lo`` against step ``j``'s upper
+    bound and is reported as steps ``(i + 1, j + 1)``; the lower keys of a
+    valuation are one per step and then one per segment start.
+    """
 
-
-def pair_satisfiable(i: int, j: int, run: GuardOnlyRun, gamma,
-                     time_domain: str = TIME_DENSE) -> bool:
-    """Whether some admissible clock value meets step i's lower and step j's
-    upper bounds (1-based indices, i <= j)."""
-    lb_i, _, _ = split_guard(run.steps[i - 1].guard)
-    _, up_j, _ = split_guard(run.steps[j - 1].guard)
-    return _interval_nonempty(linf(lb_i, gamma), usup(up_j, gamma), time_domain)
-
-
-def _bound_max(a: Bound, b: Bound) -> Bound:
-    if a.value > b.value:
-        return a
-    if a.value < b.value:
-        return b
-    return Bound(a.value, a.open or b.open)
-
-
-def _bound_min(a: Bound, b: Bound) -> Bound:
-    if a.value < b.value:
-        return a
-    if a.value > b.value:
-        return b
-    return Bound(a.value, a.open or b.open)
-
-
-def _pick_value(lo: Bound, hi: Bound, time_domain: str):
-    """A concrete admissible value in a nonempty bound interval (None if the
-    bounds are not rational)."""
-    if time_domain == TIME_NAT:
-        n = _least_integer_in(lo, hi)
-        return None if n is None else Fraction(n)
-    if not isinstance(lo.value, Fraction) or not (hi.value is INF or isinstance(hi.value, Fraction)):
-        return None
-    if hi.value is INF:
-        return lo.value + 1 if lo.open else lo.value
-    gap = hi.value - lo.value
-    if gap == 0:
-        return lo.value
-    shrink = min(Fraction(1), gap) / 4
-    a = lo.value + (shrink if lo.open else 0)
-    b = hi.value - (shrink if hi.open else 0)
-    return (a + b) / 2
+    run: GuardOnlyRun
+    time_domain: str
+    clock: Optional[str]
+    atoms: Tuple[AtomicConstraint, ...]
+    bounds: tuple
+    params: Tuple[str, ...]
+    degree: int
+    strict: Tuple[int, ...]                      # per atom, 1 for < and 0 for <=
+    conditions: Tuple[Tuple[int, int], ...]
+    lower: Tuple[Tuple[int, ...], ...]           # per step
+    upper: Tuple[Tuple[int, ...], ...]           # per step
+    segments: Tuple[Tuple[int, int, int], ...]
+    pairs: Tuple[Tuple[int, int, int], ...]
 
 
 def _clock_of(run: GuardOnlyRun) -> Optional[str]:
@@ -183,62 +168,168 @@ def _clock_of(run: GuardOnlyRun) -> Optional[str]:
     return run.clocks[0] if run.clocks else None
 
 
-def _feasible(run: GuardOnlyRun, gamma, time_domain: str,
-              clock: Optional[str]) -> FeasibilityResult:
-    """The per-run test and witness, one reset-free segment at a time.
+def compile_run(run: GuardOnlyRun, time_domain: str = TIME_DENSE,
+                clock: Optional[str] = None) -> RunProgram:
+    """Compile the per-run test of ``run`` once, for many valuations.
 
-    A segment ends at a step that resets ``clock`` (its guard is tested
-    before the reset) or at the end of the run.  Steps are 0-based here
-    and 1-based in the result.
+    A segment ends at a step that resets ``clock`` (default: the clock the
+    run constrains; its guard is tested before the reset) or at the end of
+    the run.  Each segment after a reset at step h first tests the reset
+    value against every upper bound of the segment, as pairs (h, j), and
+    then every pair i <= j of its own steps.
     """
-    if not run.initial_condition.holds({}, gamma):
-        return FeasibilityResult(False, reason="initial parameter condition fails: %s"
-                                 % run.initial_condition.render())
-    guards = []
-    for idx, step in enumerate(run.steps, start=1):
-        lb, up, free = split_guard(step.guard)
-        for atom in free:
-            if not atom.holds({}, gamma):
-                return FeasibilityResult(False, reason="parameter condition at step %d fails: %s"
-                                         % (idx, atom.render()))
-        guards.append((lb, up))
-    lows = [linf(lb, gamma) for lb, _ in guards]
-    highs = [usup(up, gamma) for _, up in guards]
+    if clock is None:
+        clock = _clock_of(run)
+    index = {}
 
-    # (first step, one past the last step, start bound, resetting step or None)
-    segments = []
-    first, start, reset_at = 0, Bound(Fraction(0)), None
+    def ids(atoms):
+        return tuple(index.setdefault(atom, len(index)) for atom in atoms)
+
+    conditions = [(0, k) for k in ids(run.initial_condition)]
+    parts = [tuple(map(ids, split_guard(step.guard))) for step in run.steps]
+    conditions += [(idx, k) for idx, (_, _, free) in enumerate(parts, start=1) for k in free]
+    n = len(run.steps)
+    segments, resets = [], []
+    first, start = 0, 0
     for k, step in enumerate(run.steps):
         if clock is not None and clock in step.updates:
-            segments.append((first, k + 1, start, reset_at))
-            first, start, reset_at = k + 1, Bound(Fraction(int(step.updates[clock]))), k
-    segments.append((first, len(run.steps), start, reset_at))
+            segments.append((first, k + 1, start))
+            first, start = k + 1, int(step.updates[clock])
+            resets.append(k)
+    segments.append((first, n, start))
+    pairs = []
+    for s, (first, stop, _) in enumerate(segments):
+        if s:
+            pairs += [(resets[s - 1], n + s, j) for j in range(first, stop)]
+        pairs += [(i, i, j) for i in range(first, stop) for j in range(i, stop)]
+    atoms = tuple(index)
+    return RunProgram(
+        run=run, time_domain=time_domain, clock=clock, **_bound_table(atoms),
+        strict=tuple(int(a.strict) for a in atoms), conditions=tuple(conditions),
+        lower=tuple(p[0] for p in parts), upper=tuple(p[1] for p in parts),
+        segments=tuple(segments), pairs=tuple(pairs))
 
-    for first, stop, start, reset_at in segments:
-        pairs = [] if reset_at is None else [(reset_at, start, j) for j in range(first, stop)]
-        pairs += [(i, lows[i], j) for i in range(first, stop) for j in range(i, stop)]
-        for i, lo, j in pairs:
-            if not _interval_nonempty(lo, highs[j], time_domain):
-                return FeasibilityResult(False, failing_pair=(i + 1, j + 1),
-                                         reason="no admissible value between the lower bound "
-                                                "of step %d and the upper bound of step %d"
-                                                % (i + 1, j + 1))
 
+# -- deciding a compiled run -------------------------------------------------------
+
+def _keys(program: RunProgram, values, scale):
+    """The lower keys (one per step, then one per segment start) and the
+    upper keys (one per step, None when no bound is finite) at a valuation,
+    rounded to admissible integers in nat time."""
+    strict = program.strict
+    lows = []
+    for atoms in program.lower:
+        best = (0, 0)
+        for k in atoms:
+            v = values[k]
+            if v is not None and (-v, strict[k]) > best:
+                best = (-v, strict[k])
+        lows.append(best)
+    unit = scale or 1
+    lows += [(start * unit, 0) for _, _, start in program.segments]
+    highs = []
+    for atoms in program.upper:
+        best = None
+        for k in atoms:
+            v = values[k]
+            if v is not None and (best is None or (v, -strict[k]) < best):
+                best = (v, -strict[k])
+        if best is not None and best < (0, 0):      # below 0, or an open 0
+            best = (0, -1)
+        highs.append(best)
+    if program.time_domain != TIME_NAT:
+        return lows, highs
+    if scale is None:
+        return ([(math.floor(v) + 1 if o else math.ceil(v), 0) for v, o in lows],
+                [None if h is None else (math.ceil(h[0]) - 1 if h[1] else math.floor(h[0]), 0)
+                 for h in highs])
+    # the least integer above b/scale (open) or from it on (closed), and
+    # the greatest integer below or up to it
+    return ([(-((-v - o) // scale), 0) for v, o in lows],
+            [None if h is None else ((h[0] + h[1]) // scale, 0) for h in highs])
+
+
+def _exact(v, scale):
+    """A bound's value divided back by the scale; None if irrational."""
+    if scale is not None:
+        return Fraction(v, scale)
+    return Fraction(v) if isinstance(v, (int, Fraction)) else None
+
+
+def _pick_value(lo, hi, scale):
+    """A dense clock value between lower key ``lo`` and upper key ``hi``
+    (None: unbounded) by the midpoint rule; None when a bound is irrational."""
+    a = _exact(lo[0], scale)
+    b = None if hi is None else _exact(hi[0], scale)
+    if a is None or (hi is not None and b is None):
+        return None
+    if b is None:
+        return a + 1 if lo[1] else a
+    gap = b - a
+    if gap == 0:
+        return a
+    shrink = min(Fraction(1), gap) / 4
+    if lo[1]:
+        a += shrink
+    if hi[1]:
+        b -= shrink
+    return (a + b) / 2
+
+
+def _witness(program: RunProgram, lows, highs, scale) -> Optional[ConcreteRun]:
+    nat = program.time_domain == TIME_NAT
+    n = len(program.run.steps)
     steps = []
-    for first, stop, start, _ in segments:
+    for s, (first, stop, start) in enumerate(program.segments):
         tops = highs[first:stop]            # suffix minima within the segment
         for k in range(len(tops) - 2, -1, -1):
-            tops[k] = _bound_min(tops[k + 1], tops[k])
-        lo, x = start, start.value
+            if tops[k] is None or (tops[k + 1] is not None and tops[k + 1] < tops[k]):
+                tops[k] = tops[k + 1]
+        lo, x = lows[n + s], Fraction(start)
         for k in range(first, stop):
-            lo = _bound_max(lo, lows[k])
-            value = _pick_value(lo, tops[k - first], time_domain)
+            lo = max(lo, lows[k])
+            value = Fraction(lo[0]) if nat else _pick_value(lo, tops[k - first], scale)
             if value is None:
-                return FeasibilityResult(True)
+                return None
             value = max(x, value)
             steps.append((value - x, k))
             x = value
-    return FeasibilityResult(True, witness=ConcreteRun(tuple(steps)))
+    return ConcreteRun(tuple(steps))
+
+
+def _decide(program: RunProgram, gamma, witness: bool) -> FeasibilityResult:
+    values, scale = _bound_values(program, gamma)
+    strict = program.strict
+    for idx, k in program.conditions:
+        v = values[k]
+        if v is not None and (v, -strict[k]) < (0, 0):      # 0 < v or 0 <= v fails
+            if idx == 0:
+                return FeasibilityResult(False, reason="initial parameter condition fails: %s"
+                                         % program.run.initial_condition.render())
+            return FeasibilityResult(False, reason="parameter condition at step %d fails: %s"
+                                     % (idx, program.atoms[k].render()))
+    lows, highs = _keys(program, values, scale)
+    for i, lo, j in program.pairs:
+        hi = highs[j]
+        if hi is not None and lows[lo] > hi:
+            return FeasibilityResult(False, failing_pair=(i + 1, j + 1),
+                                     reason="no admissible value between the lower bound "
+                                            "of step %d and the upper bound of step %d"
+                                            % (i + 1, j + 1))
+    if not witness:
+        return FeasibilityResult(True)
+    return FeasibilityResult(True, witness=_witness(program, lows, highs, scale))
+
+
+def pair_satisfiable(i: int, j: int, run: GuardOnlyRun, gamma,
+                     time_domain: str = TIME_DENSE) -> bool:
+    """Whether some admissible clock value meets step i's lower and step j's
+    upper bounds (1-based indices, i <= j)."""
+    pair = GuardOnlyRun((run.steps[i - 1], run.steps[j - 1]), SimpleConstraint.true(),
+                        run.clocks, run.params)
+    program = compile_run(pair, time_domain)
+    lows, highs = _keys(program, *_bound_values(program, gamma))
+    return highs[1] is None or lows[0] <= highs[1]
 
 
 def feasible_no_reset(run: GuardOnlyRun, gamma, time_domain: str = TIME_DENSE,
@@ -249,22 +340,25 @@ def feasible_no_reset(run: GuardOnlyRun, gamma, time_domain: str = TIME_DENSE,
     holds.  The witness is omitted (verdict only) when the evaluated
     bounds are not rational.
     """
-    if clock is None:
-        clock = _clock_of(run)
-    for step in run.steps:
-        if clock is not None and clock in step.updates:
-            raise UnsupportedError("reset-free feasibility called on a run with resets")
-    return _feasible(run, gamma, time_domain, clock)
+    program = compile_run(run, time_domain, clock)
+    if len(program.segments) > 1:
+        raise UnsupportedError("reset-free feasibility called on a run with resets")
+    return _decide(program, gamma, True)
 
 
-def feasible_with_reset(run: GuardOnlyRun, gamma, time_domain: str = TIME_DENSE,
-                        clock: Optional[str] = None) -> FeasibilityResult:
+def feasible_with_reset(run, gamma, time_domain: Optional[str] = None,
+                        clock: Optional[str] = None, witness: bool = True) -> FeasibilityResult:
     """Feasibility with clock resets, one reset-free segment after another.
 
-    Failing pairs and reasons use the run's 1-based step numbers; after a
-    reset at step h, the reset value failing step j's upper bound is the
-    pair (h, j).  The witness sets the clock to the reset value after h.
+    ``run`` is a :class:`RunProgram`, which carries its own time domain and
+    clock, or a ``GuardOnlyRun``, compiled here for ``time_domain``
+    (default dense) and ``clock``.  Failing pairs and reasons use the run's
+    1-based step numbers; after a reset at step h, the reset value failing
+    step j's upper bound is the pair (h, j).  The witness, built only when
+    ``witness`` is true, sets the clock to the reset value after h.
     """
-    if clock is None:
-        clock = _clock_of(run)
-    return _feasible(run, gamma, time_domain, clock)
+    if isinstance(run, GuardOnlyRun):
+        run = compile_run(run, time_domain or TIME_DENSE, clock)
+    elif time_domain not in (None, run.time_domain) or clock not in (None, run.clock):
+        raise ValueError("a compiled run is decided in its own time domain and clock")
+    return _decide(run, gamma, witness)

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 from .constraints import AtomicConstraint, SimpleConstraint
 from .decomposition import random_point_in_cell1d, signs_at_1d
 from .expressions import Expression
-from .feasibility import feasible_with_reset, linf, split_guard, usup
+from .feasibility import compile_run, feasible_with_reset, linf, split_guard, usup
 from .model import (
     EXISTS_EVENTUALLY,
     FORALL_ALWAYS,
@@ -196,10 +196,11 @@ def suite_feasibility_oracle(seed: int, n_runs: int, grid_lo=-5, grid_hi=20,
         n_params = 1 if rng.random() < 0.5 else 2
         grun = rand_guard_only_run(rng, n_params)
         chain, _ = linearize_guard_run(grun, TIME_NAT)
+        program = compile_run(grun, TIME_NAT)
         grid = int_grid(n_params, grid_lo, grid_hi)
         for gamma in grid:
             report.cases += 1
-            res = feasible_with_reset(grun, gamma, TIME_NAT)
+            res = feasible_with_reset(program, gamma)
             oracle = guard_run_reachable_set(grun, gamma, TIME_NAT) is not None
             if res.feasible != oracle:
                 report.fail("run %d gamma %s: pair test %s oracle %s"
@@ -216,9 +217,10 @@ def suite_feasibility_oracle(seed: int, n_runs: int, grid_lo=-5, grid_hi=20,
                     continue
                 _track_boundary_cases(grun, gamma, res, coverage)
         if run_no % dense_every == 0:
+            program = compile_run(grun, TIME_DENSE)
             for gamma in grid[:: max(1, len(grid) // 8)]:
                 report.cases += 1
-                res = feasible_with_reset(grun, gamma, TIME_DENSE)
+                res = feasible_with_reset(program, gamma)
                 oracle = guard_run_reachable_set(grun, gamma, TIME_DENSE) is not None
                 if res.feasible != oracle:
                     report.fail("dense run %d gamma %s: pair test %s oracle %s"
@@ -611,7 +613,7 @@ def suite_lu_monotonicity(seed: int, n_models: int, grid_hi=5) -> SuiteReport:
         psi = SystemProperty(EXISTS_EVENTUALLY, PropLoc(rng.choice(pta.locations)))
         grid = int_grid(len(pta.params), 0, grid_hi)
         program = compile_check(pta, psi, TIME_NAT)
-        verdicts = {valuation_key(g): decide(program, g).satisfied for g in grid}
+        verdicts = {valuation_key(g): decide(program, g, witness=False).satisfied for g in grid}
         lower, upper = classes["lower"], classes["upper"]
         for g1 in grid:
             if not verdicts[valuation_key(g1)]:

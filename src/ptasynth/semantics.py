@@ -237,6 +237,16 @@ def _monomials(expr, params) -> Optional[tuple]:
                  for mono, c in expr.as_poly_terms().items())
 
 
+def _bound_table(atoms) -> dict:
+    """The fields :func:`_bound_values` reads: ``atoms``, each finite bound
+    as integer monomials (``bounds``), the ``params`` they mention and the
+    largest total ``degree``."""
+    params = tuple(sorted({p for a in atoms for p in a.rhs.params()}))
+    bounds = tuple(_monomials(a.rhs, params) for a in atoms)
+    return dict(atoms=atoms, bounds=bounds, params=params,
+                degree=max((d for b in bounds if b for _, d, _ in b), default=0))
+
+
 def _compile_state_prop(phi, atom_test, loc_of):
     """Compile a state property into a test ``(state, table) -> bool``.
 
@@ -283,13 +293,9 @@ def compile_reach(pta: Pta, phi, time_domain: Optional[str] = None) -> ReachProg
     index: Dict[AtomicConstraint, int] = {}
     for atom in list(pta.atoms()) + list(prop_atoms(phi)):
         index.setdefault(atom, len(index))
-    atoms = tuple(index)
-    params = tuple(sorted({p for a in atoms for p in a.rhs.params()}))
-    bounds = tuple(_monomials(a.rhs, params) for a in atoms)
     loc_index = {q: i for i, q in enumerate(pta.locations)}
     common = dict(
-        pta=pta, time_domain=domain, atoms=atoms, bounds=bounds, params=params,
-        degree=max((d for b in bounds if b for _, d, _ in b), default=0),
+        pta=pta, time_domain=domain, **_bound_table(tuple(index)),
         invariants=tuple(tuple(index[a] for a in pta.invariants[q]) for q in pta.locations),
         guards=tuple(tuple(index[a] for a in e.guard) for e in pta.edges),
         initial=loc_index[pta.initial])
@@ -600,9 +606,10 @@ def _discrete_tops(program: DiscreteProgram, gamma):
     return tops, m_bound
 
 
-def reach_discrete(program: DiscreteProgram, gamma, min_cap: int = 0) -> ReachabilityVerdict:
+def reach_discrete(program: DiscreteProgram, gamma, min_cap: int = 0,
+                   witness: bool = True) -> ReachabilityVerdict:
     """Exact nat-time reachability of the program's property at ``gamma``,
-    with a replayable witness.
+    with a replayable witness unless ``witness`` is false.
 
     Parameter values may be ints, rationals or exact algebraic values; the
     search compares integer clock values with the integer tops only.
@@ -615,6 +622,8 @@ def reach_discrete(program: DiscreteProgram, gamma, min_cap: int = 0) -> Reachab
     info = {"cap": cap, "states": len(parents)}
     if hit is None:
         return ReachabilityVerdict(False, info=info)
+    if not witness:
+        return ReachabilityVerdict(True, None, info)
     steps: List[Tuple[Fraction, int]] = []
     pending = 0
     for kind, eidx, _ in _moves(parents, hit):
@@ -623,8 +632,8 @@ def reach_discrete(program: DiscreteProgram, gamma, min_cap: int = 0) -> Reachab
         else:
             steps.append((Fraction(pending), eidx))
             pending = 0
-    witness = ConcreteRun(tuple(steps), final_delay=Fraction(pending))
-    return ReachabilityVerdict(True, witness, info)
+    return ReachabilityVerdict(True, ConcreteRun(tuple(steps), final_delay=Fraction(pending)),
+                               info)
 
 
 # -- dense one-clock reachability -------------------------------------------
@@ -810,7 +819,8 @@ def _anchored_regions(program: DenseProgram, root: AnchoredRoot):
     return points, tops, reset_regions, scale if exact else None
 
 
-def reach_dense_one_clock(program: DenseProgram, gamma) -> ReachabilityVerdict:
+def reach_dense_one_clock(program: DenseProgram, gamma,
+                          witness: bool = True) -> ReachabilityVerdict:
     """Dense-time reachability for models constraining a single clock.
 
     The bounds at ``gamma`` (plus 0 and the reset constants, all in the
@@ -823,7 +833,8 @@ def reach_dense_one_clock(program: DenseProgram, gamma) -> ReachabilityVerdict:
     :class:`AnchoredRoot` the regions come from :func:`_anchored_regions`
     in ints; at any other irrational valuation (a bare ``AlgebraicNumber``)
     from sorting the exact values.  Witness delays use interval midpoints
-    and are emitted only when every point is rational.
+    and are emitted only when ``witness`` is true and every point is
+    rational.
 
     ``info["states"]`` counts the states found, dead ones that were not
     expanded included (see :func:`_search`).
@@ -836,7 +847,7 @@ def reach_dense_one_clock(program: DenseProgram, gamma) -> ReachabilityVerdict:
     info = {"regions": n_regions, "states": len(parents)}
     if hit is None:
         return ReachabilityVerdict(False, info=info)
-    if scale is None:
+    if scale is None or not witness:
         return ReachabilityVerdict(True, None, info)
     points = [Fraction(v, scale) for v in points]
 
@@ -864,8 +875,7 @@ def reach_dense_one_clock(program: DenseProgram, gamma) -> ReachabilityVerdict:
             e = program.pta.edges[eidx]
             if clock in e.updates:
                 x = Fraction(e.updates[clock])
-    witness = ConcreteRun(tuple(steps), final_delay=pending)
-    return ReachabilityVerdict(True, witness, info)
+    return ReachabilityVerdict(True, ConcreteRun(tuple(steps), final_delay=pending), info)
 
 
 # -- property decisions ------------------------------------------------------
@@ -891,13 +901,14 @@ def compile_check(pta: Pta, psi: SystemProperty, time_domain: Optional[str] = No
     return CheckProgram(psi.mode, compile_reach(pta, phi, time_domain))
 
 
-def decide(program: CheckProgram, gamma) -> CheckResult:
-    """Decide A[gamma] |= psi; forall-always goes through the dual reach."""
+def decide(program: CheckProgram, gamma, witness: bool = True) -> CheckResult:
+    """Decide A[gamma] |= psi; forall-always goes through the dual reach.
+    With ``witness`` false no witness or counterexample is built."""
     reach = program.reach
     if reach.time_domain == TIME_NAT:
-        v = reach_discrete(reach, gamma)
+        v = reach_discrete(reach, gamma, witness=witness)
     else:
-        v = reach_dense_one_clock(reach, gamma)
+        v = reach_dense_one_clock(reach, gamma, witness)
     if program.mode == EXISTS_EVENTUALLY:
         return CheckResult(v.reachable, v.witness, "witness" if v.witness else "", v.info)
     return CheckResult(not v.reachable, v.witness,
@@ -913,7 +924,7 @@ def grid_oracle(pta: Pta, psi: SystemProperty, grid: Sequence[Mapping[str, Fract
                 time_domain: Optional[str] = None) -> dict:
     """Decide the property at every grid point; keyed by sorted valuation."""
     program = compile_check(pta, psi, time_domain)
-    return {valuation_key(g): decide(program, g).satisfied for g in grid}
+    return {valuation_key(g): decide(program, g, witness=False).satisfied for g in grid}
 
 
 # -- run automata -------------------------------------------------------------

@@ -12,7 +12,9 @@ zero, two or three parameters, whose expressions must then be linear.
 the per-cell decision loop; they differ only in what they decide at a
 valuation.  ``synthesize`` compiles the model and property once
 (``semantics.compile_check``) and instantiates that one program at each
-cell's valuation, one ``decide`` call per cell.
+cell's valuation, one ``decide`` call per cell; ``run_region`` compiles
+each branch of the run once (``feasibility.compile_run``) and decides it
+in scaled ints at each cell's valuation.
 
 Scope: exactly one parametric clock, and no other constrained clocks
 (models with extra concretely constrained clocks are accepted by the
@@ -57,7 +59,7 @@ from .model import (
 )
 from .polynomials import AlgebraicNumber, AnchoredRoot
 from .semantics import compile_check, decide
-from .feasibility import feasible_with_reset
+from .feasibility import compile_run, feasible_with_reset
 from .transforms import encode_run_property, invariants_to_guards
 
 DEFAULT_INT_BOX = 64
@@ -287,7 +289,7 @@ def synthesize(pta: Pta, psi: SystemProperty, time_domain: Optional[str] = None,
     program = compile_check(pta, psi, domain)
 
     def decide_at(gamma):
-        return decide(program, gamma).satisfied
+        return decide(program, gamma, witness=False).satisfied
 
     return _region(pta.params, atom_pool, _reset_constants(pta), decide_at, psi,
                    domain, pdomain)
@@ -371,9 +373,11 @@ def run_region(pta: Pta, tau: SyntacticRun, phi, time_domain: Optional[str] = No
     in a state satisfying the property.
 
     The property is encoded into the final step (one branch per DNF
-    disjunct), invariants are folded into guards, and each cell sample is
-    tested with the segmented pairwise feasibility check; the region is
-    the union over branches.
+    disjunct), invariants are folded into guards, and each branch is
+    compiled once (:func:`compile_run`).  Each cell sample is then tested
+    with the segmented pairwise feasibility check, verdict only, on the
+    branch's bounds in scaled ints (exact values at an irrational sample);
+    the region is the union over branches.
     """
     domain = time_domain or pta.time_domain
     pdomain = param_domain or pta.param_domain
@@ -388,7 +392,10 @@ def run_region(pta: Pta, tau: SyntacticRun, phi, time_domain: Optional[str] = No
             atom_pool.extend(st.guard.conjuncts)
             resets.extend(int(b) for b in st.updates.values())
 
+    programs = [compile_run(br, domain) for br in branches]
+
     def decide_at(gamma):
-        return any(feasible_with_reset(br, gamma, domain).feasible for br in branches)
+        return any(feasible_with_reset(program, gamma, witness=False).feasible
+                   for program in programs)
 
     return _region(params, atom_pool, resets, decide_at, None, domain, pdomain)

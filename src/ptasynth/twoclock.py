@@ -287,7 +287,8 @@ def pigeonhole_hypotheses_report(two_one: TwoOnePta, run: ConcreteRun,
     edge_indices = tuple(eidx for _, eidx in run.steps)
     syntactic = SyntacticRun(pta, edge_indices)
     chain, final = linearize_syntactic_run(syntactic)
-    up_reach = reach_discrete(compile_reach(chain, PropLoc(final), TIME_NAT), gamma_up)
+    up_reach = reach_discrete(compile_reach(chain, PropLoc(final), TIME_NAT), gamma_up,
+                              witness=False)
     return {
         "gamma": gamma_value,
         "steps": per_step,
@@ -416,7 +417,8 @@ def periodicity_probe(two_one: TwoOnePta, psi: SystemProperty,
     s0, s1 = thresholds(pta, psi)
     horizon = s1 + horizon_mult * s0
     program = compile_check(pta, psi, TIME_NAT)
-    verdicts = [decide(program, {param: v}).satisfied for v in range(horizon + 1)]
+    verdicts = [decide(program, {param: v}, witness=False).satisfied
+                for v in range(horizon + 1)]
     tail = verdicts[s1:]
     if not any(tail):
         return PeriodicityReport(s0, s1, horizon, verdicts, (s1, 1), True, None)

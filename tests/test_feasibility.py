@@ -1,5 +1,7 @@
+import math
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,6 +11,9 @@ from ptasynth.constraints import AtomicConstraint, SimpleConstraint
 from ptasynth.expressions import Expression
 from ptasynth.feasibility import (
     Bound,
+    FeasibilityResult,
+    _clock_of,
+    compile_run,
     feasible_no_reset,
     feasible_with_reset,
     linf,
@@ -16,8 +21,9 @@ from ptasynth.feasibility import (
     split_guard,
     usup,
 )
-from ptasynth.harness import rand_guard_only_run, suite_feasibility_oracle
-from ptasynth.model import TIME_DENSE, TIME_NAT, UnsupportedError
+from ptasynth.harness import rand_guard_only_run, rand_linear_expr, suite_feasibility_oracle
+from ptasynth.model import ConcreteRun, TIME_DENSE, TIME_NAT, UnsupportedError
+from ptasynth.polynomials import AnchoredRoot, isolate_real_roots
 from ptasynth.scalars import INF
 from ptasynth.semantics import guard_run_reachable_set, linearize_guard_run, replay_run
 from ptasynth.transforms import GuardOnlyRun, GuardStep
@@ -222,3 +228,215 @@ def test_witness_monotone_in_reset_free_runs():
 def test_oracle_equivalence_suite_reduced():
     report = suite_feasibility_oracle(2, 60)
     assert report.ok(), report.render()
+
+
+# -- the compiled check against a Fraction reference ------------------------------
+#
+# The reference splits every guard at the valuation, evaluates every bound
+# to a Fraction (or an exact algebraic value) and compares Bound objects.
+# The compiled check must give the same verdict, witness, failing pair and
+# reason.
+
+def _ref_least_integer_in(lo, hi):
+    n = max(math.floor(lo.value) + 1 if lo.open else math.ceil(lo.value), 0)
+    if hi.value is INF:
+        return n
+    top = math.ceil(hi.value) - 1 if hi.open else math.floor(hi.value)
+    return n if n <= top else None
+
+
+def _ref_nonempty(lo, hi, time_domain):
+    if time_domain == TIME_NAT:
+        return _ref_least_integer_in(lo, hi) is not None
+    if hi.value is INF:
+        return True
+    return lo.value < hi.value or (lo.value == hi.value and not lo.open and not hi.open)
+
+
+def _ref_max(a, b):
+    if a.value != b.value:
+        return a if a.value > b.value else b
+    return Bound(a.value, a.open or b.open)
+
+
+def _ref_min(a, b):
+    if a.value != b.value:
+        return a if a.value < b.value else b
+    return Bound(a.value, a.open or b.open)
+
+
+def _ref_pick_value(lo, hi, time_domain):
+    if time_domain == TIME_NAT:
+        return Fraction(_ref_least_integer_in(lo, hi))
+    if not isinstance(lo.value, Fraction) or not (hi.value is INF or isinstance(hi.value, Fraction)):
+        return None
+    if hi.value is INF:
+        return lo.value + 1 if lo.open else lo.value
+    gap = hi.value - lo.value
+    if gap == 0:
+        return lo.value
+    shrink = min(Fraction(1), gap) / 4
+    a = lo.value + (shrink if lo.open else 0)
+    b = hi.value - (shrink if hi.open else 0)
+    return (a + b) / 2
+
+
+def reference_feasible(run, gamma, time_domain):
+    clock = _clock_of(run)
+    if not run.initial_condition.holds({}, gamma):
+        return FeasibilityResult(False, reason="initial parameter condition fails: %s"
+                                 % run.initial_condition.render())
+    guards = []
+    for idx, st in enumerate(run.steps, start=1):
+        lb, up, free = split_guard(st.guard)
+        for atom in free:
+            if not atom.holds({}, gamma):
+                return FeasibilityResult(False, reason="parameter condition at step %d fails: %s"
+                                         % (idx, atom.render()))
+        guards.append((lb, up))
+    lows = [linf(lb, gamma) for lb, _ in guards]
+    highs = [usup(up, gamma) for _, up in guards]
+    segments = []
+    first, start, reset_at = 0, Bound(Fraction(0)), None
+    for k, st in enumerate(run.steps):
+        if clock in st.updates:
+            segments.append((first, k + 1, start, reset_at))
+            first, start, reset_at = k + 1, Bound(Fraction(st.updates[clock])), k
+    segments.append((first, len(run.steps), start, reset_at))
+    for first, stop, start, reset_at in segments:
+        pairs = [] if reset_at is None else [(reset_at, start, j) for j in range(first, stop)]
+        pairs += [(i, lows[i], j) for i in range(first, stop) for j in range(i, stop)]
+        for i, lo, j in pairs:
+            if not _ref_nonempty(lo, highs[j], time_domain):
+                return FeasibilityResult(False, failing_pair=(i + 1, j + 1),
+                                         reason="no admissible value between the lower bound "
+                                                "of step %d and the upper bound of step %d"
+                                                % (i + 1, j + 1))
+    steps = []
+    for first, stop, start, _ in segments:
+        tops = highs[first:stop]
+        for k in range(len(tops) - 2, -1, -1):
+            tops[k] = _ref_min(tops[k + 1], tops[k])
+        lo, x = start, start.value
+        for k in range(first, stop):
+            lo = _ref_max(lo, lows[k])
+            value = _ref_pick_value(lo, tops[k - first], time_domain)
+            if value is None:
+                return FeasibilityResult(True)
+            value = max(x, value)
+            steps.append((value - x, k))
+            x = value
+    return FeasibilityResult(True, witness=ConcreteRun(tuple(steps)))
+
+
+def _poly_expr(rng, params):
+    """A bound of degree 2: a square or a product of parameters plus a line."""
+    p = rng.choice(params)
+    q = rng.choice(params)
+    mono = ((p, 2),) if p == q else tuple(sorted(((p, 1), (q, 1))))
+    terms = {mono: rng.choice([-2, -1, 1, 2])}
+    for key, c in rand_linear_expr(rng, params).as_poly_terms().items():
+        terms[key] = terms.get(key, 0) + c
+    return Expression.polynomial(terms)
+
+
+def _rich_run(rng, n_params, polynomial):
+    """A seeded random run with clock-free conditions (also initially),
+    infinite bounds and, if asked, polynomial bounds."""
+    run = rand_guard_only_run(rng, n_params, max_len=7, reset_prob=0.3)
+    params = run.params
+
+    def bound():
+        if polynomial and rng.random() < 0.5:
+            return _poly_expr(rng, params)
+        return rand_linear_expr(rng, params)
+
+    steps = []
+    for st in run.steps:
+        atoms = []
+        for atom in st.guard:
+            if polynomial and rng.random() < 0.5:
+                atom = replace(atom, rhs=bound())
+            atoms.append(atom)
+        if rng.random() < 0.1:
+            atoms.append(AtomicConstraint(None, None, rng.random() < 0.5, bound()))
+        if rng.random() < 0.1:
+            atoms.append(AtomicConstraint("x", None, False, Expression.infinity()))
+        rng.shuffle(atoms)
+        steps.append(replace(st, guard=SimpleConstraint(tuple(atoms))))
+    n_initial = 1 if rng.random() < 0.2 else 0
+    initial = SimpleConstraint(tuple(AtomicConstraint(None, None, rng.random() < 0.5, bound())
+                                     for _ in range(n_initial)))
+    return replace(run, steps=tuple(steps), initial_condition=initial)
+
+
+def _outcome_kind(res):
+    if not res.feasible:
+        return "pair" if res.failing_pair else res.reason.split(" fails")[0]
+    return "witness" if res.witness is not None else "verdict only"
+
+
+def _assert_same(run, gamma, seen):
+    for domain in (TIME_DENSE, TIME_NAT):
+        program = compile_run(run, domain)
+        got = feasible_with_reset(program, gamma)
+        want = reference_feasible(run, gamma, domain)
+        assert repr(got) == repr(want), (run, gamma, domain)
+        assert feasible_with_reset(program, gamma, witness=False) == replace(want, witness=None)
+        seen[domain, _outcome_kind(want)] += 1
+
+
+VALUATIONS = {
+    "int": lambda rng: rng.randint(-3, 12),
+    "integral Fraction": lambda rng: Fraction(rng.randint(-3, 12)),
+    "Fraction": lambda rng: Fraction(rng.randint(-40, 160), rng.choice([3, 7, 12, 10**6 + 3])),
+    "Fraction near an int": lambda rng: rng.randint(-3, 12) + Fraction(rng.choice([-1, 1]),
+                                                                       10**6 + 3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VALUATIONS))
+@pytest.mark.parametrize("polynomial", [False, True], ids=["linear", "polynomial"])
+def test_compiled_check_matches_the_fraction_reference_at_rational_points(kind, polynomial):
+    rng = random.Random(1609)
+    seen = Counter()
+    for _ in range(250):
+        run = _rich_run(rng, rng.randint(1, 2), polynomial)
+        gamma = {p: VALUATIONS[kind](rng) for p in run.params}
+        _assert_same(run, gamma, seen)
+    for domain in (TIME_DENSE, TIME_NAT):
+        assert seen[domain, "witness"] > 40 and seen[domain, "pair"] > 40, seen
+        assert seen[domain, "parameter condition at step %d"] + \
+            seen[domain, "initial parameter condition"] > 0, seen
+
+
+def _roots():
+    out = []
+    for poly in ((-2, 0, 1), (-3, 0, 1), (1, -3, 0, 1), (-12, 0, 1)):
+        out += isolate_real_roots(poly)
+    return out
+
+
+@pytest.mark.parametrize("anchored", [False, True], ids=["AlgebraicNumber", "AnchoredRoot"])
+def test_compiled_check_matches_the_fraction_reference_at_algebraic_points(anchored):
+    rng = random.Random(1610)
+    seen = Counter()
+    roots = _roots()
+    for _ in range(150):
+        run = _rich_run(rng, 1, polynomial=True)
+        root = rng.choice(roots)
+        if anchored:
+            root = AnchoredRoot(root, Fraction(math.floor(root)), frozenset())
+        _assert_same(run, {"p1": root}, seen)
+    for domain in (TIME_DENSE, TIME_NAT):
+        assert seen[domain, "pair"] > 20, seen
+    assert seen[TIME_NAT, "witness"] > 20 and seen[TIME_DENSE, "verdict only"] > 10, seen
+
+
+def test_compiled_run_keeps_its_domain():
+    run = mkrun(step(lower(1, strict=True), upper(2, strict=True)))
+    program = compile_run(run, TIME_NAT)
+    assert not feasible_with_reset(program, {}).feasible
+    assert feasible_with_reset(run, {}).feasible
+    with pytest.raises(ValueError):
+        feasible_with_reset(program, {}, TIME_DENSE)

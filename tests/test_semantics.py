@@ -456,6 +456,9 @@ def test_one_program_serves_every_valuation(time_domain):
             reused = decide(program, {"p1": copy_value(v)})
             fresh = decide(compile_check(pta, psi), {"p1": copy_value(v)})
             assert outcome(reused) == outcome(fresh), (pta.render(), psi, v)
+            # a verdict-only decision searches the same states
+            bare = decide(program, {"p1": copy_value(v)}, witness=False)
+            assert outcome(bare) == (reused.satisfied, None, "", reused.info)
             if isinstance(v, AlgebraicNumber) and v.is_rational():
                 # the algebraic instantiation agrees with the scaled ints
                 assert outcome(reused) == outcome(decide(program, {"p1": v.to_fraction()}))

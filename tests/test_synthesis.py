@@ -421,6 +421,32 @@ def test_region_json_is_pinned(text, prop, golden):
     assert dumps(region_to_json(region)) == expected
 
 
+RUN_ROOTS = """
+clocks: x
+params: p
+loc q0 init inv: true
+loc q1 inv: x <= p^2
+loc q2 inv: true
+edge q0 -> q1 : x > 1 & x <= p^2 ; a ; reset x:=1
+edge q1 -> q2 : x >= 3 & x <= 2*p^2 - 3 & x <= 6 - p^2 ; b ;
+"""
+
+
+@pytest.mark.parametrize("time_domain, param_domain", [("dense", "real"), ("nat", "int")])
+def test_run_region_json_at_irrational_point_cells_is_pinned(time_domain, param_domain):
+    # the run reaches q2 only at p = -sqrt(3) and p = sqrt(3), where the
+    # bounds 3, 2*p^2 - 3 and 6 - p^2 meet: the feasibility check decides
+    # those point cells at exact algebraic values
+    pta = parse_model(RUN_ROOTS)
+    tau = SyntacticRun(pta, (0, 1))
+    region = run_region(pta, tau, parse_property("EF q2", pta).phi, time_domain, param_domain)
+    hits = [cv.cell for cv in region.cells if cv.verdict]
+    assert len(hits) == 2
+    assert all(c.kind == "point" and c.lo.poly == (-3, 0, 1) for c in hits)
+    golden = Path(__file__).parent / "golden" / ("run_region_roots_%s.json" % time_domain)
+    assert dumps(region_to_json(region)) == golden.read_text()
+
+
 def scan_verdict(region, point):
     """The verdict of the cell that contains the point, by scanning every cell."""
     hits = [cv.verdict for cv in region.cells if cv.cell.contains(point)]
