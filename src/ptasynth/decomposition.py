@@ -89,8 +89,8 @@ class LinearCell:
     @property
     def constraints(self) -> Tuple[Tuple[Expression, str], ...]:
         """The cell as ``(expr, rel)`` pairs meaning ``expr rel 0``."""
-        return tuple((vector_to_expr(row, self.params), rel)
-                     for row, rel in map(_row, self.planes, self.signs))
+        return tuple(plane_constraint(vec, s, self.params)
+                     for vec, s in zip(self.planes, self.signs))
 
     def contains(self, point: Sequence[Fraction]) -> bool:
         return all(_sign(_plane_value(vec, point)) == s
@@ -245,6 +245,13 @@ def expr_to_vector(e: Expression, params: Sequence[str]) -> Vector:
 def vector_to_expr(vec: Vector, params: Sequence[str]) -> Expression:
     coeffs = {p: int(vec[i]) for i, p in enumerate(params)}
     return Expression.linear(int(vec[-1]), coeffs)
+
+
+def plane_constraint(vec: Vector, sign: int, params: Sequence[str]) -> Tuple[Expression, str]:
+    """Plane ``vec`` having ``sign`` as an ``(expr, rel)`` pair meaning
+    ``expr rel 0``."""
+    row, rel = _row(vec, sign)
+    return vector_to_expr(row, params), rel
 
 
 def _canonical_hyperplane(vec: Vector) -> Optional[Vector]:

@@ -4,13 +4,24 @@ All exact values serialize as strings ("7", "3/4", "inf"); algebraic
 numbers as {"poly": [...], "lo": "a/b", "hi": "a/b"}.  The shipped
 schemas under data/schemas describe these shapes; validate() checks the
 subset of JSON Schema they use (type, properties, required, items, enum).
+
+:func:`dumps` writes, byte for byte, what ``json.dumps(obj, indent=2,
+sort_keys=True)`` and a newline would, without the pure-Python encoder
+that ``indent`` selects in json.  It is a short recursive emitter over the
+types the payloads hold (dicts with str keys, lists, tuples, str, bool,
+int and None), dispatched on the exact type.  Strings and keys go through
+json's C ``encode_basestring_ascii``, dict keys are sorted, and the items
+of a container are joined in one join, with a comma, a newline and the
+indentation between them.  Any other type raises ``TypeError``.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from importlib import resources
 
+from .decomposition import plane_constraint
 from .polynomials import AlgebraicNumber
 from .scalars import INF, NEG_INF, format_fraction
 from .synthesis import FeasibleRegion
@@ -41,6 +52,9 @@ def run_to_json(run: ConcreteRun):
 
 def region_to_json(region: FeasibleRegion) -> dict:
     cells = []
+    # (plane, sign) -> (expr text, rel): the cells of a linear region share
+    # their planes, and a plane has one rendering per sign
+    rendered = {}
     for cv in region.cells:
         if region.method == "cad1":
             cell = {
@@ -49,10 +63,16 @@ def region_to_json(region: FeasibleRegion) -> dict:
                 "sample": [scalar_to_json(cv.cell.sample)],
             }
         else:
+            constraints = []
+            for key in zip(cv.cell.planes, cv.cell.signs):
+                text = rendered.get(key)
+                if text is None:
+                    expr, rel = plane_constraint(*key, cv.cell.params)
+                    text = rendered[key] = (expr.render(), rel)
+                constraints.append({"expr": text[0], "rel": text[1]})
             cell = {
                 "kind": "system",
-                "constraints": [{"expr": e.render(), "rel": rel}
-                                for e, rel in cv.cell.constraints],
+                "constraints": constraints,
                 "signs": list(cv.cell.signs),
                 "sample": [scalar_to_json(x) for x in cv.cell.sample],
             }
@@ -107,7 +127,36 @@ def probe_to_json(report: PeriodicityReport) -> dict:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``."""
+    return _emit(obj, "\n") + "\n"
+
+
+def _emit(v, newline: str) -> str:
+    """The text of ``v``; ``newline`` is a newline followed by the
+    indentation of the line ``v`` starts on."""
+    t = type(v)
+    if t is str:
+        return _quote(v)
+    if t is dict:
+        if not v:
+            return "{}"
+        inner = newline + "  "
+        parts = [_quote(k) + ": " + (_quote(x) if type(x) is str else _emit(x, inner))
+                 for k, x in sorted(v.items())]
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if t is list or t is tuple:
+        if not v:
+            return "[]"
+        inner = newline + "  "
+        parts = [_quote(x) if type(x) is str else _emit(x, inner) for x in v]
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    if t is int:
+        return str(v)
+    if t is bool:
+        return "true" if v else "false"
+    if v is None:
+        return "null"
+    raise TypeError("Object of type %s is not JSON serializable" % t.__name__)
 
 
 # -- schema validation ---------------------------------------------------------

@@ -52,6 +52,12 @@ _REL_RE = re.compile(r"(<=|>=|<|>|=)")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 _EXPR_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^)|(\*)|(\+)|(-)|(.))")
+_ATOM_LHS_RE = re.compile(
+    r"(-)?\s*([A-Za-z_][A-Za-z_0-9]*)\s*(?:-\s*([A-Za-z_][A-Za-z_0-9]*))?")
+_LOC_RE = re.compile(r"loc\s+([A-Za-z_][A-Za-z_0-9]*)\s*(init)?\s*inv:\s*(.*)$")
+_EDGE_RE = re.compile(
+    r"edge\s+([A-Za-z_][A-Za-z_0-9]*)\s*->\s*([A-Za-z_][A-Za-z_0-9]*)\s*:\s*(.*)$")
+_UPDATE_RE = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*)\s*:=\s*(\d+)\s*")
 
 
 def _tokenize_expr(text: str, line: int, col0: int):
@@ -148,8 +154,7 @@ def _parse_atom_text(text: str, clocks, params, line: int, col0: int):
     lhs_text = text[: m.start()].strip()
     rel = m.group(1)
     rhs_text = text[m.end():].strip()
-    lm = re.fullmatch(r"(-)?\s*([A-Za-z_][A-Za-z_0-9]*)\s*(?:-\s*([A-Za-z_][A-Za-z_0-9]*))?",
-                      lhs_text)
+    lm = _ATOM_LHS_RE.fullmatch(lhs_text)
     if not lm:
         raise ParseError("atom left side must be x, -x or x-y (got %r)" % lhs_text, line, col0)
     negated, first, second = lm.groups()
@@ -232,7 +237,7 @@ def parse_model(text: str) -> Pta:
                 else:
                     raise ParseError("bad domain setting %r" % part, lineno)
         elif line.startswith("loc "):
-            m = re.match(r"loc\s+([A-Za-z_][A-Za-z_0-9]*)\s*(init)?\s*inv:\s*(.*)$", line)
+            m = _LOC_RE.match(line)
             if not m:
                 raise ParseError("bad location line (expected 'loc <id> [init] inv: ...')", lineno)
             name, init_flag, inv_text = m.groups()
@@ -245,9 +250,7 @@ def parse_model(text: str) -> Pta:
                 initial = name
             pending_inv.append((name, inv_text, lineno, line.index("inv:") + 5))
         elif line.startswith("edge "):
-            m = re.match(
-                r"edge\s+([A-Za-z_][A-Za-z_0-9]*)\s*->\s*([A-Za-z_][A-Za-z_0-9]*)\s*:\s*(.*)$",
-                line)
+            m = _EDGE_RE.match(line)
             if not m:
                 raise ParseError("bad edge line (expected 'edge <src> -> <dst> : ...')", lineno)
             src, dst, rest = m.groups()
@@ -264,7 +267,7 @@ def parse_model(text: str) -> Pta:
                 if not tail.startswith("reset"):
                     raise ParseError("unexpected trailing text %r on edge" % tail, lineno)
                 for item in tail[len("reset"):].split(","):
-                    um = re.fullmatch(r"\s*([A-Za-z_][A-Za-z_0-9]*)\s*:=\s*(\d+)\s*", item)
+                    um = _UPDATE_RE.fullmatch(item)
                     if not um:
                         raise ParseError("malformed update %r (expected clock:=nat)" % item.strip(),
                                          lineno)

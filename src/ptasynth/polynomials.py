@@ -501,9 +501,12 @@ def isolate_real_roots(f: IntPoly) -> List[AlgebraicNumber]:
 
     Rational roots come back with degenerate intervals; the rest carry
     isolating intervals from Sturm bisection over the square-free part.
+    A degree-1 f has its root -f[0]/f[1] read off directly.
     """
     if poly_is_zero(f):
         raise PolynomialError("zero polynomial has no isolated roots")
+    if len(f) == 2:
+        return [AlgebraicNumber.from_rational(Fraction(-f[0], f[1]))]
     g = square_free_part(f)
     if poly_degree(g) < 1:
         return []
@@ -613,7 +616,8 @@ def sylvester_resultant_x(f: BivarPoly, g: BivarPoly) -> IntPoly:
     """Resultant of f and g with respect to x, a polynomial in p.
 
     Computed as the Sylvester determinant by Bareiss fraction-free
-    elimination; every division along the way is exact in Z[p].
+    elimination; every division along the way is exact in Z[p].  Two
+    inputs of x-degree 1 give the 2x2 determinant directly.
     """
     n, m = bivar_degree_x(f), bivar_degree_x(g)
     if n < 0 or m < 0:
@@ -622,6 +626,8 @@ def sylvester_resultant_x(f: BivarPoly, g: BivarPoly) -> IntPoly:
         return _poly_pow(f[0], m)
     if m == 0:
         return _poly_pow(g[0], n)
+    if n == m == 1:
+        return poly_sub(poly_mul(f[1], g[0]), poly_mul(f[0], g[1]))
     size = n + m
     matrix = [[() for _ in range(size)] for _ in range(size)]
     for row in range(m):

@@ -90,7 +90,9 @@ def parse_fraction(text: str) -> Fraction:
 
 def format_fraction(v) -> str:
     """Render a Fraction/int as "a" or "a/b" (used in all JSON output)."""
-    f = Fraction(v)
+    if type(v) is int:
+        return str(v)
+    f = v if type(v) is Fraction else Fraction(v)
     if f.denominator == 1:
         return str(f.numerator)
     return "%d/%d" % (f.numerator, f.denominator)

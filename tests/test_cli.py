@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,10 @@ def workdir(tmp_path):
 def cli(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "ptasynth.cli", *args],
                           capture_output=True, text=True, cwd=cwd)
+
+
+def golden(name: str) -> str:
+    return (Path(__file__).parent / "golden" / name).read_text()
 
 
 def test_parse_ok_and_error_exit_codes(workdir):
@@ -81,6 +86,7 @@ def test_oracle_json_schema(workdir):
     jsonio.validate(payload, jsonio.load_schema("oracle"))
     verdicts = [pt["satisfied"] for pt in payload["points"]]
     assert verdicts == [False, False, True, True, True, True]
+    assert out.read_text() == golden("cli_oracle.json")
 
 
 def test_check_json_schema(workdir):
@@ -89,6 +95,7 @@ def test_check_json_schema(workdir):
               str(workdir / "ef.prop"), "--set", "p=5", "--out", str(out))
     assert res.returncode == 0
     jsonio.validate(json.loads(out.read_text()), jsonio.load_schema("check"))
+    assert out.read_text() == golden("cli_check.json")
 
 
 def test_feasible_and_runs(workdir):
@@ -149,6 +156,7 @@ def test_analyze2_probe_schema(tmp_path):
     assert res.returncode == 0
     assert "EXPERIMENTAL" in res.stdout
     jsonio.validate(json.loads(out.read_text()), jsonio.load_schema("probe"))
+    assert out.read_text() == golden("cli_probe_m03.json")
 
 
 def test_scan_run_rejects_unknown_parameters(tmp_path):
