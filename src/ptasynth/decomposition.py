@@ -31,7 +31,7 @@ from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .expressions import Expression, ExpressionError
+from .expressions import Expression
 from .model import UnsupportedError
 from .polynomials import (
     AlgebraicNumber,
@@ -99,23 +99,9 @@ class LinearCell:
 
 # -- expression/polynomial conversions ----------------------------------------
 
-def expr_to_unipoly(e: Expression, param: str) -> IntPoly:
-    """An expression in a single parameter as an integer coefficient tuple."""
-    if e.is_infinite():
-        raise ExpressionError("infinity has no polynomial form")
-    extra = e.params() - {param}
-    if extra:
-        raise ExpressionError("expression mentions other parameters: %s" % sorted(extra))
-    coeffs: Dict[int, int] = {}
-    for mono, c in e.as_poly_terms().items():
-        exp = mono[0][1] if mono else 0
-        coeffs[exp] = coeffs.get(exp, 0) + c
-    return poly_trim(tuple(coeffs.get(i, 0) for i in range(max(coeffs, default=0) + 1)))
-
-
 def atom_to_bivar(pos_clock: bool, neg_clock: bool, rhs: Expression, param: str) -> BivarPoly:
     """The polynomial b1*x - b2*y - e with one clock, in Z[param][x]."""
-    e = expr_to_unipoly(rhs, param)
+    e = rhs.univariate(param)
     neg_e = tuple(-c for c in e)
     if pos_clock and neg_clock:
         raise UnsupportedError("difference atoms have no single-clock polynomial")
@@ -204,22 +190,15 @@ def decompose_1d(polys: Sequence[IntPoly]) -> List[Cell1D]:
     if not roots:
         return [Cell1D("interval", NEG_INF, INF, Fraction(0))]
 
-    def as_value(r: AlgebraicNumber):
-        return r.to_fraction() if r.is_rational() else r
-
-    cells: List[Cell1D] = []
-    first = roots[0][0]
-    cells.append(Cell1D("interval", NEG_INF, as_value(first),
-                        Fraction(math.floor(first) - 1)))
+    values = [r.lo if r.is_rational() else r for r, _ in roots]
+    cells: List[Cell1D] = [Cell1D("interval", NEG_INF, values[0],
+                                  Fraction(math.floor(roots[0][0]) - 1))]
     for i, (r, zeros) in enumerate(roots):
-        cells.append(Cell1D("point", as_value(r), as_value(r), as_value(r), frozenset(zeros)))
+        cells.append(Cell1D("point", values[i], values[i], values[i], frozenset(zeros)))
         if i + 1 < len(roots):
-            nxt = roots[i + 1][0]
-            cells.append(Cell1D("interval", as_value(r), as_value(nxt),
-                                _between(r, nxt)))
-    last = roots[-1][0]
-    cells.append(Cell1D("interval", as_value(last), INF,
-                        Fraction(math.ceil(last) + 1)))
+            cells.append(Cell1D("interval", values[i], values[i + 1],
+                                _between(r, roots[i + 1][0])))
+    cells.append(Cell1D("interval", values[-1], INF, Fraction(math.ceil(roots[-1][0]) + 1)))
     return cells
 
 

@@ -1,24 +1,22 @@
-"""Parameter expressions: integer-linear, multivariate polynomial, or infinity.
+"""Parameter expressions: integer multivariate polynomials, or infinity.
 
-A linear expression is ``c0 + c1*p1 + ... + cn*pn`` with integer
-coefficients; ``con(e)`` is the constant term and ``cf(e, p)`` the
-coefficient of parameter ``p``.  Polynomial expressions map monomials
-(sorted tuples of ``(param, exponent)`` pairs) to integer coefficients.
-The parser emits the linear kind whenever the total degree is <= 1, so
-the polynomial kind always means "genuinely nonlinear".
+An expression is one monomial map, ``terms``: each monomial (a sorted
+tuple of ``(param, exponent)`` pairs with positive exponents, the empty
+tuple for the constant term) maps to its nonzero integer coefficient.
+Infinity has no terms (``terms`` is None).  "Linear" is a property, not a
+separate format: every monomial has total degree at most 1.  On a linear
+expression ``con(e)`` is the constant term and ``cf(e, p)`` the
+coefficient of parameter ``p``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Tuple
+from typing import Mapping, Optional, Tuple
 
+from .polynomials import AlgebraicNumber, AlgValue, IntPoly, poly_trim
 from .scalars import INF
-
-LINEAR = "linear"
-POLY = "poly"
-INFINITE = "inf"
 
 Monomial = Tuple[Tuple[str, int], ...]
 
@@ -29,15 +27,14 @@ class ExpressionError(ValueError):
 
 @dataclass(frozen=True)
 class Expression:
-    kind: str
-    const: int = 0
-    coeffs: Mapping[str, int] = field(default_factory=dict)
-    terms: Mapping[Monomial, int] = field(default_factory=dict)
+    terms: Optional[Mapping[Monomial, int]]
 
     @staticmethod
     def linear(const: int = 0, coeffs: Mapping[str, int] | None = None) -> "Expression":
-        clean = {p: c for p, c in (coeffs or {}).items() if c != 0}
-        return Expression(LINEAR, const=int(const), coeffs=clean)
+        terms = {((p, 1),): c for p, c in (coeffs or {}).items() if c != 0}
+        if const:
+            terms[()] = int(const)
+        return Expression(terms)
 
     @staticmethod
     def constant(value: int) -> "Expression":
@@ -49,97 +46,76 @@ class Expression:
 
     @staticmethod
     def polynomial(terms: Mapping[Monomial, int]) -> "Expression":
-        clean = {m: c for m, c in terms.items() if c != 0}
-        degree = max((sum(e for _, e in m) for m in clean), default=0)
-        if degree <= 1:
-            const = clean.get((), 0)
-            coeffs = {m[0][0]: c for m, c in clean.items() if m}
-            return Expression.linear(const, coeffs)
-        return Expression(POLY, terms=clean)
+        return Expression({m: c for m, c in terms.items() if c != 0})
 
     @staticmethod
     def infinity() -> "Expression":
-        return Expression(INFINITE)
+        return Expression(None)
 
     # -- queries ---------------------------------------------------------
 
-    def canonical_key(self) -> tuple:
-        if self.kind == LINEAR:
-            return (LINEAR, self.const, tuple(sorted(self.coeffs.items())))
-        if self.kind == POLY:
-            return (POLY, tuple(sorted(self.terms.items())))
-        return (INFINITE,)
-
     def __hash__(self):
-        return hash(self.canonical_key())
+        return hash(None if self.terms is None else frozenset(self.terms.items()))
 
     def is_infinite(self) -> bool:
-        return self.kind == INFINITE
+        return self.terms is None
 
     def is_linear(self) -> bool:
-        return self.kind == LINEAR
+        return self.terms is not None and all(
+            not m or (len(m) == 1 and m[0][1] == 1) for m in self.terms)
 
     def con(self) -> int:
         """Constant term of a linear expression."""
-        if self.kind != LINEAR:
+        if not self.is_linear():
             raise ExpressionError("con() is only defined for linear expressions")
-        return self.const
+        return self.terms.get((), 0)
 
     def cf(self, param: str) -> int:
         """Coefficient of ``param`` in a linear expression (0 if absent)."""
-        if self.kind != LINEAR:
+        if not self.is_linear():
             raise ExpressionError("cf() is only defined for linear expressions")
-        return self.coeffs.get(param, 0)
+        return self.terms.get(((param, 1),), 0)
 
     def params(self) -> frozenset:
-        if self.kind == LINEAR:
-            return frozenset(self.coeffs)
-        if self.kind == POLY:
-            out = set()
-            for mono in self.terms:
-                out.update(p for p, _ in mono)
-            return frozenset(out)
-        return frozenset()
+        if self.terms is None:
+            return frozenset()
+        return frozenset(p for mono in self.terms for p, _ in mono)
 
     def is_parametric(self) -> bool:
         return bool(self.params())
 
-    def as_poly_terms(self) -> dict:
-        """View the expression as a monomial->coefficient map."""
-        if self.kind == POLY:
-            return dict(self.terms)
-        if self.kind == LINEAR:
-            out = {}
-            if self.const:
-                out[()] = self.const
-            for p, c in self.coeffs.items():
-                out[((p, 1),)] = c
-            return out
-        raise ExpressionError("infinity has no polynomial form")
+    def univariate(self, param: Optional[str]) -> IntPoly:
+        """The expression as an integer polynomial in ``param``, the only
+        parameter it may mention (None for a constant expression)."""
+        if self.terms is None:
+            raise ExpressionError("infinity has no polynomial form")
+        extra = self.params() - {param}
+        if extra:
+            raise ExpressionError("expression mentions other parameters: %s" % sorted(extra))
+        coeffs = [0] * (max((m[0][1] for m in self.terms if m), default=0) + 1)
+        for mono, c in self.terms.items():
+            coeffs[mono[0][1] if mono else 0] = c
+        return poly_trim(coeffs)
 
     # -- arithmetic ------------------------------------------------------
 
     def negated(self) -> "Expression":
-        if self.kind == INFINITE:
+        if self.terms is None:
             raise ExpressionError("cannot negate infinity")
-        if self.kind == LINEAR:
-            return Expression.linear(-self.const, {p: -c for p, c in self.coeffs.items()})
-        return Expression.polynomial({m: -c for m, c in self.terms.items()})
+        return Expression({m: -c for m, c in self.terms.items()})
 
     def plus_const(self, delta: int) -> "Expression":
-        if self.kind == INFINITE:
+        if self.terms is None:
             return self
-        if self.kind == LINEAR:
-            return Expression.linear(self.const + delta, dict(self.coeffs))
         terms = dict(self.terms)
         terms[()] = terms.get((), 0) + delta
         return Expression.polynomial(terms)
 
     def minus(self, other: "Expression") -> "Expression":
-        if self.kind == INFINITE or other.kind == INFINITE:
+        if self.terms is None or other.terms is None:
             raise ExpressionError("cannot subtract with infinity")
-        a = self.as_poly_terms()
-        for m, c in other.as_poly_terms().items():
+        a = dict(self.terms)
+        for m, c in other.terms.items():
             a[m] = a.get(m, 0) - c
         return Expression.polynomial(a)
 
@@ -152,7 +128,7 @@ class Expression:
         expressions, exact algebraic numbers; the result is then the exact
         derived algebraic value.
         """
-        if self.kind == INFINITE:
+        if self.terms is None:
             return INF
         mine = self.params()
         missing = mine - set(gamma)
@@ -161,22 +137,14 @@ class Expression:
         algebraic = [p for p in mine if not isinstance(gamma[p], (int, Fraction))]
         if algebraic:
             return self._evaluate_algebraic(gamma, algebraic[0])
-        if self.kind == LINEAR:
-            total = Fraction(self.const)
-            for p, c in self.coeffs.items():
-                total += c * Fraction(gamma[p])
-            return total
         total = Fraction(0)
         for mono, c in self.terms.items():
-            term = Fraction(c)
             for p, e in mono:
-                term *= Fraction(gamma[p]) ** e
-            total += term
+                c *= gamma[p] if e == 1 else gamma[p] ** e
+            total += c
         return total
 
     def _evaluate_algebraic(self, gamma, param):
-        from .polynomials import AlgValue, AlgebraicNumber
-
         if len(self.params()) > 1:
             raise ExpressionError("algebraic evaluation supports a single parameter")
         root = gamma[param]
@@ -184,31 +152,17 @@ class Expression:
             raise ExpressionError("parameter values must be rationals or algebraic numbers")
         if root.is_rational():
             return self.evaluate({param: root.to_fraction()})
-        coeffs: dict = {}
-        for mono, c in self.as_poly_terms().items():
-            exp = mono[0][1] if mono else 0
-            coeffs[exp] = coeffs.get(exp, 0) + c
-        poly = tuple(coeffs.get(i, 0) for i in range(max(coeffs) + 1))
-        return AlgValue(root, poly)
+        return AlgValue(root, self.univariate(param))
 
     # -- rendering -------------------------------------------------------
 
     def render(self) -> str:
-        if self.kind == INFINITE:
+        """Terms by falling total degree, then by monomial; "0" when empty."""
+        if self.terms is None:
             return "inf"
-        parts = []
-        if self.kind == LINEAR:
-            items = sorted(self.coeffs.items())
-            for p, c in items:
-                parts.append(_render_term(c, [(p, 1)]))
-            if self.const or not parts:
-                parts.append(("+ " if self.const >= 0 else "- ") + str(abs(self.const)))
-        else:
-            for mono, c in sorted(self.terms.items(), key=lambda kv: (-sum(e for _, e in kv[0]), kv[0])):
-                parts.append(_render_term(c, list(mono)))
-            if not parts:
-                parts.append("+ 0")
-        text = " ".join(parts)
+        parts = [_render_term(c, mono) for mono, c in
+                 sorted(self.terms.items(), key=lambda kv: (-sum(e for _, e in kv[0]), kv[0]))]
+        text = " ".join(parts) or "0"
         if text.startswith("+ "):
             text = text[2:]
         elif text.startswith("- "):

@@ -8,19 +8,30 @@ is byte-stable.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from importlib import resources
 from itertools import product
 from typing import List, Optional, Tuple
 
 from .constraints import AtomicConstraint, SimpleConstraint
-from .decomposition import random_point_in_cell1d, signs_at_1d
+from .decomposition import (
+    LinearCellSampler,
+    canonical_planes,
+    decompose_1d,
+    decompose_linear,
+    project_clock,
+    random_point_in_cell1d,
+    signs_at_1d,
+)
 from .expressions import Expression
 from .feasibility import compile_run, feasible_with_reset, linf, split_guard, usup
 from .model import (
     EXISTS_EVENTUALLY,
     FORALL_ALWAYS,
+    ConcreteRun,
     Edge,
     PropAnd,
     PropAtom,
@@ -35,6 +46,17 @@ from .model import (
     eval_state_property,
     thresholds,
 )
+from .parser import parse_model, parse_property
+from .polynomials import (
+    bivar_eval_p,
+    bivar_trim,
+    cauchy_root_bound,
+    poly_trim,
+    square_free_part,
+    sturm_chain,
+    sturm_root_count,
+)
+from .scalars import INF, NEG_INF, is_finite
 from .semantics import (
     compile_check,
     compile_reach,
@@ -48,11 +70,20 @@ from .semantics import (
     syntactic_run_reachable_set,
     valuation_key,
 )
-from .synthesis import region_query, synthesize
+from .synthesis import (
+    _atom_pool,
+    _clock_polynomials,
+    _reset_constants,
+    enumerate_runs,
+    region_query,
+    synthesize,
+    threshold_pool,
+)
 from .transforms import (
     GuardOnlyRun,
     GuardStep,
     classify_lu,
+    encode_property,
     encode_run_property,
     invariants_to_guards,
     negate_property,
@@ -61,14 +92,16 @@ from .transforms import (
 )
 from .twoclock import (
     StructuralWitness,
+    TwoOneError,
     TwoOnePta,
     find_oneP3_indices,
     find_oneP5_indices,
     find_oneP6_index,
     find_pigeonhole_pair,
+    no_reset_threshold_check,
+    periodicity_probe,
     validate_two_one,
 )
-from .model import ConcreteRun
 
 
 @dataclass
@@ -351,9 +384,6 @@ def suite_sign_invariance(seed: int, n_models: int, samples_per_cell=100) -> Sui
         if region.method == "cad1":
             # the sign set is the projected pool, recomputed the way the
             # pipeline builds it
-            from .synthesis import (
-                _atom_pool, _clock_polynomials, _reset_constants, threshold_pool)
-            from .decomposition import project_clock
             pool = project_clock(_clock_polynomials(
                 threshold_pool(_atom_pool(pta, psi), _reset_constants(pta),
                                pta.time_domain == TIME_NAT),
@@ -377,7 +407,6 @@ def suite_sign_invariance(seed: int, n_models: int, samples_per_cell=100) -> Sui
                                     % (model_no, cv.cell, probe))
                         break
         else:
-            from .decomposition import LinearCellSampler
             vecs = region.cells[0].cell.planes
             for cv in region.cells:
                 base = [_vec_sign(v, cv.cell.sample) for v in vecs]
@@ -398,7 +427,6 @@ def _vec_sign(vec, point) -> int:
 
 
 def _polynomial_example(rng: random.Random):
-    from .parser import parse_model, parse_property
     c1 = rng.randint(1, 4)
     c2 = rng.randint(0, 3)
     text = """
@@ -513,14 +541,11 @@ def _final_set_satisfies(final_set, tau: SyntacticRun, phi, gamma) -> bool:
     endpoints is complete."""
     if final_set is None:
         return False
-    from .transforms import encode_property
-    from .scalars import INF as _INF, is_finite
-    import math
 
     encoded = encode_property(phi, tau.final_location())
     disjuncts = to_dnf_atoms(to_nnf(encoded))
     lo = math.ceil(final_set.lo)
-    hi = None if final_set.hi is _INF else math.floor(final_set.hi)
+    hi = None if final_set.hi is INF else math.floor(final_set.hi)
     candidates = {lo}
     if hi is not None:
         candidates.add(hi)
@@ -802,9 +827,6 @@ def suite_decomposition_props(seed: int, n_cases: int) -> SuiteReport:
     whose samples must lie in their cells."""
     rng = random.Random(seed)
     report = SuiteReport("decomposition-props")
-    from .decomposition import decompose_1d, decompose_linear, project_clock
-    from .polynomials import poly_trim
-    from .scalars import INF, NEG_INF
 
     # 1D cover and disjointness
     for _ in range(n_cases):
@@ -827,7 +849,6 @@ def suite_decomposition_props(seed: int, n_cases: int) -> SuiteReport:
 
     # projection proxy: within each cell the number of distinct real roots
     # in the clock is constant
-    from .decomposition import random_point_in_cell1d
     for case in range(max(1, n_cases // 2)):
         fs = []
         for _ in range(rng.randint(1, 2)):
@@ -835,7 +856,6 @@ def suite_decomposition_props(seed: int, n_cases: int) -> SuiteReport:
             for _ in range(rng.randint(2, 3)):     # degree in the clock <= 2
                 coeffs.append(tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 3))))
             f = tuple(coeffs)
-            from .polynomials import bivar_trim
             f = bivar_trim(f)
             if len(f) >= 2:
                 fs.append(f)
@@ -854,7 +874,6 @@ def suite_decomposition_props(seed: int, n_cases: int) -> SuiteReport:
             for value in probes:
                 key = []
                 for f in fs:
-                    from .polynomials import bivar_eval_p
                     coeffs = bivar_eval_p(f, value)
                     key.append(_real_root_count(coeffs))
                 counts.add(tuple(key))
@@ -880,9 +899,6 @@ def suite_decomposition_props(seed: int, n_cases: int) -> SuiteReport:
 
 
 def _real_root_count(fraction_coeffs) -> int:
-    import math
-    from .polynomials import (poly_trim, square_free_part, sturm_chain,
-                              sturm_root_count, cauchy_root_bound)
     if not fraction_coeffs:
         return -1          # identically zero: flagged distinctly
     denom = 1
@@ -901,7 +917,6 @@ def _arrangement_census(exprs, params):
     """Sign vectors of every arrangement face, found independently of the
     polytope splitting: vertices, points along each line between and beyond
     the vertices, and exact perpendicular offsets from those points."""
-    from .decomposition import canonical_planes
     planes = [tuple(map(Fraction, vec)) for vec in canonical_planes(exprs, params)]
     m = len(params)
     if not planes:
@@ -982,8 +997,6 @@ def _arrangement_census(exprs, params):
 # -- shipped two-one suite probes (criterion 7) --------------------------------------
 
 def shipped_two_one_models():
-    from importlib import resources
-    from .parser import parse_model, parse_property
 
     base = resources.files("ptasynth").joinpath("data/twoone")
     out = []
@@ -1000,7 +1013,6 @@ def shipped_two_one_models():
 def suite_periodicity(horizon_mult: int = 3, limit: Optional[int] = None) -> SuiteReport:
     """Probe every shipped model; the found progression must start in
     [S1, S1+S0] with period at most S0 and agree with the full sweep."""
-    from .twoclock import periodicity_probe, validate_two_one
 
     report = SuiteReport("periodicity-probe")
     models = shipped_two_one_models()
@@ -1037,8 +1049,6 @@ def suite_periodicity(horizon_mult: int = 3, limit: Optional[int] = None) -> Sui
 def suite_threshold_checks(seed: int, n_cases: int) -> SuiteReport:
     """Reset-free runs of shipped and generated models keep one verdict for
     all tested values at or above S1."""
-    from .twoclock import no_reset_threshold_check
-    from .synthesis import enumerate_runs
 
     rng = random.Random(seed)
     report = SuiteReport("threshold-stability")
@@ -1062,7 +1072,6 @@ def suite_threshold_checks(seed: int, n_cases: int) -> SuiteReport:
 
 
 def validate_two_one_quiet(pta):
-    from .twoclock import TwoOneError, validate_two_one
     try:
         return validate_two_one(pta)
     except TwoOneError:

@@ -274,29 +274,25 @@ class ConcreteRun:
 
 # -- size metrics ----------------------------------------------------------
 
-def max_c(pta: Pta) -> int:
-    """Largest absolute constant term over the model's expressions (0 if none)."""
+def _max_abs_constant(exprs) -> int:
     worst = 0
-    for e in pta.expressions():
+    for e in exprs:
         if e.is_infinite():
             continue
         if not e.is_linear():
             raise UnsupportedError("constant-term metric needs linear expressions")
         worst = max(worst, abs(e.con()))
     return worst
+
+
+def max_c(pta: Pta) -> int:
+    """Largest absolute constant term over the model's expressions (0 if none)."""
+    return _max_abs_constant(pta.expressions())
 
 
 def max_v(psi: SystemProperty) -> int:
     """Largest absolute constant over the property's atoms (0 if none)."""
-    worst = 0
-    for atom in prop_atoms(psi.phi):
-        e = atom.rhs
-        if e.is_infinite():
-            continue
-        if not e.is_linear():
-            raise UnsupportedError("constant-term metric needs linear expressions")
-        worst = max(worst, abs(e.con()))
-    return worst
+    return _max_abs_constant(atom.rhs for atom in prop_atoms(psi.phi))
 
 
 def thresholds(pta: Pta, psi: SystemProperty) -> Tuple[int, int]:

@@ -8,7 +8,8 @@ Model files
     edge q0 -> q1 : x >= 2 & x <= p ; a ; reset x:=0
 with '#' comments.  Atoms are ``t rel e`` with t in {x, -x, x-y},
 rel in {<, <=, >, >=, =}, and e an integer linear/polynomial parameter
-expression such as ``2p+3``, ``p^2-1`` or ``p*q``.
+expression such as ``2p+3``, ``p^2-1`` or ``p*q``.  Exponents are
+nonnegative integers; ``p^0`` is 1, so ``3*p^0*q`` is ``3*q``.
 
 Property files are ``EF <phi>`` or ``AG <phi>`` where phi combines atoms
 and location names with !, &&, || and parentheses.
@@ -138,7 +139,8 @@ def parse_expression(text: str, params, line: int = 0, col0: int = 1) -> Express
                 if exp < 0:
                     raise ParseError("negative exponent", line, pcol)
                 i += 1
-            powers[name] = powers.get(name, 0) + exp
+            if exp:
+                powers[name] = powers.get(name, 0) + exp
             saw_factor = True
         if not saw_factor:
             raise ParseError("expected a term", line, tokens[i][2] if i < len(tokens) else col0)

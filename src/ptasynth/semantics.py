@@ -234,7 +234,7 @@ def _monomials(expr, params) -> Optional[tuple]:
     if expr.is_infinite():
         return None
     return tuple((c, sum(e for _, e in mono), tuple((params.index(p), e) for p, e in mono))
-                 for mono, c in expr.as_poly_terms().items())
+                 for mono, c in expr.terms.items())
 
 
 def _bound_table(atoms) -> dict:
@@ -666,22 +666,14 @@ def _compile_dense(pta, phi, index, loc_index, common) -> DenseProgram:
             split += 1
     split_polys = free_polys = None
     if len(common["params"]) <= 1:
-        polys = [None if b is None else _univariate(b, common["degree"])
-                 for b in common["bounds"]]
+        param = next(iter(common["params"]), None)
+        polys = [None if a.rhs.is_infinite() else a.rhs.univariate(param) for a in atoms]
         split_polys = ((), *(poly_trim((b,)) for b in resets),
                        *(f if prof[2] else poly_neg(f) for f, prof in zip(polys, profiles) if prof))
         free_polys = tuple(_vanishing_key(f) if f is not None and atom.is_clock_free() else None
                            for atom, f in zip(atoms, polys))
     return DenseProgram(clock=clock, profiles=tuple(profiles), split_polys=split_polys,
                         free_polys=free_polys, **tables, **common)
-
-
-def _univariate(bound, degree: int) -> IntPoly:
-    """A bound's monomials over at most one parameter as a polynomial in it."""
-    coeffs = [0] * (degree + 1)
-    for c, d, _ in bound:
-        coeffs[d] += c
-    return poly_trim(coeffs)
 
 
 def _vanishing_key(f: IntPoly) -> Optional[IntPoly]:

@@ -168,8 +168,8 @@ def threshold_pool(atom_pool: Sequence[AtomicConstraint], resets: Sequence[int],
             thr = atom.rhs.negated()
             if nat_time and atom.strict:
                 thr = thr.plus_const(1)
-        if thr.canonical_key() not in seen:
-            seen.add(thr.canonical_key())
+        if thr not in seen:
+            seen.add(thr)
             thresholds.append(thr)
     return free, thresholds, sorted({0, *(int(b) for b in resets)})
 

@@ -69,6 +69,14 @@ def test_synth_region_and_empty_exit(workdir):
     assert payload2["empty"] is True
 
 
+def test_synth_reads_zero_exponent_as_one(workdir):
+    """p^0 is 1, so no p lets a clock be at least 3 and at most p^0."""
+    (workdir / "zero.pta").write_text(GATE.replace("x >= 2 & x <= p", "x >= 3 & x <= p^0"))
+    res = cli("synth", "--model", str(workdir / "zero.pta"), "--prop", str(workdir / "ef.prop"))
+    assert res.returncode == 3
+    assert "feasible region is empty" in res.stdout
+
+
 def test_synth_output_bytes_are_stable(workdir):
     args = ("synth", "--model", str(workdir / "gate.pta"), "--prop",
             str(workdir / "ef.prop"))

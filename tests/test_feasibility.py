@@ -335,7 +335,7 @@ def _poly_expr(rng, params):
     q = rng.choice(params)
     mono = ((p, 2),) if p == q else tuple(sorted(((p, 1), (q, 1))))
     terms = {mono: rng.choice([-2, -1, 1, 2])}
-    for key, c in rand_linear_expr(rng, params).as_poly_terms().items():
+    for key, c in rand_linear_expr(rng, params).terms.items():
         terms[key] = terms.get(key, 0) + c
     return Expression.polynomial(terms)
 

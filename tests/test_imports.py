@@ -1,9 +1,12 @@
-"""Every import in the library is used in the scope that makes it.
+"""Every import in the library is used in the scope that makes it, and
+made once.
 
 A module-level import counts as used when its name is read anywhere in
 the module; an import inside a function only when its name is read in
 that function.  ``__init__.py`` imports are re-exports and
-``from __future__`` imports are directives, so neither is checked.
+``from __future__`` imports are directives, so neither is checked for
+use.  No function imports again, under any alias, what its module
+already imports at module level.
 """
 
 import ast
@@ -15,17 +18,17 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "ptasynth"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _bound_names(node):
-    """(name, line) for each name an import statement binds."""
-    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-        return []
-    out = []
-    for alias in node.names:
-        if alias.name == "*":
-            continue
-        name = alias.asname or alias.name.split(".")[0]
-        out.append((name, node.lineno))
-    return out
+def _imports(node):
+    """(source, name, line) for each name an import statement binds, where
+    ``source`` is what it binds whatever the alias: the dotted module of an
+    ``import``, or the module (with its leading dots) and name of a ``from``."""
+    prefix = ""
+    if isinstance(node, ast.ImportFrom):
+        if node.module == "__future__":
+            return []
+        prefix = "." * node.level + (node.module or "") + ":"
+    return [(prefix + alias.name, alias.asname or alias.name.split(".")[0], node.lineno)
+            for alias in node.names if alias.name != "*"]
 
 
 def _own_imports(scope):
@@ -37,7 +40,7 @@ def _own_imports(scope):
         if isinstance(node, FUNCTIONS):
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            found.extend(_bound_names(node))
+            found.extend(_imports(node))
         stack.extend(ast.iter_child_nodes(node))
     return found
 
@@ -56,10 +59,26 @@ def unused_imports(source: str, check_module: bool = True):
     out = []
     for scope in scopes:
         read = _read_names(scope)
-        for name, line in _own_imports(scope):
+        for _, name, line in _own_imports(scope):
             if name not in read:
                 out.append((getattr(scope, "name", "<module>"), name, line))
     return out
+
+
+def reimports(source: str):
+    """(function, name, line) for every function-level import of something
+    the module already imports at module level, under any alias."""
+    tree = ast.parse(source)
+    at_module = {src for src, _, _ in _own_imports(tree)}
+    return sorted((scope.name, name, line)
+                  for scope in ast.walk(tree) if isinstance(scope, FUNCTIONS)
+                  for src, name, line in _own_imports(scope) if src in at_module)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_reimports_a_module_name(path):
+    again = reimports(path.read_text())
+    assert not again, "%s: names imported again in functions %s" % (path.name, again)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -81,3 +100,12 @@ def test_checker_sees_scopes():
     )
     assert unused_imports(source) == [
         ("<module>", "p", 2), ("f", "dumps", 4), ("g", "re", 6)]
+    again = source + (
+        "def h():\n"
+        "    import math\n"
+        "    from os import sep as s, path\n"
+        "    from json import dumps\n"
+        "    from os.path import sep\n"
+        "    return math.e + s + path.sep + dumps(0) + sep\n"
+    )
+    assert reimports(again) == [("h", "math", 10), ("h", "path", 11), ("h", "s", 11)]

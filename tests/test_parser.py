@@ -7,7 +7,13 @@ from ptasynth.constraints import AtomicConstraint
 from ptasynth.expressions import Expression
 from ptasynth.harness import rand_pta_one_clock
 from ptasynth.model import PropAnd, PropAtom, PropLoc, PropNot
-from ptasynth.parser import ParseError, parse_constraint, parse_model, parse_property
+from ptasynth.parser import (
+    ParseError,
+    parse_constraint,
+    parse_expression,
+    parse_model,
+    parse_property,
+)
 
 
 def test_gate_normalization(gate):
@@ -153,3 +159,13 @@ def test_normalization_soundness_random_triples():
         direct = {"<": lhs < value, "<=": lhs <= value, ">": lhs > value,
                   ">=": lhs >= value, "=": lhs == value}[rel]
         assert sc.holds(omega, gamma) == direct
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("p^0", Expression.constant(1)),
+    ("3*p^0*q", Expression.param("q", 3)),
+    ("p^0*p^2 - p^0", Expression.polynomial({(("p", 2),): 1, (): -1})),
+    ("q^0 + p", Expression.linear(1, {"p": 1})),
+], ids=["alone", "product", "beside-power", "sum"])
+def test_zero_exponent_is_one(text, expected):
+    assert parse_expression(text, {"p", "q"}) == expected
