@@ -28,7 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, mul
+from itertools import combinations
+from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .expressions import Expression
@@ -114,14 +115,16 @@ def atom_to_bivar(pos_clock: bool, neg_clock: bool, rhs: Expression, param: str)
 
 # -- projection ----------------------------------------------------------------
 
-def project_clock(polys: Sequence[BivarPoly]) -> List[IntPoly]:
+def project_clock(polys: Sequence[BivarPoly],
+                  pairs: Optional[Sequence[Tuple[int, int]]] = None) -> List[IntPoly]:
     """Project the clock out of Z[p][x] polynomials.
 
     Output: for each input, every x-coefficient (the reducta leading
-    coefficients) and the resultant with its own x-derivative; plus
-    pairwise resultants.  Clock-free inputs pass through.  Constants are
-    dropped and the result is primitive, sign-normalized, deduplicated,
-    and sorted.
+    coefficients) and the resultant with its own x-derivative; plus the
+    resultant of every two inputs with the clock, or only of the index
+    pairs ``(i, j)`` in ``pairs``, both of which must mention the clock.
+    Clock-free inputs pass through.  Constants are dropped and the result
+    is primitive, sign-normalized, deduplicated, and sorted.
     """
     out = set()
 
@@ -130,14 +133,14 @@ def project_clock(polys: Sequence[BivarPoly]) -> List[IntPoly]:
         if poly_degree(p) >= 1:
             out.add(p)
 
-    withx = []
-    for f in polys:
+    withx = {}
+    for k, f in enumerate(polys):
         f = bivar_trim(f)
         if bivar_degree_x(f) <= 0:
             if f:
                 keep(f[0])
             continue
-        withx.append(f)
+        withx[k] = f
         # leading coefficients of the reducta chain, truncated at the first
         # one that is a nonzero constant (that reductum never degenerates)
         for coeff in reversed(f):
@@ -145,9 +148,8 @@ def project_clock(polys: Sequence[BivarPoly]) -> List[IntPoly]:
                 break
             keep(coeff)
         keep(sylvester_resultant_x(f, bivar_derivative_x(f)))
-    for i in range(len(withx)):
-        for j in range(i + 1, len(withx)):
-            keep(sylvester_resultant_x(withx[i], withx[j]))
+    for i, j in combinations(withx, 2) if pairs is None else pairs:
+        keep(sylvester_resultant_x(withx[i], withx[j]))
     return sorted(out)
 
 
@@ -186,7 +188,9 @@ def decompose_1d(polys: Sequence[IntPoly]) -> List[Cell1D]:
                     irrational.append((r, zeros))
                     roots.append((r, zeros))
             zeros.append(f)
-    roots.sort(key=itemgetter(0))
+    # a rational root sorts by its Fraction, which against an irrational
+    # root makes the same comparison without the AlgebraicNumber overhead
+    roots.sort(key=lambda root: root[0].lo if root[0].is_rational() else root[0])
     if not roots:
         return [Cell1D("interval", NEG_INF, INF, Fraction(0))]
 
@@ -218,7 +222,8 @@ def expr_to_vector(e: Expression, params: Sequence[str]) -> Vector:
     if not e.is_linear():
         raise UnsupportedError(
             "polynomial expressions are supported with exactly one parameter")
-    return tuple(e.cf(p) for p in params) + (e.con(),)
+    terms = e.terms
+    return tuple(terms.get(((p, 1),), 0) for p in params) + (terms.get((), 0),)
 
 
 def vector_to_expr(vec: Vector, params: Sequence[str]) -> Expression:

@@ -25,6 +25,23 @@ first rounded to the least and the greatest admissible integer, by floor
 division of the scaled ints (``math.floor``/``math.ceil`` of exact
 values), and the same comparison decides the pair.
 
+So a valuation's verdict depends only on the signs of a few differences
+of bounds, and :func:`run_comparisons` lists them for a parameter
+decomposition.  :func:`_decide` rejects exactly when a clock-free
+condition fails (its sign against 0) or, for some pair, the largest lower
+key, starting at ``(0, 0)``, exceeds the smallest upper key.  The latter
+holds exactly when some single lower key exceeds some single upper key,
+so it is fixed by the sign of each upper bound against 0 and against
+each lower bound (or segment start) it is tested with; clamping an upper
+key below 0 changes no verdict, since every lower key is at least
+``(0, 0)``.  The strictness flags are fixed per atom, so in dense time
+each of those comparisons is the sign of a threshold difference.  In nat
+time at integer parameters the thresholds are integers, the rounding
+turns ``x < t`` into ``x <= t - 1`` and ``x > t`` into ``x >= t + 1``,
+and the comparison is the sign of the difference of the shifted
+thresholds.  Lower bounds against each other, and upper bounds against
+each other, are never read.
+
 Witness construction follows the midpoint rule on the cumulative
 lower/upper envelopes of each segment, the lower one starting at 0 or at
 the reset value.  Open endpoints are first shrunk inward by
@@ -37,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from .constraints import AtomicConstraint, SimpleConstraint
 from .model import ConcreteRun, TIME_DENSE, TIME_NAT, UnsupportedError
@@ -208,6 +225,32 @@ def compile_run(run: GuardOnlyRun, time_domain: str = TIME_DENSE,
         strict=tuple(int(a.strict) for a in atoms), conditions=tuple(conditions),
         lower=tuple(p[0] for p in parts), upper=tuple(p[1] for p in parts),
         segments=tuple(segments), pairs=tuple(pairs))
+
+
+def run_comparisons(program: RunProgram) -> Set[Tuple[AtomicConstraint, object]]:
+    """The comparisons of bounds that :func:`_decide` reads, as pairs
+    ``(upper atom, other)``, ``other`` being a lower-bound atom or an int
+    (0, or a segment's start value); a pair stands for the comparison of
+    the two thresholds.  For every tested pair ``(i, lo, j)``, each finite
+    upper bound of step ``j`` is compared with 0 and with each finite
+    lower bound of step ``lo``, or with the segment's start value when
+    ``lo`` names a segment start.  The clock-free conditions, each
+    compared with 0, are not listed: every decomposition keeps all of
+    them.
+    """
+    atoms, bounds, n = program.atoms, program.bounds, len(program.lower)
+    out = set()
+    for _, lo, j in program.pairs:
+        for u in program.upper[j]:
+            if bounds[u] is None:
+                continue
+            upper = atoms[u]
+            out.add((upper, 0))
+            if lo < n:
+                out.update((upper, atoms[k]) for k in program.lower[lo] if bounds[k] is not None)
+            else:
+                out.add((upper, program.segments[lo - n][2]))
+    return out
 
 
 # -- deciding a compiled run -------------------------------------------------------

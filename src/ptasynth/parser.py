@@ -136,8 +136,6 @@ def parse_expression(text: str, params, line: int = 0, col0: int = 1) -> Express
                 if i >= len(tokens) or tokens[i][0] != "num":
                     raise ParseError("expected integer exponent after '^'", line, pcol)
                 exp = tokens[i][1]
-                if exp < 0:
-                    raise ParseError("negative exponent", line, pcol)
                 i += 1
             if exp:
                 powers[name] = powers.get(name, 0) + exp

@@ -1,20 +1,23 @@
 """End-to-end computation of the feasible parameter region.
 
-Pipeline: collect the threshold comparisons of the model and property
-(``threshold_pool``), decompose the parameter space so every one of them
-has a constant sign per cell, then decide the property at one exact
-sample per cell with the concrete semantics and read the region off the
-verdict-true cells.  The parameter count alone picks the decomposition:
+Pipeline: collect the thresholds of the model and property
+(``threshold_pool``), decompose the parameter space so that the
+comparisons among them have a constant sign per cell, then decide the
+property at one exact sample per cell with the concrete semantics and
+read the region off the verdict-true cells.  The parameter count alone picks the decomposition:
 resultant projection and root isolation (``cad1``) for one parameter,
 linear or polynomial; threshold-difference hyperplanes (``linear``) for
 zero, two or three parameters, whose expressions must then be linear.
 ``synthesize`` and ``run_region`` share the pool, both decompositions and
-the per-cell decision loop; they differ only in what they decide at a
-valuation.  ``synthesize`` compiles the model and property once
-(``semantics.compile_check``) and instantiates that one program at each
-cell's valuation, one ``decide`` call per cell; ``run_region`` compiles
-each branch of the run once (``feasibility.compile_run``) and decides it
-in scaled ints at each cell's valuation.
+the per-cell decision loop; they differ in which comparisons they
+decompose over and in what they decide at a valuation.  ``synthesize``
+decomposes over every pair of the pool, compiles the model and property
+once (``semantics.compile_check``) and instantiates that one program at
+each cell's valuation, one ``decide`` call per cell.  ``run_region``
+compiles each branch of the run once (``feasibility.compile_run``),
+decomposes over only the comparisons those compiled checks read
+(``feasibility.run_comparisons``), and decides each branch in scaled ints
+at each cell's valuation.
 
 Scope: exactly one parametric clock, and no other constrained clocks
 (models with extra concretely constrained clocks are accepted by the
@@ -42,6 +45,7 @@ from .decomposition import (
     cell1d_integer_point,
     decompose_1d,
     decompose_linear,
+    expr_to_vector,
     integer_point,
     project_clock,
 )
@@ -59,7 +63,7 @@ from .model import (
 )
 from .polynomials import AlgebraicNumber, AnchoredRoot
 from .semantics import compile_check, decide
-from .feasibility import compile_run, feasible_with_reset
+from .feasibility import compile_run, feasible_with_reset, run_comparisons
 from .transforms import encode_run_property, invariants_to_guards
 
 DEFAULT_INT_BOX = 64
@@ -140,16 +144,26 @@ def _reset_constants(pta: Pta) -> List[int]:
 
 # -- the comparisons a cell keeps constant ------------------------------------
 
+def _threshold(atom: AtomicConstraint, nat_time: bool) -> Expression:
+    """The threshold of a clock bound: ``t`` for ``x ~ t`` and ``-e`` for
+    ``-x ~ e``.  In nat time a strict bound ``x < t`` is the closed bound
+    ``x <= t - 1`` (and ``x > t`` is ``x >= t + 1``), so its threshold is
+    shifted by one."""
+    if atom.pos is not None:
+        return atom.rhs.plus_const(-1) if nat_time and atom.strict else atom.rhs
+    thr = atom.rhs.negated()
+    return thr.plus_const(1) if nat_time and atom.strict else thr
+
+
 def threshold_pool(atom_pool: Sequence[AtomicConstraint], resets: Sequence[int],
                    nat_time: bool) -> Tuple[List[Expression], List[Expression], List[int]]:
     """The comparisons whose sign must be constant in every cell.
 
     Returns ``(free, thresholds, consts)``: the clock-free expressions,
-    compared with 0; the distinct clock thresholds (``x ~ t`` or
-    ``t ~ x``), compared with each other and with every constant; and the
-    constants, 0 and the reset values.  In nat time a strict bound
-    ``x < t`` is the closed bound ``x <= t - 1`` (and ``x > t`` is
-    ``x >= t + 1``), so its threshold is shifted by one.
+    compared with 0; the distinct clock thresholds (``_threshold``); and
+    the constants, 0 and the reset values.  The thresholds and then the
+    constants are the pool's entries, numbered in that order; a
+    comparison is a pair of entries.
     """
     free: List[Expression] = []
     thresholds: List[Expression] = []
@@ -162,40 +176,50 @@ def threshold_pool(atom_pool: Sequence[AtomicConstraint], resets: Sequence[int],
         if atom.is_clock_free():
             free.append(atom.rhs)
             continue
-        if atom.pos is not None:
-            thr = atom.rhs.plus_const(-1) if nat_time and atom.strict else atom.rhs
-        else:
-            thr = atom.rhs.negated()
-            if nat_time and atom.strict:
-                thr = thr.plus_const(1)
+        thr = _threshold(atom, nat_time)
         if thr not in seen:
             seen.add(thr)
             thresholds.append(thr)
     return free, thresholds, sorted({0, *(int(b) for b in resets)})
 
 
-def _linear_hyperplanes(pool) -> List[Expression]:
-    """The pool as hyperplanes: each clock-free expression, and every
-    threshold minus each constant and minus each later threshold."""
+def _entry_pairs(pool, comparisons, nat_time: bool) -> List[Tuple[int, int]]:
+    """``run_comparisons`` pairs (an atom against an atom or an int
+    constant) as sorted pairs of pool entries; a threshold compared with
+    itself drops out."""
+    _, thresholds, consts = pool
+    thr_index = {t: k for k, t in enumerate(thresholds)}
+    const_index = {c: len(thresholds) + k for k, c in enumerate(consts)}
+    pairs = set()
+    for upper, other in comparisons:
+        a = thr_index[_threshold(upper, nat_time)]
+        b = const_index[other] if isinstance(other, int) else thr_index[_threshold(other, nat_time)]
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    return sorted(pairs)
+
+
+def _linear_hyperplanes(pool, pairs=None) -> List[Expression]:
+    """The pool as hyperplanes: each clock-free expression, and the
+    difference of the two entries of each pair (default: every threshold
+    with every later entry, so with each other threshold and constant)."""
     free, thresholds, consts = pool
-    planes: List[Expression] = list(free)
-    for i, t in enumerate(thresholds):
-        for c in consts:
-            planes.append(t.plus_const(-c))
-        for u in thresholds[i + 1:]:
-            planes.append(t.minus(u))
-    return planes
+    entries = thresholds + [Expression.constant(c) for c in consts]
+    if pairs is None:
+        pairs = [(a, b) for a in range(len(thresholds)) for b in range(a + 1, len(entries))]
+    return list(free) + [entries[a].minus(entries[b]) for a, b in pairs]
 
 
 def _clock_polynomials(pool, param: str) -> list:
-    """The pool as polynomials in Z[param][x] for ``project_clock``: each
-    clock-free expression, ``x - t`` for each threshold and ``x - c`` for
-    each constant, so the pairwise resultants are the differences the
-    hyperplanes of the linear path compare."""
+    """The pool as polynomials in Z[param][x] for ``project_clock``:
+    ``x - t`` for each threshold and ``x - c`` for each constant, so the
+    k-th entry is the k-th polynomial and the resultant of two is the
+    difference the hyperplane of their pair compares; then each clock-free
+    expression."""
     free, thresholds, consts = pool
-    return ([atom_to_bivar(False, False, e, param) for e in free]
-            + [atom_to_bivar(True, False, t, param) for t in thresholds]
-            + [atom_to_bivar(True, False, Expression.constant(c), param) for c in consts])
+    return ([atom_to_bivar(True, False, t, param) for t in thresholds]
+            + [atom_to_bivar(True, False, Expression.constant(c), param) for c in consts]
+            + [atom_to_bivar(False, False, e, param) for e in free])
 
 
 # -- one decision per cell ------------------------------------------------------
@@ -245,14 +269,19 @@ def _decide_cells(cells, params, decide_at, domain, pdomain, integer_of) -> List
     return out
 
 
-def _region(params, atom_pool, resets, decide_at, psi, domain, pdomain) -> FeasibleRegion:
+def _region(params, atom_pool, resets, decide_at, psi, domain, pdomain,
+            comparisons=None) -> FeasibleRegion:
     """Decompose the parameter space over the threshold pool and decide
     every cell: by projection and 1D root isolation for one parameter,
     over the hyperplane arrangement otherwise (``decompose_linear``
     rejects polynomial expressions).
 
-    Nat time with real parameters is rejected: nat-time verdicts depend
-    on the floor of each threshold, which the cells do not keep constant.
+    Every clock-free expression is compared with 0.  Of the entries, the
+    decomposition compares every pair, or only the ``comparisons`` given
+    (``feasibility.run_comparisons`` pairs); the whole pool is validated
+    either way.  Nat time with real parameters is rejected: nat-time
+    verdicts depend on the floor of each threshold, which the cells do not
+    keep constant.
     """
     params = tuple(params)
     if params and domain == TIME_NAT and pdomain == PARAM_REAL:
@@ -260,12 +289,18 @@ def _region(params, atom_pool, resets, decide_at, psi, domain, pdomain) -> Feasi
             "synthesis in nat time needs int or nat parameters: nat-time verdicts "
             "are not constant on the cells of real parameters")
     pool = threshold_pool(atom_pool, resets, domain == TIME_NAT)
+    pairs = None if comparisons is None else _entry_pairs(pool, comparisons, domain == TIME_NAT)
     if len(params) == 1:
-        cells = decompose_1d(project_clock(_clock_polynomials(pool, params[0])))
+        cells = decompose_1d(project_clock(_clock_polynomials(pool, params[0]), pairs))
         verdicts = _decide_cells(cells, params, decide_at, domain, pdomain,
                                  _integer_point_1d)
         return FeasibleRegion(params, "cad1", verdicts, psi, domain, pdomain)
-    cells = decompose_linear(_linear_hyperplanes(pool), params)
+    if len(params) <= 3:
+        # decompose_linear refuses more parameters before anything else;
+        # a threshold left out of every pair must still be linear
+        for t in pool[1]:
+            expr_to_vector(t, params)
+    cells = decompose_linear(_linear_hyperplanes(pool, pairs), params)
     verdicts = _decide_cells(cells, params, decide_at, domain, pdomain, integer_point)
     return FeasibleRegion(params, "linear", verdicts, psi, domain, pdomain)
 
@@ -398,4 +433,5 @@ def run_region(pta: Pta, tau: SyntacticRun, phi, time_domain: Optional[str] = No
         return any(feasible_with_reset(program, gamma, witness=False).feasible
                    for program in programs)
 
-    return _region(params, atom_pool, resets, decide_at, None, domain, pdomain)
+    comparisons = set().union(*map(run_comparisons, programs))
+    return _region(params, atom_pool, resets, decide_at, None, domain, pdomain, comparisons)

@@ -169,3 +169,13 @@ def test_normalization_soundness_random_triples():
 ], ids=["alone", "product", "beside-power", "sum"])
 def test_zero_exponent_is_one(text, expected):
     assert parse_expression(text, {"p", "q"}) == expected
+
+
+@pytest.mark.parametrize("text, column", [("p^-1", 1), ("3 + p^-1", 5), ("2*q*p^-2", 5)])
+def test_negative_exponent_is_not_an_integer_exponent(text, column):
+    # the tokenizer reads an exponent as a run of digits, so "-" after
+    # "^" is no exponent; the error points at the parameter
+    with pytest.raises(ParseError) as err:
+        parse_expression(text, {"p", "q"})
+    assert str(err.value) == "expected integer exponent after '^'"
+    assert err.value.column == column

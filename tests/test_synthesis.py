@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -27,6 +28,7 @@ from ptasynth.model import (
     SyntacticRun,
     UnsupportedError,
 )
+from ptasynth import synthesis
 from ptasynth.parser import parse_model, parse_property
 from ptasynth.polynomials import AlgebraicNumber
 from ptasynth.semantics import compile_check, decide
@@ -151,6 +153,20 @@ edge q0 -> q0 : x <= p*q ; a ;
     assert str(err.value) == "polynomial expressions are supported with exactly one parameter"
     with pytest.raises(UnsupportedError) as err:
         run_region(pta, SyntacticRun(pta, (0,)), psi.phi)
+    assert str(err.value) == "polynomial expressions are supported with exactly one parameter"
+
+
+def test_run_region_validates_the_thresholds_it_does_not_compare():
+    # x >= p*q is a lower bound with no upper bound after it: run_region
+    # compares it with nothing, and still refuses it
+    pta = parse_model("""
+clocks: x
+params: p, q
+loc q0 init inv: true
+edge q0 -> q0 : x >= p*q ; a ;
+""")
+    with pytest.raises(UnsupportedError) as err:
+        run_region(pta, SyntacticRun(pta, (0,)), parse_property("EF q0", pta).phi)
     assert str(err.value) == "polynomial expressions are supported with exactly one parameter"
 
 
@@ -445,6 +461,80 @@ def test_run_region_json_at_irrational_point_cells_is_pinned(time_domain, param_
     assert all(c.kind == "point" and c.lo.poly == (-3, 0, 1) for c in hits)
     golden = Path(__file__).parent / "golden" / ("run_region_roots_%s.json" % time_domain)
     assert dumps(region_to_json(region)) == golden.read_text()
+
+
+def full_pool_run_region(pta, tau, phi, time_domain=None, param_domain=None):
+    """``run_region`` decomposed over every pair of its pool, as before it
+    compared only what its compiled check reads: the reference."""
+    with mock.patch.object(synthesis, "_entry_pairs", lambda pool, comparisons, nat: None):
+        return run_region(pta, tau, phi, time_domain, param_domain)
+
+
+@pytest.mark.parametrize("time_domain, param_domain, golden", [
+    ("dense", "real", "run_region_roots_dense.json"),
+    ("nat", "int", "run_region_full_pool_nat.json")], ids=["dense", "nat"])
+def test_full_pool_reference_is_the_every_pair_pipeline(time_domain, param_domain, golden):
+    # the reference reproduces, byte for byte, the regions run_region gave
+    # when it compared every pair (dense time gives the same bytes now too)
+    pta = parse_model(RUN_ROOTS)
+    tau = SyntacticRun(pta, (0, 1))
+    region = full_pool_run_region(pta, tau, parse_property("EF q2", pta).phi,
+                                  time_domain, param_domain)
+    expected = (Path(__file__).parent / "golden" / golden).read_text()
+    assert dumps(region_to_json(region)) == expected
+
+
+@pytest.mark.parametrize("time_domain, param_domain, n_params", [
+    ("dense", "real", 1), ("nat", "int", 1), ("nat", "nat", 1),
+    ("dense", "real", 2), ("nat", "int", 2), ("nat", "nat", 2)])
+def test_run_region_agrees_with_the_full_pool_reference(time_domain, param_domain, n_params):
+    # fewer comparisons, same region: every integer point of a box (and
+    # random rationals in dense time) falls in cells of the same verdict,
+    # with at most as many cells as the reference
+    rng = random.Random(2020 + 10 * n_params + len(time_domain + param_domain))
+    lo = 0 if param_domain == "nat" else (-12 if n_params == 1 else -6)
+    hi = 40 if n_params == 1 else 12
+    box = int_grid(n_params, lo, hi - 1)
+    fewer = 0
+    for _ in range(25):
+        pta = rand_pta_one_clock(rng, n_params, time_domain, param_domain)
+        phi = rand_state_property(rng, pta)
+        for tau in enumerate_runs(pta, 3):
+            region = run_region(pta, tau, phi)
+            reference = full_pool_run_region(pta, tau, phi)
+            assert len(region.cells) <= len(reference.cells)
+            fewer += len(region.cells) < len(reference.cells)
+            points = list(box)
+            if time_domain == "dense":
+                points += [{p: Fraction(rng.randint(-240, 800), rng.randint(1, 20))
+                            for p in pta.params} for _ in range(30)]
+            for gamma in points:
+                assert region_query(region, gamma) == region_query(reference, gamma), \
+                    (pta.render(), tau.edge_indices, gamma)
+    assert fewer
+
+
+def test_run_region_leaves_out_what_the_check_never_reads():
+    # the lower bounds p and 2*p - 3 are compared with the upper bound 6
+    # only: not with each other (root 3), with 0 (roots 0 and 3/2) or with
+    # the reset value 4, which starts an empty last segment (roots 4 and
+    # 7/2); so 2 roots, 9/2 and 6, where the reference has 7
+    pta = parse_model("""
+clocks: x
+params: p
+loc q0 init inv: true
+loc q1 inv: true
+loc q2 inv: true
+edge q0 -> q1 : x >= p & x >= 2*p - 3 ; a ;
+edge q1 -> q2 : x <= 6 ; b ; reset x:=4
+""")
+    tau = SyntacticRun(pta, (0, 1))
+    phi = parse_property("EF q2", pta).phi
+    region = run_region(pta, tau, phi, "dense", "real")
+    assert len(region.cells) == 5
+    assert [c.cell.lo for c in region.cells[1::2]] == [Fraction(9, 2), 6]
+    assert len(full_pool_run_region(pta, tau, phi, "dense", "real").cells) == 15
+    assert [cv.verdict for cv in region.cells] == [True, True, False, False, False]
 
 
 def scan_verdict(region, point):
