@@ -1,10 +1,13 @@
 """Sign-invariant decomposition of the parameter space with exact samples.
 
 Two decompositions are provided.  For one parameter, linear or
-polynomial, the clock variable is projected out (coefficients, a
-resultant against the clock derivative, pairwise resultants) and the real
-line splits at the roots of the projected polynomials into point and
-interval cells.  For two or three parameters with linear expressions, the
+polynomial, the real line splits at the roots of the given polynomials
+into point and interval cells.  ``project_clock`` makes those
+polynomials: it projects the clock variable out (coefficients, a
+resultant against the clock derivative, pairwise resultants) and passes
+clock-free inputs through.  The synthesis pipeline passes it clock-free
+threshold differences only; the general projection serves the tests and
+``selftest``.  For two or three parameters with linear expressions, the
 realizable sign vectors over the hyperplanes are enumerated: at two by
 splitting exact polytopes, at three by a depth-first search with
 Fourier-Motzkin feasibility pruning.  Strictness never goes through a
@@ -98,33 +101,20 @@ class LinearCell:
                    for vec, s in zip(self.planes, self.signs))
 
 
-# -- expression/polynomial conversions ----------------------------------------
-
-def atom_to_bivar(pos_clock: bool, neg_clock: bool, rhs: Expression, param: str) -> BivarPoly:
-    """The polynomial b1*x - b2*y - e with one clock, in Z[param][x]."""
-    e = rhs.univariate(param)
-    neg_e = tuple(-c for c in e)
-    if pos_clock and neg_clock:
-        raise UnsupportedError("difference atoms have no single-clock polynomial")
-    if pos_clock:
-        return bivar_trim((neg_e, (1,)))
-    if neg_clock:
-        return bivar_trim((neg_e, (-1,)))
-    return bivar_trim((neg_e,))
-
-
 # -- projection ----------------------------------------------------------------
 
-def project_clock(polys: Sequence[BivarPoly],
-                  pairs: Optional[Sequence[Tuple[int, int]]] = None) -> List[IntPoly]:
+def project_clock(polys: Sequence[BivarPoly]) -> List[IntPoly]:
     """Project the clock out of Z[p][x] polynomials.
 
     Output: for each input, every x-coefficient (the reducta leading
     coefficients) and the resultant with its own x-derivative; plus the
-    resultant of every two inputs with the clock, or only of the index
-    pairs ``(i, j)`` in ``pairs``, both of which must mention the clock.
-    Clock-free inputs pass through.  Constants are dropped and the result
-    is primitive, sign-normalized, deduplicated, and sorted.
+    resultant of every two inputs with the clock.  Clock-free inputs pass
+    through.  Constants are dropped and the result is primitive,
+    sign-normalized, deduplicated, and sorted.
+
+    The synthesis pipeline passes only clock-free threshold differences,
+    so it computes no resultant here; the general projection serves the
+    tests and ``selftest``.
     """
     out = set()
 
@@ -133,14 +123,14 @@ def project_clock(polys: Sequence[BivarPoly],
         if poly_degree(p) >= 1:
             out.add(p)
 
-    withx = {}
-    for k, f in enumerate(polys):
+    withx = []
+    for f in polys:
         f = bivar_trim(f)
         if bivar_degree_x(f) <= 0:
             if f:
                 keep(f[0])
             continue
-        withx[k] = f
+        withx.append(f)
         # leading coefficients of the reducta chain, truncated at the first
         # one that is a nonzero constant (that reductum never degenerates)
         for coeff in reversed(f):
@@ -148,8 +138,8 @@ def project_clock(polys: Sequence[BivarPoly],
                 break
             keep(coeff)
         keep(sylvester_resultant_x(f, bivar_derivative_x(f)))
-    for i, j in combinations(withx, 2) if pairs is None else pairs:
-        keep(sylvester_resultant_x(withx[i], withx[j]))
+    for f, g in combinations(withx, 2):
+        keep(sylvester_resultant_x(f, g))
     return sorted(out)
 
 

@@ -72,7 +72,7 @@ from .semantics import (
 )
 from .synthesis import (
     _atom_pool,
-    _clock_polynomials,
+    _comparisons,
     _reset_constants,
     enumerate_runs,
     region_query,
@@ -382,12 +382,11 @@ def suite_sign_invariance(seed: int, n_models: int, samples_per_cell=100) -> Sui
             psi = SystemProperty(EXISTS_EVENTUALLY, rand_state_property(rng, pta))
         region = synthesize(pta, psi)
         if region.method == "cad1":
-            # the sign set is the projected pool, recomputed the way the
-            # pipeline builds it
-            pool = project_clock(_clock_polynomials(
-                threshold_pool(_atom_pool(pta, psi), _reset_constants(pta),
-                               pta.time_domain == TIME_NAT),
-                pta.params[0]))
+            # the sign set is the pool's comparisons, recomputed the way the
+            # pipeline builds them
+            nat = pta.time_domain == TIME_NAT
+            pool = project_clock([(e.univariate(pta.params[0]),) for e in _comparisons(
+                threshold_pool(_atom_pool(pta, psi), _reset_constants(pta), nat), None, nat)])
             for cv in region.cells:
                 base = signs_at_1d(pool, cv.cell.sample)
                 # a point cell's provenance is exactly the pool's zeros there

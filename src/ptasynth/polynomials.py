@@ -616,8 +616,7 @@ def sylvester_resultant_x(f: BivarPoly, g: BivarPoly) -> IntPoly:
     """Resultant of f and g with respect to x, a polynomial in p.
 
     Computed as the Sylvester determinant by Bareiss fraction-free
-    elimination; every division along the way is exact in Z[p].  Two
-    inputs of x-degree 1 give the 2x2 determinant directly.
+    elimination; every division along the way is exact in Z[p].
     """
     n, m = bivar_degree_x(f), bivar_degree_x(g)
     if n < 0 or m < 0:
@@ -626,8 +625,6 @@ def sylvester_resultant_x(f: BivarPoly, g: BivarPoly) -> IntPoly:
         return _poly_pow(f[0], m)
     if m == 0:
         return _poly_pow(g[0], n)
-    if n == m == 1:
-        return poly_sub(poly_mul(f[1], g[0]), poly_mul(f[0], g[1]))
     size = n + m
     matrix = [[() for _ in range(size)] for _ in range(size)]
     for row in range(m):

@@ -80,12 +80,14 @@ def is_finite(v) -> bool:
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse "a/b" or "a" (also accepts decimal-free integer strings)."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    """Parse "a/b" or "a" with integers a and b; a ValueError names the
+    text when a part is not an integer or b is 0."""
+    num, sep, den = text.strip().partition("/")
+    try:
+        return Fraction(int(num), int(den) if sep else 1)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("expected an integer or a fraction a/b with b nonzero, got %r"
+                         % text) from None
 
 
 def format_fraction(v) -> str:

@@ -677,8 +677,9 @@ def _compile_dense(pta, phi, index, loc_index, common) -> DenseProgram:
 
 
 def _vanishing_key(f: IntPoly) -> Optional[IntPoly]:
-    """The primitive form of ``f``, the form ``project_clock`` keeps, or
-    None for a constant, which vanishes nowhere or everywhere."""
+    """The primitive form of ``f``, the form of the polynomials
+    ``decompose_1d`` splits at, or None for a constant, which vanishes
+    nowhere or everywhere."""
     f = poly_primitive(f)
     return f if poly_degree(f) >= 1 else None
 
@@ -786,13 +787,18 @@ def _anchored_regions(program: DenseProgram, root: AnchoredRoot):
     distinct neighbours merge when their primitive difference is in
     ``root.vanishing``.  That is exact when every difference of two split
     values and every clock-free bound is a constant or, in primitive form,
-    one of the decomposition's polynomials, as ``project_clock`` makes
-    them: such a difference keeps its sign from ``below`` up to the root,
-    where it vanishes exactly when it is in ``vanishing``.  So values
-    ordered ``a < b`` at ``below`` have ``a <= b`` at the root, and only
-    neighbours can become equal.  A clock-free bound is 0 at the root when
-    it is in ``vanishing`` and keeps its sign at ``below`` otherwise.  A
-    point is rational at the root exactly when its value is a constant.
+    one of the polynomials ``decompose_1d`` split at: such a difference
+    keeps its sign from ``below`` up to the root, where it vanishes exactly
+    when it is in ``vanishing``.  So values ordered ``a < b`` at ``below``
+    have ``a <= b`` at the root, and only neighbours can become equal.  A
+    clock-free bound is 0 at the root when it is in ``vanishing`` and keeps
+    its sign at ``below`` otherwise.  A point is rational at the root
+    exactly when its value is a constant.
+
+    ``synthesis._comparisons`` lists every such difference when it compares
+    every pair of the pool.  Leaving a pair out breaks this, even a pair
+    whose order no verdict reads: two lower bounds that cross between
+    ``below`` and the root put a third value between the two that tie.
     """
     bounds, scale = _bound_values(program, {program.params[0]: root.below})
     split, profiles = _split(program, bounds, scale, root.vanishing)

@@ -4,10 +4,13 @@ Pipeline: collect the thresholds of the model and property
 (``threshold_pool``), decompose the parameter space so that the
 comparisons among them have a constant sign per cell, then decide the
 property at one exact sample per cell with the concrete semantics and
-read the region off the verdict-true cells.  The parameter count alone picks the decomposition:
-resultant projection and root isolation (``cad1``) for one parameter,
-linear or polynomial; threshold-difference hyperplanes (``linear``) for
-zero, two or three parameters, whose expressions must then be linear.
+read the region off the verdict-true cells.  With one clock, comparing
+two bounds is the sign of the difference of their thresholds, so both
+decompositions split on one list of threshold differences
+(``_comparisons``).  The parameter count alone picks the decomposition:
+root isolation of the differences (``cad1``) for one parameter, linear
+or polynomial; the differences as hyperplanes (``linear``) for zero, two
+or three parameters, whose expressions must then be linear.
 ``synthesize`` and ``run_region`` share the pool, both decompositions and
 the per-cell decision loop; they differ in which comparisons they
 decompose over and in what they decide at a valuation.  ``synthesize``
@@ -41,7 +44,6 @@ from typing import List, Optional, Sequence, Tuple
 from .constraints import AtomicConstraint
 from .decomposition import (
     Cell1D,
-    atom_to_bivar,
     cell1d_integer_point,
     decompose_1d,
     decompose_linear,
@@ -161,9 +163,9 @@ def threshold_pool(atom_pool: Sequence[AtomicConstraint], resets: Sequence[int],
 
     Returns ``(free, thresholds, consts)``: the clock-free expressions,
     compared with 0; the distinct clock thresholds (``_threshold``); and
-    the constants, 0 and the reset values.  The thresholds and then the
-    constants are the pool's entries, numbered in that order; a
-    comparison is a pair of entries.
+    the constants, 0 and the reset values.  The thresholds and the
+    constants are the pool's entries; a comparison is a pair of entries
+    (``_comparisons``).
     """
     free: List[Expression] = []
     thresholds: List[Expression] = []
@@ -183,43 +185,26 @@ def threshold_pool(atom_pool: Sequence[AtomicConstraint], resets: Sequence[int],
     return free, thresholds, sorted({0, *(int(b) for b in resets)})
 
 
-def _entry_pairs(pool, comparisons, nat_time: bool) -> List[Tuple[int, int]]:
-    """``run_comparisons`` pairs (an atom against an atom or an int
-    constant) as sorted pairs of pool entries; a threshold compared with
-    itself drops out."""
-    _, thresholds, consts = pool
-    thr_index = {t: k for k, t in enumerate(thresholds)}
-    const_index = {c: len(thresholds) + k for k, c in enumerate(consts)}
-    pairs = set()
-    for upper, other in comparisons:
-        a = thr_index[_threshold(upper, nat_time)]
-        b = const_index[other] if isinstance(other, int) else thr_index[_threshold(other, nat_time)]
-        if a != b:
-            pairs.add((min(a, b), max(a, b)))
-    return sorted(pairs)
+def _comparisons(pool, comparisons, nat_time: bool) -> List[Expression]:
+    """The expressions whose sign every cell keeps constant: each clock-free
+    expression, and ``a - b`` for each compared pair of thresholds, since
+    with one clock ``x ~ a`` against ``x ~ b`` is the sign of ``a - b``.
 
-
-def _linear_hyperplanes(pool, pairs=None) -> List[Expression]:
-    """The pool as hyperplanes: each clock-free expression, and the
-    difference of the two entries of each pair (default: every threshold
-    with every later entry, so with each other threshold and constant)."""
+    By default every threshold is compared with every later pool entry, so
+    with each other threshold and each constant.  ``comparisons`` are
+    ``feasibility.run_comparisons`` pairs instead: an atom against an atom
+    or an int constant, each atom read through ``_threshold``.
+    """
     free, thresholds, consts = pool
-    entries = thresholds + [Expression.constant(c) for c in consts]
-    if pairs is None:
-        pairs = [(a, b) for a in range(len(thresholds)) for b in range(a + 1, len(entries))]
-    return list(free) + [entries[a].minus(entries[b]) for a, b in pairs]
-
-
-def _clock_polynomials(pool, param: str) -> list:
-    """The pool as polynomials in Z[param][x] for ``project_clock``:
-    ``x - t`` for each threshold and ``x - c`` for each constant, so the
-    k-th entry is the k-th polynomial and the resultant of two is the
-    difference the hyperplane of their pair compares; then each clock-free
-    expression."""
-    free, thresholds, consts = pool
-    return ([atom_to_bivar(True, False, t, param) for t in thresholds]
-            + [atom_to_bivar(True, False, Expression.constant(c), param) for c in consts]
-            + [atom_to_bivar(False, False, e, param) for e in free])
+    if comparisons is None:
+        entries = thresholds + [Expression.constant(c) for c in consts]
+        pairs = [(a, b) for k, a in enumerate(thresholds) for b in entries[k + 1:]]
+    else:
+        pairs = [(_threshold(upper, nat_time),
+                  Expression.constant(other) if isinstance(other, int)
+                  else _threshold(other, nat_time))
+                 for upper, other in comparisons]
+    return list(free) + [a.minus(b) for a, b in pairs]
 
 
 # -- one decision per cell ------------------------------------------------------
@@ -271,17 +256,16 @@ def _decide_cells(cells, params, decide_at, domain, pdomain, integer_of) -> List
 
 def _region(params, atom_pool, resets, decide_at, psi, domain, pdomain,
             comparisons=None) -> FeasibleRegion:
-    """Decompose the parameter space over the threshold pool and decide
-    every cell: by projection and 1D root isolation for one parameter,
-    over the hyperplane arrangement otherwise (``decompose_linear``
-    rejects polynomial expressions).
+    """Decompose the parameter space over the signs of ``_comparisons``
+    and decide every cell: by 1D root isolation for one parameter, over
+    the hyperplane arrangement otherwise (``decompose_linear`` rejects
+    polynomial expressions).
 
-    Every clock-free expression is compared with 0.  Of the entries, the
-    decomposition compares every pair, or only the ``comparisons`` given
-    (``feasibility.run_comparisons`` pairs); the whole pool is validated
-    either way.  Nat time with real parameters is rejected: nat-time
-    verdicts depend on the floor of each threshold, which the cells do not
-    keep constant.
+    The decomposition compares every pair of the pool, or only the
+    ``comparisons`` given (``feasibility.run_comparisons`` pairs); the
+    whole pool is validated either way.  Nat time with real parameters is
+    rejected: nat-time verdicts depend on the floor of each threshold,
+    which the cells do not keep constant.
     """
     params = tuple(params)
     if params and domain == TIME_NAT and pdomain == PARAM_REAL:
@@ -289,9 +273,12 @@ def _region(params, atom_pool, resets, decide_at, psi, domain, pdomain,
             "synthesis in nat time needs int or nat parameters: nat-time verdicts "
             "are not constant on the cells of real parameters")
     pool = threshold_pool(atom_pool, resets, domain == TIME_NAT)
-    pairs = None if comparisons is None else _entry_pairs(pool, comparisons, domain == TIME_NAT)
+    exprs = _comparisons(pool, comparisons, domain == TIME_NAT)
     if len(params) == 1:
-        cells = decompose_1d(project_clock(_clock_polynomials(pool, params[0]), pairs))
+        # the inputs are clock-free, so project_clock computes no resultant:
+        # it makes them primitive, drops constants, deduplicates and sorts.
+        # perfbench/spans.py times this call as the cad1 layer
+        cells = decompose_1d(project_clock([(e.univariate(params[0]),) for e in exprs]))
         verdicts = _decide_cells(cells, params, decide_at, domain, pdomain,
                                  _integer_point_1d)
         return FeasibleRegion(params, "cad1", verdicts, psi, domain, pdomain)
@@ -300,7 +287,7 @@ def _region(params, atom_pool, resets, decide_at, psi, domain, pdomain,
         # a threshold left out of every pair must still be linear
         for t in pool[1]:
             expr_to_vector(t, params)
-    cells = decompose_linear(_linear_hyperplanes(pool, pairs), params)
+    cells = decompose_linear(exprs, params)
     verdicts = _decide_cells(cells, params, decide_at, domain, pdomain, integer_point)
     return FeasibleRegion(params, "linear", verdicts, psi, domain, pdomain)
 
@@ -311,7 +298,7 @@ def synthesize(pta: Pta, psi: SystemProperty, time_domain: Optional[str] = None,
                param_domain: Optional[str] = None) -> FeasibleRegion:
     """Compute the feasible parameter region for the property.
 
-    One parameter, linear or polynomial, goes through projection + 1D
+    One parameter, linear or polynomial, goes through the 1D
     decomposition; linear expressions over zero, two or three parameters
     go through the hyperplane arrangement.  Every cell is decided
     concretely at its sample (dual reach for forall-always properties).

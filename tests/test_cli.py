@@ -207,6 +207,28 @@ def test_scan_run_rejects_malformed_traces(tmp_path):
         assert "Traceback" not in res.stderr
 
 
+def test_bad_numbers_are_usage_errors(workdir, tmp_path):
+    # a zero denominator or a non-integer part is a usage error naming the
+    # text, not a traceback
+    for value in ("1/0", "1.5"):
+        res = cli("check", "--model", str(workdir / "gate.pta"), "--prop",
+                  str(workdir / "ef.prop"), "--set", "p=" + value)
+        assert res.returncode == 2, (value, res.stderr)
+        assert res.stderr.splitlines() == [
+            "error: expected an integer or a fraction a/b with b nonzero, got %r" % value]
+    from importlib import resources
+    model = resources.files("ptasynth").joinpath("data/twoone/m01_upward_gate.pta")
+    trace = tmp_path / "trace.json"
+    for text in ('{"steps": [{"delay": "1/0", "edge": 0}], "valuation": {"p": "3"}}',
+                 '{"steps": [], "final_delay": "1/0", "valuation": {"p": "3"}}',
+                 '{"steps": [], "valuation": {"p": "1/0"}}'):
+        trace.write_text(text)
+        res = cli("scan-run", "--model", str(model), "--trace", str(trace), "--lemma", "oneP4")
+        assert res.returncode == 2, (text, res.stderr)
+        assert res.stderr.splitlines() == [
+            "error: expected an integer or a fraction a/b with b nonzero, got '1/0'"], text
+
+
 def test_nat_time_real_parameters_are_rejected(tmp_path):
     model, prop, run = tmp_path / "m.pta", tmp_path / "ef.prop", tmp_path / "run0.txt"
     model.write_text(GATE.replace("clocks: x\n", "clocks: x\ndomain: time=nat param=real\n")

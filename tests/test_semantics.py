@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ptasynth import semantics
+from ptasynth import semantics, synthesis
 from ptasynth.constraints import AtomicConstraint, SimpleConstraint
 from ptasynth.decomposition import decompose_1d, project_clock
 from ptasynth.expressions import Expression
@@ -55,7 +55,7 @@ from ptasynth.semantics import (
 )
 from ptasynth.synthesis import (
     _atom_pool,
-    _clock_polynomials,
+    _comparisons,
     _reset_constants,
     synthesize,
     threshold_pool,
@@ -592,27 +592,56 @@ def test_clock_free_bound_that_vanishes_at_a_root():
     assert all(isinstance(cv.cell.sample, AlgebraicNumber) for cv in region.cells[1::2])
 
 
+LOWER_TIE_MODEL = """
+clocks: x
+params: p
+loc q0 init inv: true
+loc q1 inv: true
+loc q2 inv: true
+edge q0 -> q1 : x > 10 & x <= 20 - 5*p^2 ; a ;
+edge q0 -> q2 : x >= 17 - 5*p ; b ;
+"""
+
+
 def one_parameter_models(synth_pools):
     """The one-parameter models of both synth pools, criterion 3's
-    polynomial examples and the clock-free bound model."""
+    polynomial examples, the clock-free bound model, and a model whose
+    two lower bounds ``10`` and ``17 - 5p`` cross at 7/5, just left of the
+    root sqrt 2 of ``20 - 5p^2 = 10``: a decomposition that leaves out
+    lower-versus-lower differences anchors that root at a sample where
+    ``17 - 5p`` sits between the two tied values."""
     models = [(pta, phi) for _, _, pta, phi in synth_pools if len(pta.params) == 1]
     rng = random.Random(3)
     for _ in range(6):
         pta, psi = _polynomial_example(rng)
         models.append((pta, psi.phi))
     models.append(free_bound_model())
+    models.append((parse_model(LOWER_TIE_MODEL), PropLoc("q1")))
     return models
 
 
 def dense_decomposition(pta, psi):
-    """The projected polynomials of dense-time ``synthesize`` and the
-    irrational point cells of their decomposition, each with its left
-    neighbour."""
+    """The irrational point cells of the dense-time decomposition of the
+    pool's comparisons, each with its left neighbour."""
     pool = threshold_pool(_atom_pool(pta, psi), _reset_constants(pta), False)
-    polys = project_clock(_clock_polynomials(pool, pta.params[0]))
-    cells = decompose_1d(polys)
-    return polys, [(left, cell) for left, cell in zip(cells, cells[1:])
-                   if cell.kind == "point" and isinstance(cell.sample, AlgebraicNumber)]
+    exprs = _comparisons(pool, None, False)
+    cells = decompose_1d(project_clock([(e.univariate(pta.params[0]),) for e in exprs]))
+    return [(left, cell) for left, cell in zip(cells, cells[1:])
+            if cell.kind == "point" and isinstance(cell.sample, AlgebraicNumber)]
+
+
+def synthesized_polys(pta, psi):
+    """The polynomials dense-time ``synthesize`` passes to ``decompose_1d``."""
+    seen = []
+
+    def capture(polys):
+        seen.append(polys)
+        return decompose_1d(polys)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(synthesis, "decompose_1d", capture)
+        synthesize(pta, psi, "dense")
+    return seen[0]
 
 
 def regions_summary(regions):
@@ -636,7 +665,7 @@ def test_anchored_roots_rank_like_algebraic_values(synth_pools):
         for mode in ("EF", "AG"):
             psi = SystemProperty(mode, phi)
             program = compile_check(pta, psi, "dense")
-            for left, cell in dense_decomposition(pta, psi)[1]:
+            for left, cell in dense_decomposition(pta, psi):
                 anchored = {p: AnchoredRoot(cell.sample, left.sample, cell.vanishing)}
                 bare = {p: copy_value(cell.sample)}
                 assert regions_summary(_dense_regions(program.reach, anchored)) == \
@@ -649,18 +678,39 @@ def test_anchored_roots_rank_like_algebraic_values(synth_pools):
 def test_every_difference_read_at_a_root_is_projected(synth_pools):
     # the int path at an irrational root is exact only if each difference
     # of two split values and each clock-free bound is a constant or, in
-    # primitive form, one of the projected polynomials; catches a pool
-    # that misses a comparison the compiled program makes
+    # primitive form, one of the polynomials synthesize splits at; catches
+    # a comparison set that leaves out one the compiled program makes,
+    # such as two lower bounds
     for pta, phi in one_parameter_models(synth_pools):
         for mode in ("EF", "AG"):
             psi = SystemProperty(mode, phi)
             program = compile_check(pta, psi, "dense").reach
-            projected = set(dense_decomposition(pta, psi)[0])
+            projected = set(synthesized_polys(pta, psi))
             splits = program.split_polys
             diffs = [_vanishing_key(poly_sub(b, a)) for i, a in enumerate(splits)
                      for b in splits[i + 1:]]
             for key in diffs + list(program.free_polys):
                 assert key is None or key in projected, (pta.render(), key)
+
+
+def test_irrational_point_verdicts_equal_decide_at_the_bare_root(synth_pools):
+    # the verdict synthesize gives an irrational point cell (decided at an
+    # anchored root) is the verdict of decide at a fresh copy of the bare
+    # root, which sorts exact values; catches a decomposition whose left
+    # neighbour is no anchor for the root
+    cells = 0
+    for pta, phi in one_parameter_models(synth_pools):
+        p = pta.params[0]
+        for mode in ("EF", "AG"):
+            psi = SystemProperty(mode, phi)
+            program = compile_check(pta, psi, "dense")
+            for cv in synthesize(pta, psi, "dense").cells[1::2]:
+                if isinstance(cv.cell.sample, AlgebraicNumber):
+                    bare = {p: copy_value(cv.cell.sample)}
+                    assert cv.verdict == decide(program, bare, witness=False).satisfied, \
+                        (pta.render(), mode, cv.cell)
+                    cells += 1
+    assert cells >= 300
 
 
 def test_dense_synthesis_compares_no_algebraic_value(synth_pools, monkeypatch):

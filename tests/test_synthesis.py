@@ -28,16 +28,15 @@ from ptasynth.model import (
     SyntacticRun,
     UnsupportedError,
 )
-from ptasynth import synthesis
+from ptasynth import decomposition, synthesis
 from ptasynth.parser import parse_model, parse_property
 from ptasynth.polynomials import AlgebraicNumber
 from ptasynth.semantics import compile_check, decide
 from ptasynth.synthesis import (
     FeasibleRegion,
     _atom_pool,
-    _clock_polynomials,
+    _comparisons,
     _decide_cells,
-    _linear_hyperplanes,
     _reset_constants,
     enumerate_runs,
     region_query,
@@ -53,18 +52,20 @@ def g(p):
 
 @pytest.mark.parametrize("time_domain", ["dense", "nat"])
 def test_cad1_projection_equals_linear_planes(time_domain):
-    # one threshold pool, two decompositions: for one linear parameter the
-    # projected cad1 polynomials are exactly the hyperplanes of the linear
-    # path, nat-time shift of strict bounds included
+    # both decompositions read one list of comparisons; for one linear
+    # parameter, the primitive polynomials cad1 splits at and the canonical
+    # hyperplanes of the linear path are the same, so the two
+    # normalisations agree (nat-time shift of strict bounds included)
     rng = random.Random(7)
     for _ in range(25):
         pta = rand_pta_one_clock(rng, 1, time_domain, "int" if time_domain == "nat" else "real")
         psi = SystemProperty("EF", rand_state_property(rng, pta))
         pool = threshold_pool(_atom_pool(pta, psi), _reset_constants(pta),
                               time_domain == "nat")
+        exprs = _comparisons(pool, None, time_domain == "nat")
         projected = {(f[1], f[0])
-                     for f in project_clock(_clock_polynomials(pool, pta.params[0]))}
-        assert projected == set(canonical_planes(_linear_hyperplanes(pool), pta.params))
+                     for f in project_clock([(e.univariate(pta.params[0]),) for e in exprs])}
+        assert projected == set(canonical_planes(exprs, pta.params))
 
 
 def test_synthesize_gate_region(gate, gate_ef):
@@ -214,7 +215,7 @@ def linear_reference(pta, psi):
     the parameter count alone picked the decomposition."""
     domain, pdomain = pta.time_domain, pta.param_domain
     pool = threshold_pool(_atom_pool(pta, psi), _reset_constants(pta), domain == "nat")
-    cells = decompose_linear(_linear_hyperplanes(pool), pta.params)
+    cells = decompose_linear(_comparisons(pool, None, domain == "nat"), pta.params)
     program = compile_check(pta, psi, domain)
     verdicts = _decide_cells(cells, pta.params,
                              lambda gamma: decide(program, gamma).satisfied,
@@ -405,9 +406,10 @@ def test_region_json_endpoints_are_the_isolated_intervals(text, prop):
     region = synthesize(pta, psi)
     assert region.method == "cad1"
     got = [c["endpoints"] for c in region_to_json(region)["cells"]]
-    pool = threshold_pool(_atom_pool(pta, psi), _reset_constants(pta),
-                          pta.time_domain == "nat")
-    fresh = decompose_1d(project_clock(_clock_polynomials(pool, "p1")))
+    nat = pta.time_domain == "nat"
+    exprs = _comparisons(threshold_pool(_atom_pool(pta, psi), _reset_constants(pta), nat),
+                         None, nat)
+    fresh = decompose_1d(project_clock([(e.univariate("p1"),) for e in exprs]))
     assert got == [[scalar_to_json(c.lo), scalar_to_json(c.hi)] for c in fresh]
     assert any(isinstance(end, dict) for pair in got for end in pair)
 
@@ -466,7 +468,12 @@ def test_run_region_json_at_irrational_point_cells_is_pinned(time_domain, param_
 def full_pool_run_region(pta, tau, phi, time_domain=None, param_domain=None):
     """``run_region`` decomposed over every pair of its pool, as before it
     compared only what its compiled check reads: the reference."""
-    with mock.patch.object(synthesis, "_entry_pairs", lambda pool, comparisons, nat: None):
+    region = synthesis._region
+
+    def every_pair(*args):
+        return region(*args[:7])       # all but the comparisons
+
+    with mock.patch.object(synthesis, "_region", every_pair):
         return run_region(pta, tau, phi, time_domain, param_domain)
 
 
@@ -482,6 +489,32 @@ def test_full_pool_reference_is_the_every_pair_pipeline(time_domain, param_domai
                                   time_domain, param_domain)
     expected = (Path(__file__).parent / "golden" / golden).read_text()
     assert dumps(region_to_json(region)) == expected
+
+
+@pytest.mark.parametrize("time_domain, param_domain", [("dense", "real"), ("nat", "int")])
+def test_the_pipeline_computes_no_resultant(time_domain, param_domain, monkeypatch):
+    # every comparison is already a clock-free threshold difference, so
+    # neither synthesize nor run_region projects a clock out; catches a
+    # pool that goes back to resultants of x - a and x - b
+    resultant = decomposition.sylvester_resultant_x
+    calls = []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return resultant(f, g)
+
+    monkeypatch.setattr(decomposition, "sylvester_resultant_x", counted)
+    project_clock([((0, -1), (1,)), ((-3,), (1,))])
+    assert len(calls) == 3                 # the counter sees the projection
+    calls.clear()
+    pta = parse_model(ROOTS_NAT)
+    region = synthesize(pta, parse_property("EF q1", pta), time_domain, param_domain)
+    assert region.method == "cad1" and len(region.cells) > 1
+    pta = parse_model(RUN_ROOTS)
+    region = run_region(pta, SyntacticRun(pta, (0, 1)), parse_property("EF q2", pta).phi,
+                        time_domain, param_domain)
+    assert region.method == "cad1" and len(region.cells) > 1
+    assert calls == []
 
 
 @pytest.mark.parametrize("time_domain, param_domain, n_params", [
