@@ -6,21 +6,38 @@ Model files
     domain: time=(nat|dense) param=(int|real|nat)     # optional
     loc q0 init inv: true
     edge q0 -> q1 : x >= 2 & x <= p ; a ; reset x:=0
-with '#' comments.  Atoms are ``t rel e`` with t in {x, -x, x-y},
-rel in {<, <=, >, >=, =}, and e an integer linear/polynomial parameter
-expression such as ``2p+3``, ``p^2-1`` or ``p*q``.  Exponents are
-nonnegative integers; ``p^0`` is 1, so ``3*p^0*q`` is ``3*q``.
+with '#' comments to the end of a line; property files are ``EF <phi>``
+or ``AG <phi>``.  Invariants, guards and properties are read from one
+token stream.  A token is a run of digits, a name ``[A-Za-z_][A-Za-z_0-9]*``,
+``<=``, ``>=``, ``&&``, ``||`` or any other single non-blank character:
 
-Property files are ``EF <phi>`` or ``AG <phi>`` where phi combines atoms
-and location names with !, &&, || and parentheses.
+    constraint = "true" | atom { "&" atom }
+    atom       = side rel expr         side = x | -x | x-y,  rel = < <= > >= =
+    expr       = [signs] term { signs term }      signs = a run of + and -
+    term       = [number] { ["*"] name ["^" number] | "*" number }
+    phi        = conj { "||" conj }    conj = unary { "&&" unary }
+    unary      = "!" unary | "(" phi ")" | leaf
+    leaf       = atom | location | "true" | "false"
+
+A leaf runs to the next ``&&``, ``||`` or unmatched ``)``.  Factors side
+by side multiply (``2p`` is ``2*p``); exponents are nonnegative integers
+and ``p^0`` is 1, so ``3*p^0*q`` is ``3*q``.
+
+A ``ParseError`` has the 1-based line and column of the token it is
+about: the name or character its message quotes, else the atom's first
+token or the token where something else was expected, or one past the
+last token when the text ends too soon.  A property is line 1, with
+columns counted from the start of the text.  Errors about the whole text
+(no locations, no ``EF``/``AG``) have no line or column.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from functools import reduce
+from typing import Dict, List, Optional
 
-from .constraints import AtomicConstraint, SimpleConstraint, atom_from_relation
+from .constraints import SimpleConstraint, atom_from_relation
 from .expressions import Expression
 from .model import (
     EXISTS_EVENTUALLY,
@@ -49,373 +66,351 @@ class ParseError(ValueError):
         super().__init__(message + where)
 
 
-_REL_RE = re.compile(r"(<=|>=|<|>|=)")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|<=|>=|&&|\|\||\S")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_RELATIONS = frozenset(("<", "<=", ">", ">=", "="))
+_EXPR_SIGNS = frozenset("^*+-")
 
-_EXPR_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^)|(\*)|(\+)|(-)|(.))")
-_ATOM_LHS_RE = re.compile(
-    r"(-)?\s*([A-Za-z_][A-Za-z_0-9]*)\s*(?:-\s*([A-Za-z_][A-Za-z_0-9]*))?")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_WORD_RE = re.compile(r"\S+")
 _LOC_RE = re.compile(r"loc\s+([A-Za-z_][A-Za-z_0-9]*)\s*(init)?\s*inv:\s*(.*)$")
 _EDGE_RE = re.compile(
     r"edge\s+([A-Za-z_][A-Za-z_0-9]*)\s*->\s*([A-Za-z_][A-Za-z_0-9]*)\s*:\s*(.*)$")
 _UPDATE_RE = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*)\s*:=\s*(\d+)\s*")
 
 
-def _tokenize_expr(text: str, line: int, col0: int):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _EXPR_TOKEN.match(text, pos)
-        if not m:
-            break
-        num, ident, caret, star, plus, minus, bad = m.groups()
-        col = col0 + m.start() + (len(m.group(0)) - len(m.group(0).lstrip()))
-        if num is not None:
-            tokens.append(("num", int(num), col))
-        elif ident is not None:
-            tokens.append(("id", ident, col))
-        elif caret:
-            tokens.append(("^", "^", col))
-        elif star:
-            tokens.append(("*", "*", col))
-        elif plus:
-            tokens.append(("+", "+", col))
-        elif minus:
-            tokens.append(("-", "-", col))
-        elif bad and bad.strip():
-            raise ParseError("unexpected character %r in expression" % bad, line, col)
-        pos = m.end()
-    return tokens
+class _Tokens:
+    """The tokens of ``text[start:end]``, ``text[k]`` being at column ``base + k``
+    of ``line``; token positions are found again only for an error."""
+
+    __slots__ = ("text", "start", "end", "base", "line", "toks", "i", "context")
+
+    def __init__(self, text: str, start: int, end: int, base: int, line: int):
+        self.text, self.start, self.end, self.base, self.line = text, start, end, base, line
+        self.toks = _TOKEN.findall(text, start, end)
+        self.i = 0
+
+    def _spans(self):
+        return [m.span() for m in _TOKEN.finditer(self.text, self.start, self.end)]
+
+    def error(self, message: str, k: int) -> ParseError:
+        """The error about token ``k``, or about the end of the text."""
+        spans = self._spans()
+        at = spans[k][0] if k < len(spans) else spans[-1][1] if spans else self.start
+        return ParseError(message, self.line, self.base + at)
+
+    def source(self, a: int, b: int) -> str:
+        """The text of tokens ``a`` to ``b - 1``, inner blanks kept."""
+        spans = self._spans()
+        return self.text[spans[a][0]:spans[b - 1][1]] if b > a else ""
+
+    # -- expressions, atoms, constraints ------------------------------------
+
+    def _expr_error(self, message: str, k: int, a: int, b: int) -> ParseError:
+        """The error about token ``k`` of the expression in tokens ``a`` to
+        ``b - 1``, or about its first token that no expression has."""
+        for m in range(a, b):
+            t = self.toks[m]
+            if t[0] not in _NAME_START and t not in _EXPR_SIGNS and not t.isdecimal():
+                return self.error("unexpected character %r in expression" % t[0], m)
+        return self.error(message, k)
+
+    def expression(self, a: int, b: int, params) -> Expression:
+        toks = self.toks
+        if a == b:
+            raise self.error("empty expression", a)
+        terms: Dict[tuple, int] = {}
+        i = a
+        while i < b:
+            sign, first = 1, i
+            while toks[i] == "+" or toks[i] == "-":
+                sign = -sign if toks[i] == "-" else sign
+                i += 1
+                if i == b:
+                    raise self._expr_error("dangling sign in expression", i - 1, a, b)
+            if i == first > a:
+                raise self._expr_error("expected '+' or '-' between terms", i, a, b)
+            powers: Dict[str, int] = {}
+            saw_factor = toks[i].isdecimal()
+            coeff = int(toks[i]) if saw_factor else 1
+            i += saw_factor
+            while i < b:
+                t = toks[i]
+                if t == "*":
+                    i += 1
+                    if i < b and toks[i].isdecimal():
+                        coeff *= int(toks[i])
+                        i += 1
+                        continue
+                    if i == b or toks[i][0] not in _NAME_START:
+                        raise self._expr_error("expected factor after '*'", i - 1, a, b)
+                    t = toks[i]
+                elif t[0] not in _NAME_START:
+                    break
+                if t not in params:
+                    raise self._expr_error("undeclared parameter %r" % t, i, a, b)
+                i += 1
+                exp = 1
+                if i < b and toks[i] == "^":
+                    i += 1
+                    if i == b or not toks[i].isdecimal():
+                        raise self._expr_error("expected integer exponent after '^'", i - 2, a, b)
+                    exp = int(toks[i])
+                    i += 1
+                if exp:
+                    powers[t] = powers.get(t, 0) + exp
+                saw_factor = True
+            if not saw_factor:
+                raise self._expr_error("expected a term", i, a, b)
+            mono = tuple(sorted(powers.items()))
+            terms[mono] = terms.get(mono, 0) + sign * coeff
+        return Expression.polynomial(terms)
+
+    def atom(self, a: int, b: int, clocks, params):
+        """The normalized atoms of tokens ``a`` to ``b - 1`` (two for ``=``)."""
+        toks = self.toks
+        r = a
+        while r < b and toks[r] not in _RELATIONS:
+            r += 1
+        if r == b:
+            raise self.error("expected a relation (<, <=, >, >=, =) in atom", a)
+        # the side's shape: its tokens with every name written as "x"
+        shape = tuple("x" if t[0] in _NAME_START else t for t in toks[a:r])
+        if shape == ("x",):
+            pos, neg = toks[a], None
+        elif shape == ("-", "x"):
+            pos, neg = None, toks[a + 1]
+        elif shape == ("x", "-", "x"):
+            pos, neg = toks[a], toks[a + 2]
+        elif shape == ("-", "x", "-", "x"):
+            raise self.error("atom left side must be x, -x or x-y", a)
+        else:
+            raise self.error("atom left side must be x, -x or x-y (got %r)"
+                             % self.source(a, r), a)
+        for k in range(a, r):
+            if shape[k - a] == "x" and toks[k] not in clocks:
+                raise self.error("undeclared clock %r" % toks[k], k)
+        if pos == neg:
+            raise self.error("atom compares a clock with itself", a)
+        return atom_from_relation(pos, neg, toks[r], self.expression(r + 1, b, params))
+
+    def constraint(self, clocks, params) -> SimpleConstraint:
+        """The whole text as a constraint; ``&&`` reads as two ``&``."""
+        toks = self.toks
+        n = len(toks)
+        if n == 0 or (n == 1 and toks[0] == "true"):
+            return SimpleConstraint.true()
+        atoms, a = [], 0
+        for b in [k for k in range(n) if toks[k] == "&" or toks[k] == "&&"] + [n]:
+            if b == a:
+                raise self.error("empty conjunct", a)
+            atoms.extend(self.atom(a, b, clocks, params))
+            if b < n and toks[b] == "&&":
+                raise self.error("empty conjunct", b)
+            a = b + 1
+        return SimpleConstraint(tuple(atoms))
+
+    # -- state properties ---------------------------------------------------
+
+    def _take(self, token: str) -> bool:
+        """Step over the next token if it is ``token``."""
+        if self.i < len(self.toks) and self.toks[self.i] == token:
+            self.i += 1
+            return True
+        return False
+
+    def disjunction(self):
+        node = self.conjunction()
+        while self._take("||"):
+            node = PropOr(node, self.conjunction())
+        return node
+
+    def conjunction(self):
+        node = self.unary()
+        while self._take("&&"):
+            node = PropAnd(node, self.unary())
+        return node
+
+    def unary(self):
+        if self._take("!"):
+            return PropNot(self.unary())
+        if not self._take("("):
+            return self.leaf()
+        node = self.disjunction()
+        if not self._take(")"):
+            raise self.error("missing ')'", self.i)
+        return node
+
+    def leaf(self):
+        toks = self.toks
+        a = b = self.i
+        depth = 0
+        while b < len(toks):
+            t = toks[b]
+            if depth == 0 and (t == ")" or t == "&&" or t == "||"):
+                break
+            depth += (t == "(") - (t == ")")
+            b += 1
+        self.i = b
+        if b == a:
+            raise self.error("expected an atom or location name", a)
+        clocks, params, locations = self.context
+        if any(toks[k] in _RELATIONS for k in range(a, b)):
+            return reduce(PropAnd, map(PropAtom, self.atom(a, b, clocks, params)))
+        name = toks[a]
+        if b > a + 1 or name[0] not in _NAME_START:
+            raise self.error("expected an atom or location name, got %r" % self.source(a, b), a)
+        if name in ("true", "false"):
+            return PropConst(name == "true")
+        if name not in locations:
+            raise self.error("undeclared location %r" % name, a)
+        return PropLoc(name)
 
 
 def parse_expression(text: str, params, line: int = 0, col0: int = 1) -> Expression:
-    """Parse an integer linear/polynomial expression over declared parameters."""
-    tokens = _tokenize_expr(text, line, col0)
-    if not tokens:
-        raise ParseError("empty expression", line, col0)
-    terms: Dict[tuple, int] = {}
-    i = 0
-    first = True
-    while i < len(tokens):
-        sign = 1
-        while i < len(tokens) and tokens[i][0] in "+-":
-            if tokens[i][0] == "-":
-                sign = -sign
-            i += 1
-        if not first and sign == 1 and (i == 0 or tokens[i - 1][0] not in "+-"):
-            raise ParseError("expected '+' or '-' between terms", line,
-                             tokens[i][2] if i < len(tokens) else col0)
-        first = False
-        if i >= len(tokens):
-            raise ParseError("dangling sign in expression", line, tokens[-1][2])
-        coeff = 1
-        powers: Dict[str, int] = {}
-        saw_factor = False
-        if tokens[i][0] == "num":
-            coeff = tokens[i][1]
-            saw_factor = True
-            i += 1
-            # implicit multiplication: 2p means 2*p
-        while i < len(tokens) and tokens[i][0] in ("id", "*"):
-            if tokens[i][0] == "*":
-                i += 1
-                if i >= len(tokens) or tokens[i][0] not in ("id", "num"):
-                    raise ParseError("expected factor after '*'", line, tokens[i - 1][2])
-                if tokens[i][0] == "num":
-                    coeff *= tokens[i][1]
-                    i += 1
-                    continue
-            name = tokens[i][1]
-            pcol = tokens[i][2]
-            if name not in params:
-                raise ParseError("undeclared parameter %r" % name, line, pcol)
-            i += 1
-            exp = 1
-            if i < len(tokens) and tokens[i][0] == "^":
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "num":
-                    raise ParseError("expected integer exponent after '^'", line, pcol)
-                exp = tokens[i][1]
-                i += 1
-            if exp:
-                powers[name] = powers.get(name, 0) + exp
-            saw_factor = True
-        if not saw_factor:
-            raise ParseError("expected a term", line, tokens[i][2] if i < len(tokens) else col0)
-        mono = tuple(sorted(powers.items()))
-        terms[mono] = terms.get(mono, 0) + sign * coeff
-    return Expression.polynomial(terms)
-
-
-def _parse_atom_text(text: str, clocks, params, line: int, col0: int):
-    m = _REL_RE.search(text)
-    if not m:
-        raise ParseError("expected a relation (<, <=, >, >=, =) in atom", line, col0)
-    lhs_text = text[: m.start()].strip()
-    rel = m.group(1)
-    rhs_text = text[m.end():].strip()
-    lm = _ATOM_LHS_RE.fullmatch(lhs_text)
-    if not lm:
-        raise ParseError("atom left side must be x, -x or x-y (got %r)" % lhs_text, line, col0)
-    negated, first, second = lm.groups()
-    if negated and second:
-        raise ParseError("atom left side must be x, -x or x-y", line, col0)
-    for name in (first, second):
-        if name is not None and name not in clocks:
-            raise ParseError("undeclared clock %r" % name, line, col0)
-    if second is not None and first == second:
-        raise ParseError("atom compares a clock with itself", line, col0)
-    pos, neg = (None, first) if negated else (first, second)
-    rhs = parse_expression(rhs_text, params, line, col0 + m.end())
-    return atom_from_relation(pos, neg, rel, rhs)
+    """An integer polynomial over ``params``; ``text[0]`` is at column ``col0``."""
+    tokens = _Tokens(text, 0, len(text), col0, line)
+    return tokens.expression(0, len(tokens.toks), params)
 
 
 def parse_constraint(text: str, clocks, params, line: int = 0, col0: int = 1) -> SimpleConstraint:
-    text = text.strip()
-    if text == "true" or not text:
-        return SimpleConstraint.true()
-    atoms: List[AtomicConstraint] = []
-    offset = 0
-    for piece in text.split("&"):
-        stripped = piece.strip()
-        if not stripped:
-            raise ParseError("empty conjunct", line, col0 + offset)
-        atoms.extend(_parse_atom_text(stripped, clocks, params, line, col0 + offset))
-        offset += len(piece) + 1
-    return SimpleConstraint(tuple(atoms))
+    """``true`` or a conjunction of atoms; ``text[0]`` is at column ``col0``."""
+    return _Tokens(text, 0, len(text), col0, line).constraint(clocks, params)
 
 
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
+def _lead(text: str) -> int:
+    return len(text) - len(text.lstrip())
+
+
+def _stripped(line: str, a: int, b: int):
+    """``line[a:b]`` without blanks around it, and the index it starts at."""
+    return line[a:b].strip(), a + _lead(line[a:b])
+
+
+def _names(line: str, at: int, base: int, lineno: int, what: str) -> List[str]:
+    """The comma-separated names after ``line[:at]``."""
+    names = []
+    for piece in line[at:].split(","):
+        name = piece.strip()
+        if name:
+            if not _IDENT_RE.fullmatch(name):
+                raise ParseError("bad %s name %r" % (what, name), lineno, base + at + _lead(piece))
+            names.append(name)
+        at += len(piece) + 1
+    return names
+
+
+_DOMAINS = {"time": (("nat", "dense"), "time domain must be nat or dense"),
+            "param": (("int", "real", "nat"), "param domain must be int, real or nat")}
 
 
 def parse_model(text: str) -> Pta:
-    """Parse and validate a model file; raises ParseError with positions."""
+    """Parse a model file; raises ParseError with positions."""
     clocks: List[str] = []
     params: List[str] = []
     locations: List[str] = []
     initial: Optional[str] = None
-    invariants: Dict[str, SimpleConstraint] = {}
-    edges: List[Edge] = []
-    time_domain = "dense"
-    param_domain = "real"
-    declared = set()
-    pending_inv: List[Tuple[str, str, int, int]] = []
+    domains = {"time": "dense", "param": "real"}
+    pending_inv = []
     pending_edges = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        cut = raw.find("#")
+        content = raw if cut < 0 else raw[:cut]
+        line = content.strip()
         if not line:
             continue
-        if line.startswith("clocks:"):
-            names = [s.strip() for s in line[len("clocks:"):].split(",") if s.strip()]
-            for n in names:
-                if not _IDENT_RE.fullmatch(n):
-                    raise ParseError("bad clock name %r" % n, lineno)
-            clocks.extend(names)
-        elif line.startswith("params:"):
-            names = [s.strip() for s in line[len("params:"):].split(",") if s.strip()]
-            for n in names:
-                if not _IDENT_RE.fullmatch(n):
-                    raise ParseError("bad parameter name %r" % n, lineno)
-            params.extend(names)
+        base = _lead(content) + 1          # the column of line[0]
+        if line.startswith(("clocks:", "params:")):
+            names, what = (clocks, "clock") if line[0] == "c" else (params, "parameter")
+            names.extend(_names(line, len("clocks:"), base, lineno, what))
         elif line.startswith("domain:"):
-            for part in line[len("domain:"):].split():
-                if part.startswith("time="):
-                    value = part[len("time="):]
-                    if value not in ("nat", "dense"):
-                        raise ParseError("time domain must be nat or dense", lineno)
-                    time_domain = value
-                    declared.add("time")
-                elif part.startswith("param="):
-                    value = part[len("param="):]
-                    if value not in ("int", "real", "nat"):
-                        raise ParseError("param domain must be int, real or nat", lineno)
-                    param_domain = value
-                    declared.add("param")
-                else:
-                    raise ParseError("bad domain setting %r" % part, lineno)
+            for m in _WORD_RE.finditer(line, len("domain:")):
+                key, eq, value = m.group().partition("=")
+                if not eq or key not in _DOMAINS:
+                    raise ParseError("bad domain setting %r" % m.group(), lineno, base + m.start())
+                if value not in _DOMAINS[key][0]:
+                    raise ParseError(_DOMAINS[key][1], lineno, base + m.start())
+                domains[key] = value
         elif line.startswith("loc "):
             m = _LOC_RE.match(line)
             if not m:
-                raise ParseError("bad location line (expected 'loc <id> [init] inv: ...')", lineno)
-            name, init_flag, inv_text = m.groups()
+                raise ParseError("bad location line (expected 'loc <id> [init] inv: ...')",
+                                 lineno, base)
+            name = m.group(1)
             if name in locations:
-                raise ParseError("duplicate location %r" % name, lineno)
+                raise ParseError("duplicate location %r" % name, lineno, base + m.start(1))
             locations.append(name)
-            if init_flag:
+            if m.group(2):
                 if initial is not None:
-                    raise ParseError("multiple init locations", lineno)
+                    raise ParseError("multiple init locations", lineno, base + m.start(2))
                 initial = name
-            pending_inv.append((name, inv_text, lineno, line.index("inv:") + 5))
+            pending_inv.append((name, _Tokens(line, m.start(3), len(line), base, lineno)))
         elif line.startswith("edge "):
             m = _EDGE_RE.match(line)
             if not m:
-                raise ParseError("bad edge line (expected 'edge <src> -> <dst> : ...')", lineno)
-            src, dst, rest = m.groups()
-            parts = rest.split(";")
-            if len(parts) < 2:
-                raise ParseError("edge needs '<guard> ; <action> ;'", lineno)
-            guard_text = parts[0].strip()
-            action = parts[1].strip()
+                raise ParseError("bad edge line (expected 'edge <src> -> <dst> : ...')",
+                                 lineno, base)
+            semi = line.find(";", m.start(3))
+            if semi < 0:
+                raise ParseError("edge needs '<guard> ; <action> ;'", lineno, base + len(line))
+            guard = _Tokens(line, m.start(3), semi, base, lineno)
+            semi2 = line.find(";", semi + 1)
+            semi2 = len(line) if semi2 < 0 else semi2
+            action, at = _stripped(line, semi + 1, semi2)
             if not _IDENT_RE.fullmatch(action):
-                raise ParseError("bad action name %r" % action, lineno)
+                raise ParseError("bad action name %r" % action, lineno, base + at)
+            tail, at = _stripped(line, semi2 + 1, len(line))
             updates: Dict[str, int] = {}
-            tail = ";".join(parts[2:]).strip()
-            if tail:
-                if not tail.startswith("reset"):
-                    raise ParseError("unexpected trailing text %r on edge" % tail, lineno)
-                for item in tail[len("reset"):].split(","):
-                    um = _UPDATE_RE.fullmatch(item)
-                    if not um:
-                        raise ParseError("malformed update %r (expected clock:=nat)" % item.strip(),
-                                         lineno)
-                    clock, b = um.group(1), int(um.group(2))
-                    if clock in updates:
-                        raise ParseError("clock %r reset twice on one edge" % clock, lineno)
-                    updates[clock] = b
-            pending_edges.append((src, dst, guard_text, action, updates, lineno))
+            resets = []
+            if tail and not tail.startswith("reset"):
+                raise ParseError("unexpected trailing text %r on edge" % tail, lineno, base + at)
+            at += len("reset")
+            for item in tail[len("reset"):].split(",") if tail else ():
+                um = _UPDATE_RE.fullmatch(line, at, at + len(item))
+                if not um:
+                    raise ParseError("malformed update %r (expected clock:=nat)" % item.strip(),
+                                     lineno, base + at + _lead(item))
+                if um.group(1) in updates:
+                    raise ParseError("clock %r reset twice on one edge" % um.group(1),
+                                     lineno, base + um.start(1))
+                updates[um.group(1)] = int(um.group(2))
+                resets.append(um)
+                at += len(item) + 1
+            pending_edges.append((m, guard, action, updates, resets))
         else:
-            raise ParseError("unrecognized line %r" % line, lineno)
+            raise ParseError("unrecognized line %r" % line, lineno, base)
 
     if not locations:
         raise ParseError("model declares no locations")
-    if initial is None:
-        initial = locations[0]
 
     clockset, paramset = set(clocks), set(params)
-    for name, inv_text, lineno, col in pending_inv:
-        invariants[name] = parse_constraint(inv_text, clockset, paramset, lineno, col)
-    for src, dst, guard_text, action, updates, lineno in pending_edges:
-        if src not in locations:
-            raise ParseError("undeclared location %r" % src, lineno)
-        if dst not in locations:
-            raise ParseError("undeclared location %r" % dst, lineno)
-        for clock in updates:
-            if clock not in clockset:
-                raise ParseError("reset of undeclared clock %r" % clock, lineno)
-        guard = parse_constraint(guard_text, clockset, paramset, lineno)
-        edges.append(Edge(src, guard, action, updates, dst))
-
-    try:
-        return Pta(
-            clocks=tuple(clocks),
-            params=tuple(params),
-            locations=tuple(locations),
-            initial=initial,
-            invariants=invariants,
-            edges=tuple(edges),
-            time_domain=time_domain,
-            param_domain=param_domain,
-        ).validate()
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-
-
-# -- properties -------------------------------------------------------------
-
-class _PropParser:
-    def __init__(self, text: str, pta: Pta):
-        self.text = text
-        self.pta = pta
-        self.pos = 0
-
-    def error(self, message):
-        return ParseError(message, 1, self.pos + 1)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self, token: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(token, self.pos)
-
-    def eat(self, token: str) -> bool:
-        if self.peek(token):
-            self.pos += len(token)
-            return True
-        return False
-
-    def parse_or(self):
-        node = self.parse_and()
-        while self.eat("||"):
-            node = PropOr(node, self.parse_and())
-        return node
-
-    def parse_and(self):
-        node = self.parse_unary()
-        while self.eat("&&"):
-            node = PropAnd(node, self.parse_unary())
-        return node
-
-    def parse_unary(self):
-        if self.eat("!"):
-            return PropNot(self.parse_unary())
-        if self.eat("("):
-            node = self.parse_or()
-            if not self.eat(")"):
-                raise self.error("missing ')'")
-            return node
-        return self.parse_leaf()
-
-    def parse_leaf(self):
-        self.skip_ws()
-        rest = self.text[self.pos:]
-        # an atom runs up to the next top-level connective; find its extent
-        end = len(self.text)
-        depth = 0
-        for i in range(self.pos, len(self.text)):
-            ch = self.text[i]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                if depth == 0:
-                    end = i
-                    break
-                depth -= 1
-            elif self.text.startswith("&&", i) or self.text.startswith("||", i):
-                if depth == 0:
-                    end = i
-                    break
-        chunk = self.text[self.pos:end].strip()
-        if not chunk:
-            raise self.error("expected an atom or location name")
-        if _REL_RE.search(chunk):
-            atoms = _parse_atom_text(chunk, set(self.pta.clocks), set(self.pta.params),
-                                     1, self.pos + 1)
-            self.pos = end
-            node = PropAtom(atoms[0])
-            for extra in atoms[1:]:
-                node = PropAnd(node, PropAtom(extra))
-            return node
-        m = _IDENT_RE.match(chunk)
-        if not m or m.group(0) != chunk:
-            raise self.error("expected an atom or location name, got %r" % chunk)
-        name = chunk
-        self.pos = end
-        if name == "true":
-            return PropConst(True)
-        if name == "false":
-            return PropConst(False)
-        if name not in self.pta.locations:
-            raise self.error("undeclared location %r" % name)
-        return PropLoc(name)
+    invariants = {name: inv.constraint(clockset, paramset) for name, inv in pending_inv}
+    edges = []
+    for m, guard, action, updates, resets in pending_edges:
+        for k in (1, 2):
+            if m.group(k) not in locations:
+                raise ParseError("undeclared location %r" % m.group(k), guard.line,
+                                 guard.base + m.start(k))
+        for um in resets:
+            if um.group(1) not in clockset:
+                raise ParseError("reset of undeclared clock %r" % um.group(1), guard.line,
+                                 guard.base + um.start(1))
+        edges.append(Edge(m.group(1), guard.constraint(clockset, paramset), action, updates,
+                          m.group(2)))
+    return Pta(clocks=tuple(clocks), params=tuple(params), locations=tuple(locations),
+               initial=initial or locations[0], invariants=invariants, edges=tuple(edges),
+               time_domain=domains["time"], param_domain=domains["param"])
 
 
 def parse_property(text: str, pta: Pta) -> SystemProperty:
     """Parse "EF <phi>" or "AG <phi>" against a model's declarations."""
-    stripped = text.strip()
-    if stripped.startswith("EF"):
-        mode, body = EXISTS_EVENTUALLY, stripped[2:]
-    elif stripped.startswith("AG"):
-        mode, body = FORALL_ALWAYS, stripped[2:]
-    else:
+    mode = text.strip()[:2]
+    if mode not in (EXISTS_EVENTUALLY, FORALL_ALWAYS):
         raise ParseError("property must start with EF or AG")
-    parser = _PropParser(body, pta)
-    phi = parser.parse_or()
-    parser.skip_ws()
-    if parser.pos != len(body):
-        raise parser.error("trailing text in property")
+    body = _Tokens(text, _lead(text) + 2, len(text), 1, 1)
+    body.context = (set(pta.clocks), set(pta.params), pta.locations)
+    phi = body.disjunction()
+    if body.i < len(body.toks):
+        raise body.error("trailing text in property", body.i)
     return SystemProperty(mode, phi)

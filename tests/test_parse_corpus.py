@@ -12,6 +12,7 @@ Run this file as a script to write the corpus again:
     PYTHONPATH=src python tests/test_parse_corpus.py
 """
 
+import ast
 import json
 import random
 import re
@@ -107,6 +108,30 @@ def _random(rng: random.Random):
     return pta.render(), render_system_property(SystemProperty(mode, rand_state_property(rng, pta)))
 
 
+# messages whose quotes are syntax, not text taken from the source
+_SYNTAX = {
+    "expected '+' or '-' between terms",
+    "expected factor after '*'",
+    "expected integer exponent after '^'",
+    "missing ')'",
+    "edge needs '<guard> ; <action> ;'",
+    "bad location line (expected 'loc <id> [init] inv: ...')",
+    "bad edge line (expected 'edge <src> -> <dst> : ...')",
+}
+_QUOTE = re.compile(r"'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\"")
+
+
+def quote_is_at_column(entry: dict) -> bool:
+    """Whether the source text an error message quotes starts at the
+    error's column (true for a message that quotes none)."""
+    message, line, column = entry["error"]
+    quote = _QUOTE.search(message)
+    if quote is None or message in _SYNTAX:
+        return True
+    text = entry["text"] if entry["kind"] == "property" else entry["text"].splitlines()[line - 1]
+    return column >= 1 and text[column - 1:].startswith(ast.literal_eval(quote.group()))
+
+
 def _message(err: ParseError) -> str:
     text = str(err)
     return text[:text.rindex(" at line ")] if err.line else text
@@ -161,13 +186,25 @@ def test_corpus_models_that_parse_are_valid():
         parse_model(entry["text"]).validate()
 
 
+def test_corpus_errors_point_at_what_they_quote():
+    corpus = json.loads(CORPUS.read_text())
+    errors = [e for e in corpus if "error" in e]
+    quoting = [e for e in errors if _QUOTE.search(e["error"][0]) and e["error"][0] not in _SYNTAX]
+    assert len(quoting) > 200
+    assert [e for e in errors if not quote_is_at_column(e)] == []
+
+
 def test_mutated_texts_parse_or_raise_parse_error():
     # any other exception (KeyError, IndexError, ...) fails the test, and
-    # so does a parsed model that Pta.validate rejects
+    # so do a parsed model that Pta.validate rejects and an error that
+    # quotes text away from its column
     entries = texts(777, 16, 900)
     assert len(entries) > 1900
     for entry in entries:
-        if "parsed" in outcome(entry) and entry["kind"] == "model":
+        entry.update(outcome(entry))
+        if "error" in entry:
+            assert quote_is_at_column(entry), entry
+        elif entry["kind"] == "model":
             parse_model(entry["text"]).validate()
 
 

@@ -179,3 +179,42 @@ def test_negative_exponent_is_not_an_integer_exponent(text, column):
         parse_expression(text, {"p", "q"})
     assert str(err.value) == "expected integer exponent after '^'"
     assert err.value.column == column
+
+
+_DECLS = "clocks: x\nparams: p\nloc q0 init inv: true\nloc q1 inv: true\n"
+
+
+@pytest.mark.parametrize("last_line, message", [
+    ("edge q0 -> q1 : x >= 2 & y <= p ; a ;", "undeclared clock 'y' at line 5, column 26"),
+    ("edge q0 -> q1 : x >= 2 & x <= p + $ ; a ;",
+     "unexpected character '$' in expression at line 5, column 35"),
+    ("edge q0 -> q1 : x >= 2 &  x <= q ; a ;", "undeclared parameter 'q' at line 5, column 32"),
+    ("  loc q2 inv: x <= 2 & y <= 1", "undeclared clock 'y' at line 5, column 24"),
+    ("edge q0 -> q9 : true ; a ;", "undeclared location 'q9' at line 5, column 12"),
+    ("edge q0 -> q1 : true ; a ; reset y:=0",
+     "reset of undeclared clock 'y' at line 5, column 34"),
+    ("edge q0 -> q1 : x <= 1 && x >= 0 ; a ;", "empty conjunct at line 5, column 24"),
+    ("edge q0 -> q1 : x <= 1 ; a ;  # x <= $", None),
+])
+def test_model_errors_point_at_their_token_in_the_line(last_line, message):
+    # columns count from the start of the line, not from the guard text
+    # or a conjunct's leading blank
+    if message is None:
+        parse_model(_DECLS + last_line)
+        return
+    with pytest.raises(ParseError) as err:
+        parse_model(_DECLS + last_line)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("EF (x <= p && q1) || x - y < 2", "undeclared clock 'y' at line 1, column 26"),
+    ("EF q1 && x <= 2 q", "undeclared parameter 'q' at line 1, column 17"),
+    ("  AG !(q1 || q7)", "undeclared location 'q7' at line 1, column 14"),
+    ("EF q1 &&", "expected an atom or location name at line 1, column 9"),
+    ("EF (q1", "missing ')' at line 1, column 7"),
+])
+def test_property_errors_count_columns_from_the_start_of_the_text(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_property(text, parse_model(_DECLS))
+    assert str(err.value) == message
