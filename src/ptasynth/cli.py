@@ -17,8 +17,12 @@ from fractions import Fraction
 from . import jsonio
 from .feasibility import feasible_with_reset
 from .model import (
+    EXISTS_EVENTUALLY,
     ConcreteRun,
+    PropLoc,
     SyntacticRun,
+    SystemProperty,
+    UnsupportedError,
     render_system_property,
     thresholds,
 )
@@ -37,7 +41,6 @@ from .twoclock import (
     periodicity_probe,
     validate_two_one,
 )
-from .model import UnsupportedError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -144,7 +147,11 @@ def _trace(path: str, pta):
         if not isinstance(step, dict) or "delay" not in step or "edge" not in step:
             raise CliError("malformed trace: a step needs \"delay\" and \"edge\", got %s"
                            % json.dumps(step))
-        steps.append((parse_fraction(str(step["delay"])), int(step["edge"])))
+        edge = step["edge"]
+        if type(edge) is not int:
+            raise CliError("malformed trace: a step's \"edge\" must be an integer, got %s"
+                           % json.dumps(edge))
+        steps.append((parse_fraction(str(step["delay"])), edge))
     run = ConcreteRun(tuple(steps), parse_fraction(str(data.get("final_delay", "0"))))
     gamma = {_param(name, pta): parse_fraction(str(v))
              for name, v in data.get("valuation", {}).items()}
@@ -337,10 +344,8 @@ def cmd_scan_run(args):
     missing = set(pta.params) - set(gamma)
     if missing:
         raise CliError("trace or --set must give parameter(s): %s" % ", ".join(sorted(missing)))
-    psi_dummy = None
     if args.lemma in ("oneP3", "oneP5", "oneP6"):
-        from .model import PropLoc, SystemProperty as SP, EXISTS_EVENTUALLY
-        s0, _ = thresholds(pta, SP(EXISTS_EVENTUALLY, PropLoc(pta.initial)))
+        s0, _ = thresholds(pta, SystemProperty(EXISTS_EVENTUALLY, PropLoc(pta.initial)))
         finder = {"oneP3": find_oneP3_indices, "oneP5": find_oneP5_indices,
                   "oneP6": find_oneP6_index}[args.lemma]
         witness = finder(two_one, run, gamma, s0)

@@ -21,9 +21,10 @@ open)`` and an upper bound the key ``(b, -open)``: in tuple order the
 tightest lower bound of a step is the largest key, the tightest upper
 bound the smallest, and a lower and an upper bound leave a dense value
 between them exactly when ``lower <= upper``.  In nat time the keys are
-first rounded to the least and the greatest admissible integer, by floor
-division of the scaled ints (``math.floor``/``math.ceil`` of exact
-values), and the same comparison decides the pair.
+the least and the greatest admissible integer, read from the atoms'
+integer tops (``semantics._discrete_tops``, which rounds the scaled ints
+by floor division and exact values by ``math.floor``/``math.ceil``), and
+the same comparison decides the pair.
 
 So a valuation's verdict depends only on the signs of a few differences
 of bounds, and :func:`run_comparisons` lists them for a parameter
@@ -32,8 +33,8 @@ condition fails (its sign against 0) or, for some pair, the largest lower
 key, starting at ``(0, 0)``, exceeds the smallest upper key.  The latter
 holds exactly when some single lower key exceeds some single upper key,
 so it is fixed by the sign of each upper bound against 0 and against
-each lower bound (or segment start) it is tested with; clamping an upper
-key below 0 changes no verdict, since every lower key is at least
+each lower bound (or segment start) it is tested with; clamping a dense
+upper key below 0 changes no verdict, since every lower key is at least
 ``(0, 0)``.  The strictness flags are fixed per atom, so in dense time
 each of those comparisons is the sign of a threshold difference.  In nat
 time at integer parameters the thresholds are integers, the rounding
@@ -51,7 +52,6 @@ index, and nat time takes the least admissible integer instead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Set, Tuple
@@ -59,7 +59,7 @@ from typing import List, Optional, Set, Tuple
 from .constraints import AtomicConstraint, SimpleConstraint
 from .model import ConcreteRun, TIME_DENSE, TIME_NAT, UnsupportedError
 from .scalars import INF
-from .semantics import _bound_table, _bound_values
+from .semantics import _bound_table, _bound_values, _discrete_tops
 from .transforms import GuardOnlyRun
 
 
@@ -161,7 +161,6 @@ class RunProgram:
 
     run: GuardOnlyRun
     time_domain: str
-    clock: Optional[str]
     atoms: Tuple[AtomicConstraint, ...]
     bounds: tuple
     params: Tuple[str, ...]
@@ -185,18 +184,16 @@ def _clock_of(run: GuardOnlyRun) -> Optional[str]:
     return run.clocks[0] if run.clocks else None
 
 
-def compile_run(run: GuardOnlyRun, time_domain: str = TIME_DENSE,
-                clock: Optional[str] = None) -> RunProgram:
+def compile_run(run: GuardOnlyRun, time_domain: str = TIME_DENSE) -> RunProgram:
     """Compile the per-run test of ``run`` once, for many valuations.
 
-    A segment ends at a step that resets ``clock`` (default: the clock the
-    run constrains; its guard is tested before the reset) or at the end of
+    A segment ends at a step that resets the run's clock (the clock it
+    constrains; its guard is tested before the reset) or at the end of
     the run.  Each segment after a reset at step h first tests the reset
     value against every upper bound of the segment, as pairs (h, j), and
     then every pair i <= j of its own steps.
     """
-    if clock is None:
-        clock = _clock_of(run)
+    clock = _clock_of(run)
     index = {}
 
     def ids(atoms):
@@ -221,7 +218,7 @@ def compile_run(run: GuardOnlyRun, time_domain: str = TIME_DENSE,
         pairs += [(i, i, j) for i in range(first, stop) for j in range(i, stop)]
     atoms = tuple(index)
     return RunProgram(
-        run=run, time_domain=time_domain, clock=clock, **_bound_table(atoms),
+        run=run, time_domain=time_domain, **_bound_table(atoms),
         strict=tuple(int(a.strict) for a in atoms), conditions=tuple(conditions),
         lower=tuple(p[0] for p in parts), upper=tuple(p[1] for p in parts),
         segments=tuple(segments), pairs=tuple(pairs))
@@ -257,8 +254,17 @@ def run_comparisons(program: RunProgram) -> Set[Tuple[AtomicConstraint, object]]
 
 def _keys(program: RunProgram, values, scale):
     """The lower keys (one per step, then one per segment start) and the
-    upper keys (one per step, None when no bound is finite) at a valuation,
-    rounded to admissible integers in nat time."""
+    upper keys (one per step, None when no bound is finite) at a valuation.
+    In nat time they are admissible integers: ``x ~ b`` holds for the
+    integers ``x <= top`` and ``-x ~ b`` for ``x >= -top``, ``top`` being
+    the atom's integer top of ``semantics._discrete_tops``."""
+    if program.time_domain == TIME_NAT:
+        tops = _discrete_tops(program, values, scale)[0]
+        lows = [(max([0] + [-tops[k] for k in atoms if tops[k] is not None]), 0)
+                for atoms in program.lower]
+        highs = [min(((tops[k], 0) for k in atoms if tops[k] is not None), default=None)
+                 for atoms in program.upper]
+        return lows + [(start, 0) for _, _, start in program.segments], highs
     strict = program.strict
     lows = []
     for atoms in program.lower:
@@ -268,8 +274,7 @@ def _keys(program: RunProgram, values, scale):
             if v is not None and (-v, strict[k]) > best:
                 best = (-v, strict[k])
         lows.append(best)
-    unit = scale or 1
-    lows += [(start * unit, 0) for _, _, start in program.segments]
+    lows += [(start * (scale or 1), 0) for _, _, start in program.segments]
     highs = []
     for atoms in program.upper:
         best = None
@@ -280,16 +285,7 @@ def _keys(program: RunProgram, values, scale):
         if best is not None and best < (0, 0):      # below 0, or an open 0
             best = (0, -1)
         highs.append(best)
-    if program.time_domain != TIME_NAT:
-        return lows, highs
-    if scale is None:
-        return ([(math.floor(v) + 1 if o else math.ceil(v), 0) for v, o in lows],
-                [None if h is None else (math.ceil(h[0]) - 1 if h[1] else math.floor(h[0]), 0)
-                 for h in highs])
-    # the least integer above b/scale (open) or from it on (closed), and
-    # the greatest integer below or up to it
-    return ([(-((-v - o) // scale), 0) for v, o in lows],
-            [None if h is None else ((h[0] + h[1]) // scale, 0) for h in highs])
+    return lows, highs
 
 
 def _exact(v, scale):
@@ -375,33 +371,32 @@ def pair_satisfiable(i: int, j: int, run: GuardOnlyRun, gamma,
     return highs[1] is None or lows[0] <= highs[1]
 
 
-def feasible_no_reset(run: GuardOnlyRun, gamma, time_domain: str = TIME_DENSE,
-                      clock: Optional[str] = None) -> FeasibilityResult:
+def feasible_no_reset(run: GuardOnlyRun, gamma, time_domain: str = TIME_DENSE) -> FeasibilityResult:
     """All-ordered-pairs feasibility test with a monotone witness.
 
     Empty runs are feasible exactly when the initial parameter condition
     holds.  The witness is omitted (verdict only) when the evaluated
     bounds are not rational.
     """
-    program = compile_run(run, time_domain, clock)
+    program = compile_run(run, time_domain)
     if len(program.segments) > 1:
         raise UnsupportedError("reset-free feasibility called on a run with resets")
     return _decide(program, gamma, True)
 
 
 def feasible_with_reset(run, gamma, time_domain: Optional[str] = None,
-                        clock: Optional[str] = None, witness: bool = True) -> FeasibilityResult:
+                        witness: bool = True) -> FeasibilityResult:
     """Feasibility with clock resets, one reset-free segment after another.
 
-    ``run`` is a :class:`RunProgram`, which carries its own time domain and
-    clock, or a ``GuardOnlyRun``, compiled here for ``time_domain``
-    (default dense) and ``clock``.  Failing pairs and reasons use the run's
+    ``run`` is a :class:`RunProgram`, which carries its own time domain,
+    or a ``GuardOnlyRun``, compiled here for ``time_domain`` (default
+    dense).  Failing pairs and reasons use the run's
     1-based step numbers; after a reset at step h, the reset value failing
     step j's upper bound is the pair (h, j).  The witness, built only when
     ``witness`` is true, sets the clock to the reset value after h.
     """
     if isinstance(run, GuardOnlyRun):
-        run = compile_run(run, time_domain or TIME_DENSE, clock)
-    elif time_domain not in (None, run.time_domain) or clock not in (None, run.clock):
-        raise ValueError("a compiled run is decided in its own time domain and clock")
+        run = compile_run(run, time_domain or TIME_DENSE)
+    elif time_domain not in (None, run.time_domain):
+        raise ValueError("a compiled run is decided in its own time domain")
     return _decide(run, gamma, witness)

@@ -578,16 +578,18 @@ def _compile_discrete(pta, phi, index, loc_index, common) -> DiscreteProgram:
     return DiscreteProgram(max_reset=pta.max_reset(), **tables, **common)
 
 
-def _discrete_tops(program: DiscreteProgram, gamma):
-    """Each atom's ``top`` at ``gamma`` (None for an infinite bound), and
-    M, the largest ``ceil(|bound|)``; each bound is evaluated once.
+def _discrete_tops(program: DiscreteProgram, values, scale):
+    """Each atom's ``top`` (None for an infinite bound), and M, the largest
+    ``ceil(|bound|)``, from the bound ``values`` and ``scale`` that
+    :func:`_bound_values` gives at a valuation.  ``program`` is anything
+    with the atoms those values belong to, a :class:`DiscreteProgram` or a
+    compiled run of ``feasibility``.
 
     Over integers ``v ~ b`` (``~`` being ``<`` or ``<=``) is ``v <= top``
     with ``top`` the largest integer that satisfies it: ``floor(b)`` for
     ``<=`` and ``ceil(b) - 1`` for ``<``.  An int bound (scale 1) needs no
     rounding: its top is ``b - strict`` and its part of M is ``|b|``.
     """
-    values, scale = _bound_values(program, gamma)
     if scale == 1:
         return ([None if v is None else v - a.strict for a, v in zip(program.atoms, values)],
                 max((abs(v) for v in values if v is not None), default=0))
@@ -616,7 +618,7 @@ def reach_discrete(program: DiscreteProgram, gamma, min_cap: int = 0,
     ``info["states"]`` counts the states found, dead ones that were not
     expanded included (see :func:`_search`).
     """
-    tops, m_bound = _discrete_tops(program, gamma)
+    tops, m_bound = _discrete_tops(program, *_bound_values(program, gamma))
     cap = max(m_bound + 1 + program.max_reset, min_cap, 1)
     parents, hit = _search(program, tops, program.resets, cap, m_bound + 1)
     info = {"cap": cap, "states": len(parents)}

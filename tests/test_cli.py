@@ -199,7 +199,10 @@ def test_scan_run_rejects_malformed_traces(tmp_path):
             "--set", "p=3")
     for text in ('{"steps": [{"delay": "2"}]}', '{"steps": [{"edge": 0}]}',
                  '{"steps": [3]}', '[{"delay": "2", "edge": 0}]', '{"steps": 3}',
-                 '{"steps": [], "valuation": ["p", 3]}'):
+                 '{"steps": [], "valuation": ["p", 3]}',
+                 '{"steps": [{"delay": "2", "edge": 0.9}]}',
+                 '{"steps": [{"delay": "2", "edge": true}]}',
+                 '{"steps": [{"delay": "2", "edge": "0"}]}'):
         trace.write_text(text)
         res = cli(*args)
         assert res.returncode == 2, (text, res.stderr)

@@ -39,6 +39,7 @@ from ptasynth.polynomials import (
 )
 from ptasynth.scalars import INF
 from ptasynth.semantics import (
+    _bound_values,
     _dense_regions,
     _discrete_tops,
     _moves,
@@ -505,7 +506,7 @@ def test_scaled_ints_rank_and_round_like_fractions(n_params):
         phi = rand_state_property(rng, pta)
         nat, dense = compile_reach(pta, phi, "nat"), compile_reach(pta, phi, "dense")
         for gamma in rational_points(rng, pta.params):
-            tops, m_bound = _discrete_tops(nat, gamma)
+            tops, m_bound = _discrete_tops(nat, *_bound_values(nat, gamma))
             assert tops == fraction_tops(nat.atoms, gamma)
             assert m_bound == max([math.ceil(abs(a.rhs.evaluate(gamma))) for a in nat.atoms], default=0)
             points, tops, reset_regions, scale = _dense_regions(dense, gamma)
@@ -529,7 +530,8 @@ edge q1 -> q1 : x > 4 ; b ;
     assert program.degree == 3
     for gamma in ({"p": Fraction(3, 7), "q": Fraction(-5, 4)}, {"p": Fraction(9, 2), "q": Fraction(2, 3)},
                   {"p": Fraction(-1), "q": Fraction(11, 6)}):
-        assert _discrete_tops(program, gamma)[0] == fraction_tops(program.atoms, gamma)
+        assert _discrete_tops(program, *_bound_values(program, gamma))[0] == \
+            fraction_tops(program.atoms, gamma)
 
 
 def test_check_two_parameter_polynomial_model_at_rational_points():
