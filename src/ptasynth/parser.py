@@ -69,7 +69,7 @@ class ParseError(ValueError):
 _TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|<=|>=|&&|\|\||\S")
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _RELATIONS = frozenset(("<", "<=", ">", ">=", "="))
-_EXPR_SIGNS = frozenset("^*+-")
+_EXPR_OPERATORS = frozenset("^*+-")
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _WORD_RE = re.compile(r"\S+")
@@ -111,7 +111,7 @@ class _Tokens:
         ``b - 1``, or about its first token that no expression has."""
         for m in range(a, b):
             t = self.toks[m]
-            if t[0] not in _NAME_START and t not in _EXPR_SIGNS and not t.isdecimal():
+            if t[0] not in _NAME_START and t not in _EXPR_OPERATORS and not t.isdecimal():
                 return self.error("unexpected character %r in expression" % t[0], m)
         return self.error(message, k)
 
