@@ -26,22 +26,23 @@ integer tops (``semantics._discrete_tops``, which rounds the scaled ints
 by floor division and exact values by ``math.floor``/``math.ceil``), and
 the same comparison decides the pair.
 
-So a valuation's verdict depends only on the signs of a few differences
-of bounds, and :func:`run_comparisons` lists them for a parameter
-decomposition.  :func:`_decide` rejects exactly when a clock-free
-condition fails (its sign against 0) or, for some pair, the largest lower
-key, starting at ``(0, 0)``, exceeds the smallest upper key.  The latter
-holds exactly when some single lower key exceeds some single upper key,
-so it is fixed by the sign of each upper bound against 0 and against
-each lower bound (or segment start) it is tested with; clamping a dense
-upper key below 0 changes no verdict, since every lower key is at least
-``(0, 0)``.  The strictness flags are fixed per atom, so in dense time
-each of those comparisons is the sign of a threshold difference.  In nat
-time at integer parameters the thresholds are integers, the rounding
-turns ``x < t`` into ``x <= t - 1`` and ``x > t`` into ``x >= t + 1``,
-and the comparison is the sign of the difference of the shifted
-thresholds.  Lower bounds against each other, and upper bounds against
-each other, are never read.
+So a valuation's verdict depends only on the signs of a few clock-free
+expressions, and :func:`run_comparisons` lists them: they are all a
+parameter decomposition of the run splits on.  :func:`_decide` rejects
+exactly when a clock-free condition fails (its sign against 0) or, for
+some pair, the largest lower key, starting at ``(0, 0)``, exceeds the
+smallest upper key.  The latter holds exactly when some single lower key
+exceeds some single upper key, so it is fixed by the sign of each upper
+bound against 0 and against each lower bound (or segment start) it is
+tested with; clamping a dense upper key below 0 changes no verdict,
+since every lower key is at least ``(0, 0)``.  The strictness flags are
+fixed per atom, so in dense time each of those comparisons is the sign
+of a threshold difference.  In nat time at integer parameters the
+thresholds are integers, the rounding turns ``x < t`` into
+``x <= t - 1`` and ``x > t`` into ``x >= t + 1``, and the comparison is
+the sign of the difference of the shifted thresholds
+(:func:`_threshold`).  Lower bounds against each other, and upper bounds
+against each other, are never read.
 
 Witness construction follows the midpoint rule on the cumulative
 lower/upper envelopes of each segment, the lower one starting at 0 or at
@@ -57,6 +58,7 @@ from fractions import Fraction
 from typing import List, Optional, Set, Tuple
 
 from .constraints import AtomicConstraint, SimpleConstraint
+from .expressions import Expression
 from .model import ConcreteRun, TIME_DENSE, TIME_NAT, UnsupportedError
 from .scalars import INF
 from .semantics import _bound_table, _bound_values, _discrete_tops
@@ -224,29 +226,40 @@ def compile_run(run: GuardOnlyRun, time_domain: str = TIME_DENSE) -> RunProgram:
         segments=tuple(segments), pairs=tuple(pairs))
 
 
-def run_comparisons(program: RunProgram) -> Set[Tuple[AtomicConstraint, object]]:
-    """The comparisons of bounds that :func:`_decide` reads, as pairs
-    ``(upper atom, other)``, ``other`` being a lower-bound atom or an int
-    (0, or a segment's start value); a pair stands for the comparison of
-    the two thresholds.  For every tested pair ``(i, lo, j)``, each finite
-    upper bound of step ``j`` is compared with 0 and with each finite
-    lower bound of step ``lo``, or with the segment's start value when
-    ``lo`` names a segment start.  The clock-free conditions, each
-    compared with 0, are not listed: every decomposition keeps all of
-    them.
+def _threshold(atom: AtomicConstraint, nat_time: bool) -> Expression:
+    """The threshold of a clock bound: ``t`` for ``x ~ t`` and ``-e`` for
+    ``-x ~ e``.  In nat time a strict bound ``x < t`` is the closed bound
+    ``x <= t - 1`` (and ``x > t`` is ``x >= t + 1``), so its threshold is
+    shifted by one."""
+    if atom.pos is not None:
+        return atom.rhs.plus_const(-1) if nat_time and atom.strict else atom.rhs
+    thr = atom.rhs.negated()
+    return thr.plus_const(1) if nat_time and atom.strict else thr
+
+
+def run_comparisons(program: RunProgram) -> Set[Expression]:
+    """The expressions whose signs :func:`_decide` reads: each finite
+    clock-free condition, compared with 0, and the threshold differences
+    ``a - b`` (:func:`_threshold`, nat-time shift included) of the compared
+    bounds.  For every tested pair ``(i, lo, j)``, each finite upper bound
+    of step ``j`` is compared with 0 and with each finite lower bound of
+    step ``lo``, or with the segment's start value when ``lo`` names a
+    segment start.
     """
     atoms, bounds, n = program.atoms, program.bounds, len(program.lower)
-    out = set()
+    nat = program.time_domain == TIME_NAT
+    out = {atoms[k].rhs for _, k in program.conditions if bounds[k] is not None}
     for _, lo, j in program.pairs:
         for u in program.upper[j]:
             if bounds[u] is None:
                 continue
-            upper = atoms[u]
-            out.add((upper, 0))
+            upper = _threshold(atoms[u], nat)
+            out.add(upper)
             if lo < n:
-                out.update((upper, atoms[k]) for k in program.lower[lo] if bounds[k] is not None)
+                out.update(upper.minus(_threshold(atoms[k], nat))
+                           for k in program.lower[lo] if bounds[k] is not None)
             else:
-                out.add((upper, program.segments[lo - n][2]))
+                out.add(upper.plus_const(-program.segments[lo - n][2]))
     return out
 
 

@@ -77,7 +77,6 @@ from .synthesis import (
     enumerate_runs,
     region_query,
     synthesize,
-    threshold_pool,
 )
 from .transforms import (
     GuardOnlyRun,
@@ -386,7 +385,7 @@ def suite_sign_invariance(seed: int, n_models: int, samples_per_cell=100) -> Sui
             # pipeline builds them
             nat = pta.time_domain == TIME_NAT
             pool = project_clock([(e.univariate(pta.params[0]),) for e in _comparisons(
-                threshold_pool(_atom_pool(pta, psi), _reset_constants(pta), nat), None, nat)])
+                _atom_pool(pta, psi), _reset_constants(pta), nat)])
             for cv in region.cells:
                 base = signs_at_1d(pool, cv.cell.sample)
                 # a point cell's provenance is exactly the pool's zeros there

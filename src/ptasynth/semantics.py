@@ -797,8 +797,9 @@ def _anchored_regions(program: DenseProgram, root: AnchoredRoot):
     its sign at ``below`` otherwise.  A point is rational at the root
     exactly when its value is a constant.
 
-    ``synthesis._comparisons`` lists every such difference when it compares
-    every pair of the pool.  Leaving a pair out breaks this, even a pair
+    ``synthesis._comparisons``, the list ``synthesize`` decomposes over,
+    holds every such difference: it compares every pair of thresholds and
+    constants.  Leaving a pair out breaks this, even a pair
     whose order no verdict reads: two lower bounds that cross between
     ``below`` and the root put a third value between the two that tie.
     """

@@ -1,24 +1,24 @@
 """End-to-end computation of the feasible parameter region.
 
-Pipeline: collect the thresholds of the model and property
-(``threshold_pool``), decompose the parameter space so that the
-comparisons among them have a constant sign per cell, then decide the
-property at one exact sample per cell with the concrete semantics and
-read the region off the verdict-true cells.  With one clock, comparing
-two bounds is the sign of the difference of their thresholds, so both
-decompositions split on one list of threshold differences
-(``_comparisons``).  The parameter count alone picks the decomposition:
-root isolation of the differences (``cad1``) for one parameter, linear
-or polynomial; the differences as hyperplanes (``linear``) for zero, two
-or three parameters, whose expressions must then be linear.
-``synthesize`` and ``run_region`` share the pool, both decompositions and
-the per-cell decision loop; they differ in which comparisons they
-decompose over and in what they decide at a valuation.  ``synthesize``
-decomposes over every pair of the pool, compiles the model and property
-once (``semantics.compile_check``) and instantiates that one program at
-each cell's valuation, one ``decide`` call per cell.  ``run_region``
-compiles each branch of the run once (``feasibility.compile_run``),
-decomposes over only the comparisons those compiled checks read
+Pipeline: list the comparisons of clock bounds that a cell must keep
+constant, decompose the parameter space so that each has a constant sign
+per cell, then decide the property at one exact sample per cell with
+the concrete semantics and read the region off the verdict-true cells.
+With one clock, comparing two bounds is the sign of the difference of
+their thresholds, so every comparison is one clock-free expression and
+``_region`` decomposes over a list of them.  The parameter count alone
+picks the decomposition: root isolation of the differences (``cad1``)
+for one parameter, linear or polynomial; the differences as hyperplanes
+(``linear``) for zero, two or three parameters, whose expressions must
+then be linear.  ``synthesize`` and ``run_region`` share ``_region``:
+both decompositions and the per-cell decision loop; each passes the
+comparisons its decision reads.  ``synthesize`` compiles the model and
+property once (``semantics.compile_check``), decomposes over every pair
+of the model's and property's thresholds and reset values
+(``_comparisons``), and instantiates that one program at each cell's
+valuation, one ``decide`` call per cell.  ``run_region`` compiles each
+branch of the run once (``feasibility.compile_run``), decomposes over
+only the comparisons those compiled checks read
 (``feasibility.run_comparisons``), and decides each branch in scaled ints
 at each cell's valuation.
 
@@ -47,7 +47,6 @@ from .decomposition import (
     cell1d_integer_point,
     decompose_1d,
     decompose_linear,
-    expr_to_vector,
     integer_point,
     project_clock,
 )
@@ -65,7 +64,7 @@ from .model import (
 )
 from .polynomials import AlgebraicNumber, AnchoredRoot
 from .semantics import compile_check, decide
-from .feasibility import compile_run, feasible_with_reset, run_comparisons
+from .feasibility import _threshold, compile_run, feasible_with_reset, run_comparisons
 from .transforms import encode_run_property, invariants_to_guards
 
 DEFAULT_INT_BOX = 64
@@ -146,65 +145,21 @@ def _reset_constants(pta: Pta) -> List[int]:
 
 # -- the comparisons a cell keeps constant ------------------------------------
 
-def _threshold(atom: AtomicConstraint, nat_time: bool) -> Expression:
-    """The threshold of a clock bound: ``t`` for ``x ~ t`` and ``-e`` for
-    ``-x ~ e``.  In nat time a strict bound ``x < t`` is the closed bound
-    ``x <= t - 1`` (and ``x > t`` is ``x >= t + 1``), so its threshold is
-    shifted by one."""
-    if atom.pos is not None:
-        return atom.rhs.plus_const(-1) if nat_time and atom.strict else atom.rhs
-    thr = atom.rhs.negated()
-    return thr.plus_const(1) if nat_time and atom.strict else thr
-
-
-def threshold_pool(atom_pool: Sequence[AtomicConstraint], resets: Sequence[int],
-                   nat_time: bool) -> Tuple[List[Expression], List[Expression], List[int]]:
-    """The comparisons whose sign must be constant in every cell.
-
-    Returns ``(free, thresholds, consts)``: the clock-free expressions,
-    compared with 0; the distinct clock thresholds (``_threshold``); and
-    the constants, 0 and the reset values.  The thresholds and the
-    constants are the pool's entries; a comparison is a pair of entries
-    (``_comparisons``).
-    """
-    free: List[Expression] = []
-    thresholds: List[Expression] = []
-    seen = set()
-    for atom in atom_pool:
-        if atom.rhs.is_infinite():
-            continue
-        if atom.pos is not None and atom.neg is not None:
-            raise UnsupportedError("difference atoms are outside the one-clock pipeline")
-        if atom.is_clock_free():
-            free.append(atom.rhs)
-            continue
-        thr = _threshold(atom, nat_time)
-        if thr not in seen:
-            seen.add(thr)
-            thresholds.append(thr)
-    return free, thresholds, sorted({0, *(int(b) for b in resets)})
-
-
-def _comparisons(pool, comparisons, nat_time: bool) -> List[Expression]:
-    """The expressions whose sign every cell keeps constant: each clock-free
-    expression, and ``a - b`` for each compared pair of thresholds, since
-    with one clock ``x ~ a`` against ``x ~ b`` is the sign of ``a - b``.
-
-    By default every threshold is compared with every later pool entry, so
-    with each other threshold and each constant.  ``comparisons`` are
-    ``feasibility.run_comparisons`` pairs instead: an atom against an atom
-    or an int constant, each atom read through ``_threshold``.
-    """
-    free, thresholds, consts = pool
-    if comparisons is None:
-        entries = thresholds + [Expression.constant(c) for c in consts]
-        pairs = [(a, b) for k, a in enumerate(thresholds) for b in entries[k + 1:]]
-    else:
-        pairs = [(_threshold(upper, nat_time),
-                  Expression.constant(other) if isinstance(other, int)
-                  else _threshold(other, nat_time))
-                 for upper, other in comparisons]
-    return list(free) + [a.minus(b) for a, b in pairs]
+def _comparisons(atom_pool: Sequence[AtomicConstraint], resets: Sequence[int],
+                 nat_time: bool) -> List[Expression]:
+    """Every comparison of the pool, as the expressions whose sign every
+    cell keeps constant: each finite clock-free bound, compared with 0, and
+    ``a - b`` for each pair of entries, since with one clock ``x ~ a``
+    against ``x ~ b`` is the sign of ``a - b``.  The entries are the
+    distinct thresholds of the finite clock bounds
+    (``feasibility._threshold``), then the constants 0 and the reset
+    values; every threshold is compared with every later entry."""
+    finite = [atom for atom in atom_pool if not atom.rhs.is_infinite()]
+    thresholds = list(dict.fromkeys(_threshold(atom, nat_time)
+                                    for atom in finite if not atom.is_clock_free()))
+    entries = thresholds + [Expression.constant(c) for c in sorted({0, *map(int, resets)})]
+    return ([atom.rhs for atom in finite if atom.is_clock_free()]
+            + [a.minus(b) for k, a in enumerate(thresholds) for b in entries[k + 1:]])
 
 
 # -- one decision per cell ------------------------------------------------------
@@ -254,26 +209,20 @@ def _decide_cells(cells, params, decide_at, domain, pdomain, integer_of) -> List
     return out
 
 
-def _region(params, atom_pool, resets, decide_at, psi, domain, pdomain,
-            comparisons=None) -> FeasibleRegion:
-    """Decompose the parameter space over the signs of ``_comparisons``
-    and decide every cell: by 1D root isolation for one parameter, over
-    the hyperplane arrangement otherwise (``decompose_linear`` rejects
-    polynomial expressions).
+def _region(params, exprs, decide_at, psi, domain, pdomain) -> FeasibleRegion:
+    """Decompose the parameter space over the signs of ``exprs``, the
+    comparisons the caller's decision reads, and decide every cell: by 1D
+    root isolation for one parameter, over the hyperplane arrangement
+    otherwise (``decompose_linear`` rejects polynomial expressions).
 
-    The decomposition compares every pair of the pool, or only the
-    ``comparisons`` given (``feasibility.run_comparisons`` pairs); the
-    whole pool is validated either way.  Nat time with real parameters is
-    rejected: nat-time verdicts depend on the floor of each threshold,
-    which the cells do not keep constant.
+    Nat time with real parameters is rejected: nat-time verdicts depend on
+    the floor of each threshold, which the cells do not keep constant.
     """
     params = tuple(params)
     if params and domain == TIME_NAT and pdomain == PARAM_REAL:
         raise UnsupportedError(
             "synthesis in nat time needs int or nat parameters: nat-time verdicts "
             "are not constant on the cells of real parameters")
-    pool = threshold_pool(atom_pool, resets, domain == TIME_NAT)
-    exprs = _comparisons(pool, comparisons, domain == TIME_NAT)
     if len(params) == 1:
         # the inputs are clock-free, so project_clock computes no resultant:
         # it makes them primitive, drops constants, deduplicates and sorts.
@@ -282,11 +231,6 @@ def _region(params, atom_pool, resets, decide_at, psi, domain, pdomain,
         verdicts = _decide_cells(cells, params, decide_at, domain, pdomain,
                                  _integer_point_1d)
         return FeasibleRegion(params, "cad1", verdicts, psi, domain, pdomain)
-    if len(params) <= 3:
-        # decompose_linear refuses more parameters before anything else;
-        # a threshold left out of every pair must still be linear
-        for t in pool[1]:
-            expr_to_vector(t, params)
     cells = decompose_linear(exprs, params)
     verdicts = _decide_cells(cells, params, decide_at, domain, pdomain, integer_point)
     return FeasibleRegion(params, "linear", verdicts, psi, domain, pdomain)
@@ -313,8 +257,8 @@ def synthesize(pta: Pta, psi: SystemProperty, time_domain: Optional[str] = None,
     def decide_at(gamma):
         return decide(program, gamma, witness=False).satisfied
 
-    return _region(pta.params, atom_pool, _reset_constants(pta), decide_at, psi,
-                   domain, pdomain)
+    exprs = _comparisons(atom_pool, _reset_constants(pta), domain == TIME_NAT)
+    return _region(pta.params, exprs, decide_at, psi, domain, pdomain)
 
 
 def region_query(region: FeasibleRegion, gamma) -> bool:
@@ -404,21 +348,16 @@ def run_region(pta: Pta, tau: SyntacticRun, phi, time_domain: Optional[str] = No
     domain = time_domain or pta.time_domain
     pdomain = param_domain or pta.param_domain
     branches = [invariants_to_guards(er) for er in encode_run_property(tau, phi)]
-    params = pta.params
-
-    atom_pool: List[AtomicConstraint] = []
-    resets = _reset_constants(pta)
-    for br in branches:
-        atom_pool.extend(br.initial_condition.conjuncts)
-        for st in br.steps:
-            atom_pool.extend(st.guard.conjuncts)
-            resets.extend(int(b) for b in st.updates.values())
-
     programs = [compile_run(br, domain) for br in branches]
 
     def decide_at(gamma):
         return any(feasible_with_reset(program, gamma, witness=False).feasible
                    for program in programs)
 
-    comparisons = set().union(*map(run_comparisons, programs))
-    return _region(params, atom_pool, resets, decide_at, None, domain, pdomain, comparisons)
+    exprs = set().union(*map(run_comparisons, programs))
+    region = _region(pta.params, exprs, decide_at, None, domain, pdomain)
+    if region.method == "linear" and any(program.degree > 1 for program in programs):
+        # decompose_linear saw only the compared bounds; the others must
+        # be linear too
+        raise UnsupportedError("polynomial expressions are supported with exactly one parameter")
+    return region

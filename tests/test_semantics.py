@@ -59,7 +59,6 @@ from ptasynth.synthesis import (
     _comparisons,
     _reset_constants,
     synthesize,
-    threshold_pool,
 )
 
 
@@ -625,8 +624,7 @@ def one_parameter_models(synth_pools):
 def dense_decomposition(pta, psi):
     """The irrational point cells of the dense-time decomposition of the
     pool's comparisons, each with its left neighbour."""
-    pool = threshold_pool(_atom_pool(pta, psi), _reset_constants(pta), False)
-    exprs = _comparisons(pool, None, False)
+    exprs = _comparisons(_atom_pool(pta, psi), _reset_constants(pta), False)
     cells = decompose_1d(project_clock([(e.univariate(pta.params[0]),) for e in exprs]))
     return [(left, cell) for left, cell in zip(cells, cells[1:])
             if cell.kind == "point" and isinstance(cell.sample, AlgebraicNumber)]

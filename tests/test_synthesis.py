@@ -2,7 +2,6 @@ import math
 import random
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
@@ -14,6 +13,7 @@ from ptasynth.decomposition import (
     project_clock,
     random_point_in_cell1d,
 )
+from ptasynth.feasibility import compile_run, feasible_with_reset, run_comparisons
 from ptasynth.harness import (
     int_grid,
     rand_pta_one_clock,
@@ -29,7 +29,7 @@ from ptasynth.model import (
     UnsupportedError,
 )
 from ptasynth import decomposition, synthesis
-from ptasynth.parser import parse_model, parse_property
+from ptasynth.parser import parse_expression, parse_model, parse_property
 from ptasynth.polynomials import AlgebraicNumber
 from ptasynth.semantics import compile_check, decide
 from ptasynth.synthesis import (
@@ -42,8 +42,8 @@ from ptasynth.synthesis import (
     region_query,
     run_region,
     synthesize,
-    threshold_pool,
 )
+from ptasynth.transforms import encode_run_property, invariants_to_guards
 
 
 def g(p):
@@ -60,9 +60,7 @@ def test_cad1_projection_equals_linear_planes(time_domain):
     for _ in range(25):
         pta = rand_pta_one_clock(rng, 1, time_domain, "int" if time_domain == "nat" else "real")
         psi = SystemProperty("EF", rand_state_property(rng, pta))
-        pool = threshold_pool(_atom_pool(pta, psi), _reset_constants(pta),
-                              time_domain == "nat")
-        exprs = _comparisons(pool, None, time_domain == "nat")
+        exprs = _comparisons(_atom_pool(pta, psi), _reset_constants(pta), time_domain == "nat")
         projected = {(f[1], f[0])
                      for f in project_clock([(e.univariate(pta.params[0]),) for e in exprs])}
         assert projected == set(canonical_planes(exprs, pta.params))
@@ -171,6 +169,77 @@ edge q0 -> q0 : x >= p*q ; a ;
     assert str(err.value) == "polynomial expressions are supported with exactly one parameter"
 
 
+@pytest.mark.parametrize("guard, synth_message", [
+    ("x - y <= p", "model has 2 parametric clocks; the synthesis pipeline handles one "
+                   "(see the two-clock analysis for the two-clock, one-parameter case)"),
+    ("x - y <= 3", "synthesis supports a single constrained clock")])
+def test_difference_atoms_are_refused_before_any_comparison(guard, synth_message):
+    # synthesize refuses a guard on two clocks by its clocks, run_region
+    # when it splits the guard; neither lists comparisons first
+    pta = parse_model("""
+clocks: x, y
+params: p
+loc q0 init inv: true
+loc q1 inv: true
+edge q0 -> q1 : %s ; a ;
+""" % guard)
+    psi = parse_property("EF q1", pta)
+    with pytest.raises(UnsupportedError) as err:
+        synthesize(pta, psi)
+    assert str(err.value) == synth_message
+    with pytest.raises(UnsupportedError) as err:
+        run_region(pta, SyntacticRun(pta, (0,)), psi.phi)
+    assert str(err.value) == "two-clock atom %s in a one-clock guard" % guard.replace(" - ", "-")
+
+
+def test_nat_time_with_real_parameters_is_refused_first():
+    # two parameters and a nonlinear lower bound that no comparison of
+    # run_region reads: both entry points still refuse the domains first
+    pta = parse_model("""
+clocks: x
+params: p, q
+domain: time=nat param=real
+loc q0 init inv: true
+edge q0 -> q0 : x >= p*q ; a ;
+""")
+    psi = parse_property("EF q0", pta)
+    for refused in (lambda: synthesize(pta, psi),
+                    lambda: run_region(pta, SyntacticRun(pta, (0,)), psi.phi)):
+        with pytest.raises(UnsupportedError) as err:
+            refused()
+        assert str(err.value) == (
+            "synthesis in nat time needs int or nat parameters: nat-time verdicts "
+            "are not constant on the cells of real parameters")
+
+
+RESET_RUN = """
+clocks: x
+params: p
+loc q0 init inv: true
+loc q1 inv: true
+loc q2 inv: true
+edge q0 -> q1 : x > p + 1 & x <= 3*p ; a ; reset x:=1
+edge q1 -> q2 : x < p + 5 ; b ;
+"""
+
+
+@pytest.mark.parametrize("time_domain, expected", [
+    ("dense", ["3*p", "2*p - 1", "p + 5", "p + 4"]),
+    ("nat", ["3*p", "2*p - 2", "p + 4", "p + 3"])])
+def test_run_comparisons_are_uppers_against_zero_lowers_and_segment_starts(
+        time_domain, expected):
+    # step 1's upper bound 3p against 0 and against its lower bound p + 1;
+    # step 2's upper bound p + 5 against 0 and against the reset value 1
+    # that starts its segment.  No lower bound against 0, the reset value
+    # or another bound, and no upper bound against another upper bound.
+    # In nat time x > p + 1 is x >= p + 2 and x < p + 5 is x <= p + 4
+    pta = parse_model(RESET_RUN)
+    [branch] = [invariants_to_guards(er)
+                for er in encode_run_property(SyntacticRun(pta, (0, 1)), PropConst(True))]
+    got = run_comparisons(compile_run(branch, time_domain))
+    assert got == {parse_expression(text, {"p"}) for text in expected}
+
+
 NAT_TIME_REAL_PARAM = """
 clocks: x
 params: p
@@ -214,8 +283,8 @@ def linear_reference(pta, psi):
     """The region one parameter got over the hyperplane arrangement before
     the parameter count alone picked the decomposition."""
     domain, pdomain = pta.time_domain, pta.param_domain
-    pool = threshold_pool(_atom_pool(pta, psi), _reset_constants(pta), domain == "nat")
-    cells = decompose_linear(_comparisons(pool, None, domain == "nat"), pta.params)
+    exprs = _comparisons(_atom_pool(pta, psi), _reset_constants(pta), domain == "nat")
+    cells = decompose_linear(exprs, pta.params)
     program = compile_check(pta, psi, domain)
     verdicts = _decide_cells(cells, pta.params,
                              lambda gamma: decide(program, gamma).satisfied,
@@ -407,8 +476,7 @@ def test_region_json_endpoints_are_the_isolated_intervals(text, prop):
     assert region.method == "cad1"
     got = [c["endpoints"] for c in region_to_json(region)["cells"]]
     nat = pta.time_domain == "nat"
-    exprs = _comparisons(threshold_pool(_atom_pool(pta, psi), _reset_constants(pta), nat),
-                         None, nat)
+    exprs = _comparisons(_atom_pool(pta, psi), _reset_constants(pta), nat)
     fresh = decompose_1d(project_clock([(e.univariate("p1"),) for e in exprs]))
     assert got == [[scalar_to_json(c.lo), scalar_to_json(c.hi)] for c in fresh]
     assert any(isinstance(end, dict) for pair in got for end in pair)
@@ -466,15 +534,26 @@ def test_run_region_json_at_irrational_point_cells_is_pinned(time_domain, param_
 
 
 def full_pool_run_region(pta, tau, phi, time_domain=None, param_domain=None):
-    """``run_region`` decomposed over every pair of its pool, as before it
-    compared only what its compiled check reads: the reference."""
-    region = synthesis._region
+    """``run_region`` decomposed over every pair of its branches' thresholds
+    and reset values, as before it compared only what its compiled check
+    reads: the reference."""
+    domain = time_domain or pta.time_domain
+    pdomain = param_domain or pta.param_domain
+    branches = [invariants_to_guards(er) for er in encode_run_property(tau, phi)]
+    atoms, resets = [], _reset_constants(pta)
+    for br in branches:
+        atoms.extend(br.initial_condition.conjuncts)
+        for st in br.steps:
+            atoms.extend(st.guard.conjuncts)
+            resets.extend(st.updates.values())
+    programs = [compile_run(br, domain) for br in branches]
 
-    def every_pair(*args):
-        return region(*args[:7])       # all but the comparisons
+    def decide_at(gamma):
+        return any(feasible_with_reset(program, gamma, witness=False).feasible
+                   for program in programs)
 
-    with mock.patch.object(synthesis, "_region", every_pair):
-        return run_region(pta, tau, phi, time_domain, param_domain)
+    exprs = _comparisons(atoms, resets, domain == "nat")
+    return synthesis._region(pta.params, exprs, decide_at, None, domain, pdomain)
 
 
 @pytest.mark.parametrize("time_domain, param_domain, golden", [
