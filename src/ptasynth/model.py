@@ -60,6 +60,10 @@ class Pta:
     def validate(self) -> "Pta":
         if self.initial not in self.locations:
             raise ModelError("initial location %r is not declared" % self.initial)
+        names = self.clocks + self.params
+        for k, name in enumerate(names):
+            if name in names[:k]:
+                raise ModelError("duplicate name %r" % name)
         declared_clocks = set(self.clocks)
         declared_params = set(self.params)
         for loc in self.invariants:

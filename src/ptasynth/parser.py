@@ -14,7 +14,8 @@ token stream.  A token is a run of digits, a name ``[A-Za-z_][A-Za-z_0-9]*``,
     constraint = "true" | atom { "&" atom }
     atom       = side rel expr         side = x | -x | x-y,  rel = < <= > >= =
     expr       = [signs] term { signs term }      signs = a run of + and -
-    term       = [number] { ["*"] name ["^" number] | "*" number }
+    term       = (number | power) { ["*"] power | "*" number }
+    power      = name ["^" number]
     phi        = conj { "||" conj }    conj = unary { "&&" unary }
     unary      = "!" unary | "(" phi ")" | leaf
     leaf       = atom | location | "true" | "false"
@@ -26,9 +27,10 @@ and ``p^0`` is 1, so ``3*p^0*q`` is ``3*q``.
 A ``ParseError`` has the 1-based line and column of the token it is
 about: the name or character its message quotes, else the atom's first
 token or the token where something else was expected, or one past the
-last token when the text ends too soon.  A property is line 1, with
-columns counted from the start of the text.  Errors about the whole text
-(no locations, no ``EF``/``AG``) have no line or column.
+last token when the text ends too soon.  A property text starts at line
+1, column 1, and may span lines.  Errors about the whole text (no
+locations, no ``EF``/``AG``) have no line or column.  A clock or
+parameter name may be declared once, and not as both.
 """
 
 from __future__ import annotations
@@ -81,7 +83,8 @@ _UPDATE_RE = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*)\s*:=\s*(\d+)\s*")
 
 class _Tokens:
     """The tokens of ``text[start:end]``, ``text[k]`` being at column ``base + k``
-    of ``line``; token positions are found again only for an error."""
+    of ``line`` when no newline precedes it; token positions are found again
+    only for an error."""
 
     __slots__ = ("text", "start", "end", "base", "line", "toks", "i", "context")
 
@@ -94,10 +97,14 @@ class _Tokens:
         return [m.span() for m in _TOKEN.finditer(self.text, self.start, self.end)]
 
     def error(self, message: str, k: int) -> ParseError:
-        """The error about token ``k``, or about the end of the text."""
+        """The error about token ``k``, or about the end of the text, at its
+        line and its column in that line."""
         spans = self._spans()
         at = spans[k][0] if k < len(spans) else spans[-1][1] if spans else self.start
-        return ParseError(message, self.line, self.base + at)
+        newline = self.text.rfind("\n", 0, at)
+        if newline < 0:
+            return ParseError(message, self.line, self.base + at)
+        return ParseError(message, self.line + self.text.count("\n", 0, at), at - newline)
 
     def source(self, a: int, b: int) -> str:
         """The text of tokens ``a`` to ``b - 1``, inner blanks kept."""
@@ -136,7 +143,7 @@ class _Tokens:
             i += saw_factor
             while i < b:
                 t = toks[i]
-                if t == "*":
+                if t == "*" and saw_factor:
                     i += 1
                     if i < b and toks[i].isdecimal():
                         coeff *= int(toks[i])
@@ -287,17 +294,21 @@ def _stripped(line: str, a: int, b: int):
     return line[a:b].strip(), a + _lead(line[a:b])
 
 
-def _names(line: str, at: int, base: int, lineno: int, what: str) -> List[str]:
-    """The comma-separated names after ``line[:at]``."""
-    names = []
+def _declare(names: List[str], line: str, at: int, base: int, lineno: int, what: str,
+             declared) -> None:
+    """Append the comma-separated names after ``line[:at]`` to ``names``;
+    ``declared`` holds every clock and parameter name so far."""
     for piece in line[at:].split(","):
         name = piece.strip()
         if name:
+            column = base + at + _lead(piece)
             if not _IDENT_RE.fullmatch(name):
-                raise ParseError("bad %s name %r" % (what, name), lineno, base + at + _lead(piece))
+                raise ParseError("bad %s name %r" % (what, name), lineno, column)
+            if name in declared:
+                raise ParseError("duplicate name %r" % name, lineno, column)
+            declared.add(name)
             names.append(name)
         at += len(piece) + 1
-    return names
 
 
 _DOMAINS = {"time": (("nat", "dense"), "time domain must be nat or dense"),
@@ -308,6 +319,7 @@ def parse_model(text: str) -> Pta:
     """Parse a model file; raises ParseError with positions."""
     clocks: List[str] = []
     params: List[str] = []
+    declared = set()
     locations: List[str] = []
     initial: Optional[str] = None
     domains = {"time": "dense", "param": "real"}
@@ -323,7 +335,7 @@ def parse_model(text: str) -> Pta:
         base = _lead(content) + 1          # the column of line[0]
         if line.startswith(("clocks:", "params:")):
             names, what = (clocks, "clock") if line[0] == "c" else (params, "parameter")
-            names.extend(_names(line, len("clocks:"), base, lineno, what))
+            _declare(names, line, len("clocks:"), base, lineno, what, declared)
         elif line.startswith("domain:"):
             for m in _WORD_RE.finditer(line, len("domain:")):
                 key, eq, value = m.group().partition("=")

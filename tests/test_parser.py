@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from ptasynth.constraints import AtomicConstraint
 from ptasynth.expressions import Expression
 from ptasynth.harness import rand_pta_one_clock
-from ptasynth.model import PropAnd, PropAtom, PropLoc, PropNot
+from ptasynth.model import ModelError, PropAnd, PropAtom, PropLoc, PropNot
 from ptasynth.parser import (
     ParseError,
     parse_constraint,
@@ -218,3 +219,48 @@ def test_property_errors_count_columns_from_the_start_of_the_text(text, message)
     with pytest.raises(ParseError) as err:
         parse_property(text, parse_model(_DECLS))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("EF q1 &&\n  q9", "undeclared location 'q9' at line 2, column 3"),
+    ("AG (q1 ||\n\n   x <= 2 &&\n y > 1)", "undeclared clock 'y' at line 4, column 2"),
+    ("EF (q1\n  && q0", "missing ')' at line 2, column 8"),
+])
+def test_property_errors_give_the_line_and_column_of_their_token(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_property(text, parse_model(_DECLS))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, column", [("*p", 1), ("3 + *p", 5), ("-*p", 2)])
+def test_a_term_does_not_open_with_star(text, column):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text, {"p"}, line=1)
+    assert str(err.value) == "expected a term at line 1, column %d" % column
+
+
+def test_a_guard_term_does_not_open_with_star():
+    with pytest.raises(ParseError) as err:
+        parse_model(_DECLS + "edge q0 -> q1 : x <= *p ; a ;")
+    assert str(err.value) == "expected a term at line 5, column 22"
+
+
+@pytest.mark.parametrize("decls, message", [
+    ("clocks: x, x\nparams: p\n", "duplicate name 'x' at line 1, column 12"),
+    ("clocks: x\nparams: p,  p\n", "duplicate name 'p' at line 2, column 13"),
+    ("clocks: x\nparams: p, x\n", "duplicate name 'x' at line 2, column 12"),
+    ("params: x\nclocks: y\nclocks: x\n", "duplicate name 'x' at line 3, column 9"),
+], ids=["clocks", "params", "clock-then-param", "param-then-clock"])
+def test_a_name_is_declared_once(decls, message):
+    with pytest.raises(ParseError) as err:
+        parse_model(decls + "loc q0 init inv: true\n")
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("clocks, params, name", [
+    (("x", "x"), ("p",), "x"), (("x",), ("p", "p"), "p"), (("x",), ("p", "x"), "x")])
+def test_validate_refuses_a_name_declared_twice(gate, clocks, params, name):
+    # models built in code, not parsed
+    with pytest.raises(ModelError) as err:
+        replace(gate, clocks=clocks, params=params).validate()
+    assert str(err.value) == "duplicate name %r" % name
