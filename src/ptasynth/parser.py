@@ -294,10 +294,10 @@ def _stripped(line: str, a: int, b: int):
     return line[a:b].strip(), a + _lead(line[a:b])
 
 
-def _declare(names: List[str], line: str, at: int, base: int, lineno: int, what: str,
-             declared) -> None:
-    """Append the comma-separated names after ``line[:at]`` to ``names``;
-    ``declared`` holds every clock and parameter name so far."""
+def _names(line: str, at: int, base: int, lineno: int, what: str, declared) -> List[str]:
+    """The comma-separated names after ``line[:at]``, each added to
+    ``declared``, the clock and parameter names so far."""
+    names = []
     for piece in line[at:].split(","):
         name = piece.strip()
         if name:
@@ -309,6 +309,7 @@ def _declare(names: List[str], line: str, at: int, base: int, lineno: int, what:
             declared.add(name)
             names.append(name)
         at += len(piece) + 1
+    return names
 
 
 _DOMAINS = {"time": (("nat", "dense"), "time domain must be nat or dense"),
@@ -335,7 +336,7 @@ def parse_model(text: str) -> Pta:
         base = _lead(content) + 1          # the column of line[0]
         if line.startswith(("clocks:", "params:")):
             names, what = (clocks, "clock") if line[0] == "c" else (params, "parameter")
-            _declare(names, line, len("clocks:"), base, lineno, what, declared)
+            names.extend(_names(line, len("clocks:"), base, lineno, what, declared))
         elif line.startswith("domain:"):
             for m in _WORD_RE.finditer(line, len("domain:")):
                 key, eq, value = m.group().partition("=")

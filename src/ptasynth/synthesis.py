@@ -357,7 +357,7 @@ def run_region(pta: Pta, tau: SyntacticRun, phi, time_domain: Optional[str] = No
     exprs = set().union(*map(run_comparisons, programs))
     region = _region(pta.params, exprs, decide_at, None, domain, pdomain)
     if region.method == "linear" and any(program.degree > 1 for program in programs):
-        # decompose_linear saw only the compared bounds; the others must
-        # be linear too
+        # decompose_linear refused only nonlinear compared bounds; refuse
+        # the others too, after _region's refusal of the domains
         raise UnsupportedError("polynomial expressions are supported with exactly one parameter")
     return region
