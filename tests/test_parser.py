@@ -196,6 +196,7 @@ _DECLS = "clocks: x\nparams: p\nloc q0 init inv: true\nloc q1 inv: true\n"
      "reset of undeclared clock 'y' at line 5, column 34"),
     ("edge q0 -> q1 : x <= 1 && x >= 0 ; a ;", "empty conjunct at line 5, column 24"),
     ("edge q0 -> q1 : x <= 1 ; a ;  # x <= $", None),
+    ("edge q0 -> q1 : x <= *p ; a ;", "expected a term at line 5, column 22"),
 ])
 def test_model_errors_point_at_their_token_in_the_line(last_line, message):
     # columns count from the start of the line, not from the guard text
@@ -237,12 +238,6 @@ def test_a_term_does_not_open_with_star(text, column):
     with pytest.raises(ParseError) as err:
         parse_expression(text, {"p"}, line=1)
     assert str(err.value) == "expected a term at line 1, column %d" % column
-
-
-def test_a_guard_term_does_not_open_with_star():
-    with pytest.raises(ParseError) as err:
-        parse_model(_DECLS + "edge q0 -> q1 : x <= *p ; a ;")
-    assert str(err.value) == "expected a term at line 5, column 22"
 
 
 @pytest.mark.parametrize("decls, message", [
